@@ -3,7 +3,8 @@
 
 The iterates are convex combinations of nonnegative pivot preimages, so they
 stay nonnegative to the last bit; a returned point is a feasibility
-certificate on its own.  There is no infeasibility certificate: runs that
+certificate on its own.  A "witness" is a Farkas certificate of
+infeasibility: the gap y = b - Ax has A^T y <= 0 and y^T b > 0.  Runs that
 exhaust the radius budget report "inconclusive".
 """
 

@@ -14,7 +14,7 @@ solution.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,17 +111,6 @@ def min_norm_coefficients(mom: Moments, order: int | None = None,
 
 
 @dataclass
-class CenteringState:
-    """Mutable solve state: iterate, maintained residual, counters, trace."""
-
-    x: np.ndarray
-    r: np.ndarray
-    iterations: int = 0
-    schedule_pos: int = 0
-    trace: Trace = field(default_factory=lambda: Trace(CENTERING_TRACE_COLUMNS))
-
-
-@dataclass
 class CenteringOptions:
     """Driver knobs.
 
@@ -211,17 +200,6 @@ def _step_arrays(x, r, t, h, a, rcond, enhanced_threshold=None):
             atr=mom.transposed[0] if mom.transposed is not None else None,
         )
     return x_new, r_new, order, atr_norm, probe
-
-
-def centering_step(state: CenteringState, t: int, h: HOperator, a, b) -> CenteringState:
-    """Public single-step API: apply one order-``t`` update to ``state``.
-
-    Raises :class:`NormalEquationReached` when ``H r = 0``, i.e. the state
-    already solves the normal equation.  The refined-candidate search of the
-    enhanced driver lives in :func:`first_order_probe`.
-    """
-    x_new, r_new, _, _, _ = _step_arrays(state.x, state.r, t, h, a, MOMENT_RCOND)
-    return CenteringState(x_new, r_new, state.iterations + 1, state.schedule_pos, state.trace)
 
 
 def first_order_probe(x, r, h: HOperator, j_max: int, threshold: float,

@@ -16,7 +16,6 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .results import (
     WITNESS,
 )
 from .triangle import solve_adaptive
-
-WORKERS_ENV = "TRISOLVE_WORKERS"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -298,13 +295,7 @@ def _cmd_bench(args) -> int:
     if not args.gen:
         raise _UsageError("bench needs at least one --gen spec")
     algos = args.algo or ["cta"]
-    jobs = [(spec, algo) for spec in args.gen for algo in algos]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda job: _bench_row(job[0], job[1], args), jobs))
-    else:
-        rows = [_bench_row(spec, algo, args) for spec, algo in jobs]
+    rows = [_bench_row(spec, algo, args) for spec in args.gen for algo in algos]
     lines = ["family,n,algo,iterations,wall_ms,residual,normal_residual,outcome"]
     lines += [",".join(str(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"

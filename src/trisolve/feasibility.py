@@ -3,10 +3,13 @@
 The adaptive-radius membership solver carries over with one change: the
 pivot direction ``c = A^T(b - b')`` is replaced by its nonnegative part
 ``c+``, so the pivot ``rho A c+ / ||c+||`` has a nonnegative preimage and
-every iterate stays a convex combination of nonnegative vectors.  There is
-no infeasibility certificate analogous to the unconstrained witness, so the
-radius growth is capped; hitting the cap is reported as inconclusive, never
-as "infeasible".
+every iterate stays a convex combination of nonnegative vectors.  When
+``c+ = 0`` and ``(b - b')^T b > 0``, the gap ``y = b - b'`` satisfies
+``A^T y <= 0`` and ``y^T b > 0``, a Farkas certificate that no ``x >= 0``
+solves ``Ax = b``; the run ends in a witness.  When ``c+ = 0`` but
+``(b - b')^T b <= 0``, the apex ``x = 0`` is a strict pivot and the search
+goes on.  The radius growth is capped; hitting the cap is reported as
+inconclusive, never as "infeasible".
 """
 
 from __future__ import annotations
@@ -16,34 +19,17 @@ import time
 
 import numpy as np
 
-from .linalg import frobenius_norm, matvec, matvec_transpose, norm2, shape_of
+from .linalg import frobenius_norm, norm2, shape_of
 from .results import (
+    APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
     FEASIBLE,
     INCONCLUSIVE,
-    NUMERICAL_FAILURE,
+    ITERATION_CAP,
     SolveResult,
     Trace,
-    WITNESS,
 )
-from .triangle import move_to_pivot
-
-
-def nonnegative_part(c: np.ndarray) -> np.ndarray:
-    """Componentwise ``max(c, 0)``."""
-    return np.maximum(np.asarray(c, dtype=np.float64), 0.0)
-
-
-def cone_pivot_point(a, c_plus, rho):
-    """Maximizer of ``c+^T x`` over the nonnegative section of the ellipsoid:
-    ``v = rho A c+ / ||c+||`` with the nonnegative preimage ``rho c+ / ||c+||``."""
-    cp_norm = norm2(c_plus)
-    if cp_norm == 0.0:
-        raise ValueError("no ascent direction: c+ is zero")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    preimage = (rho / cp_norm) * np.asarray(c_plus, dtype=np.float64)
-    return matvec(a, preimage), preimage
+from .triangle import _check_tolerances, _pivot_loop, _result
 
 
 def default_rho_max(a, b) -> float:
@@ -59,82 +45,29 @@ def default_rho_max(a, b) -> float:
 def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> SolveResult:
     """Search for nonnegative ``x`` with ``||Ax - b|| <= eps`` (absolute).
 
-    Returns ``feasible`` with such an ``x``; ``witness`` when no ascent
-    direction remains in the cone section (``c+ = 0`` with ``b`` not yet
-    reached); ``inconclusive`` when the radius or iteration budget runs out.
+    Returns ``feasible`` with such an ``x``; ``witness`` with a Farkas
+    certificate of infeasibility (``c+ = 0`` and ``(b - b')^T b > 0``);
+    ``inconclusive`` when the radius or iteration budget runs out.
     """
-    m, n = shape_of(a)
     b = np.asarray(b, dtype=np.float64)
     if norm2(b) == 0.0:
         raise ValueError("b must be nonzero")
+    _check_tolerances(eps=eps)
     if rho_max is None:
         rho_max = default_rho_max(a, b)
     if rho_max <= 0.0:
         raise ValueError("rho_max must be positive")
-
     trace = Trace(FEASIBILITY_TRACE_COLUMNS)
-    t0 = time.perf_counter_ns()
-    x = np.zeros(n)
-    b_prime = np.zeros(m)
-    rho = 0.0
-    status = INCONCLUSIVE
-    detail = "iteration budget exhausted"
-    lower_bound = None
-    iterations = 0
-    steps_since_revalidate = 0
-    while iterations < max_iters:
-        gap = b - b_prime
-        gap_norm = norm2(gap)
-        if not math.isfinite(gap_norm):
-            status, detail = NUMERICAL_FAILURE, "non-finite iterate"
-            break
-        if gap_norm <= eps:
-            status, detail = FEASIBLE, ""
-            break
-        c = matvec_transpose(a, gap)
-        c_plus = nonnegative_part(c)
-        cp_norm = norm2(c_plus)
-        wall = time.perf_counter_ns() - t0
-        if cp_norm == 0.0:
-            # Constrained stall: the cone section admits no ascent direction.
-            status = WITNESS
-            c_norm = norm2(c)
-            lower_bound = float(np.dot(gap, b)) / c_norm if c_norm > 0.0 else math.inf
-            detail = "no ascent direction in the nonnegative cone section"
-            trace.append(iterations, rho, gap_norm, c_norm, "witness",
-                         float(x.min()) if n else 0.0, wall)
-            iterations += 1
-            break
-        gap_dot_b = float(np.dot(gap, b))
-        if rho > 0.0 and rho * cp_norm >= gap_dot_b:
-            preimage = (rho / cp_norm) * c_plus
-            v = matvec(a, preimage)
-            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b)
-            x_min = float(x.min())
-            if x_min < -1e-12:
-                # convex combinations of nonnegative vectors cannot go
-                # negative; a violation means the state is corrupt
-                status, detail = NUMERICAL_FAILURE, "iterate left the nonnegative cone"
-                break
-            trace.append(iterations, rho, gap_norm, norm2(c), "pivot",
-                         x_min, wall)
-            steps_since_revalidate += 1
-            if steps_since_revalidate >= 512:
-                b_prime = matvec(a, x)
-                steps_since_revalidate = 0
-        else:
-            rho = max(2.0 * rho, gap_dot_b / cp_norm)
-            trace.append(iterations, rho, gap_norm, norm2(c), "expand",
-                         float(x.min()), wall)
-            if rho > rho_max:
-                status, detail = INCONCLUSIVE, f"radius budget {rho_max:.3e} exhausted"
-                iterations += 1
-                break
-        iterations += 1
-
-    final = b - matvec(a, x)
-    return SolveResult(
-        status, x, norm2(final), norm2(matvec_transpose(a, final)),
-        iterations, trace, rho=rho, lower_bound=lower_bound,
-        min_x_entry=float(x.min()) if n else 0.0, detail=detail,
-    )
+    # eps_prime = -inf: the cone search has no normal-equation stop
+    run = _pivot_loop(a, b, None, 0.0, eps, -math.inf, max_iters, trace,
+                      time.perf_counter_ns(), rho_cap=rho_max, cone=True)
+    status, detail = run.status, run.detail
+    if status == APPROX_SOLUTION:
+        status = FEASIBLE
+    elif status == ITERATION_CAP:
+        status = INCONCLUSIVE
+        detail = (f"radius budget {rho_max:.3e} exhausted" if detail
+                  else "iteration budget exhausted")
+    return _result(status, a, b, run.x, run.iterations, trace, rho=run.rho,
+                   lower_bound=run.bound, min_x_entry=float(run.x.min()) if run.x.size else 0.0,
+                   detail=detail)

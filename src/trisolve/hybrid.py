@@ -45,13 +45,10 @@ def _merged_trace(stages) -> Trace:
     merged = Trace(HYBRID_TRACE_COLUMNS)
     row = 0
     for name, result in stages:
-        cols = result.trace.columns
-        res_idx = cols.index("residual_norm") if "residual_norm" in cols else cols.index("gap_norm")
-        nres_idx = (cols.index("normal_residual_norm") if "normal_residual_norm" in cols
-                    else cols.index("normal_gap_norm"))
-        wall_idx = cols.index("wall_ns")
-        for r in result.trace.rows:
-            merged.append(row, name, r[res_idx], r[nres_idx], r[wall_idx])
+        trace = result.trace
+        for values in zip(trace.column("residual_norm"), trace.column("normal_residual_norm"),
+                          trace.column("wall_ns")):
+            merged.append(row, name, *values)
             row += 1
     return merged
 

@@ -47,12 +47,6 @@ class Trace:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
 
-    def extend(self, other: "Trace") -> None:
-        """Concatenate rows of a same-schema trace (used by staged drivers)."""
-        if other.columns != self.columns:
-            raise ValueError("trace schemas differ")
-        self.rows.extend(other.rows)
-
 
 @dataclass
 class SolveResult:
@@ -95,7 +89,9 @@ class SolveResult:
 
 
 CENTERING_TRACE_COLUMNS = ("iter", "t", "residual_norm", "normal_residual_norm", "wall_ns")
-TRIANGLE_TRACE_COLUMNS = ("iter", "rho", "gap_norm", "normal_gap_norm", "event", "wall_ns")
+TRIANGLE_TRACE_COLUMNS = (
+    "iter", "rho", "residual_norm", "normal_residual_norm", "event", "wall_ns",
+)
 FEASIBILITY_TRACE_COLUMNS = (
-    "iter", "rho", "gap_norm", "normal_gap_norm", "event", "min_x_entry", "wall_ns",
+    "iter", "rho", "residual_norm", "normal_residual_norm", "event", "min_x_entry", "wall_ns",
 )

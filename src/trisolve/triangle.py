@@ -7,16 +7,18 @@ direction ``c = A^T(b - b')`` yields the extreme point
 ``rho ||c|| >= (b - b')^T b`` decides whether moving toward ``v`` makes
 progress (a *pivot*) or whether ``b'`` certifies ``b`` outside the ellipsoid
 (a *witness*, carrying the lower bound ``(b - b')^T b / ||c||`` on the
-minimum-norm solution).  Three drivers build on this: a fixed-radius
-membership test, an adaptive-radius solver that grows ``rho`` past
-``||x*||``, and a bisection on ``rho`` that certifies an approximate
-minimum-norm solution.
+minimum-norm solution).  One loop, :func:`_pivot_loop`, runs this iteration
+for every driver: a fixed-radius membership test, an adaptive-radius solver
+that grows ``rho`` past ``||x*||``, a bisection on ``rho`` that certifies an
+approximate minimum-norm solution, and the nonnegative-cone search of
+:mod:`trisolve.feasibility`.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +45,6 @@ _REVALIDATE_EVERY = 512
 _INNER_EPS_FACTOR = 0.25
 
 
-def pivot_direction(a, b, b_prime) -> np.ndarray:
-    """``c = A^T (b - b')``, the ascent direction that defines the pivot."""
-    return matvec_transpose(a, np.asarray(b) - np.asarray(b_prime))
-
-
 def pivot_point(a, c, rho):
     """Maximizer of ``c^T x`` over ``E_rho`` plus its preimage:
     ``v = rho A c / ||c||`` attained at ``x = rho c / ||c||``."""
@@ -58,12 +55,6 @@ def pivot_point(a, c, rho):
         raise ValueError("rho must be positive")
     preimage = (rho / c_norm) * np.asarray(c, dtype=np.float64)
     return matvec(a, preimage), preimage
-
-
-def is_strict_pivot(rho, c, b, b_prime) -> bool:
-    """``rho ||c|| >= (b - b')^T b`` characterizes existence of a strict pivot."""
-    gap = np.asarray(b) - np.asarray(b_prime)
-    return rho * norm2(c) >= float(np.dot(gap, b))
 
 
 def move_to_pivot(b_prime, x_prime, v, preimage, b):
@@ -81,6 +72,12 @@ def move_to_pivot(b_prime, x_prime, v, preimage, b):
     return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
 
 
+def _check_tolerances(**tolerances) -> None:
+    for name, value in tolerances.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _result(status, a, b, x, iterations, trace, **extra) -> SolveResult:
     final = np.asarray(b) - matvec(a, x)
     return SolveResult(
@@ -89,82 +86,124 @@ def _result(status, a, b, x, iterations, trace, **extra) -> SolveResult:
     )
 
 
+class _Run(NamedTuple):
+    status: str
+    iterations: int
+    x: np.ndarray
+    b_prime: np.ndarray
+    rho: float
+    bound: float | None   # certified lower bound on ||x*|| of a witness
+    detail: str
+
+
+def _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
+                cone=False, halvings=0, offset=0) -> _Run:
+    """The Triangle Algorithm iteration shared by every driver.
+
+    Each step takes the gap ``b - b'`` and the direction ``c = A^T(b - b')``,
+    or ``c+ = max(c, 0)`` when ``cone``, and pivots toward
+    ``rho A c / ||c||`` when ``rho ||c|| >= (b - b')^T b``.  When that test
+    fails, a fixed radius (``rho_cap`` None) ends in a witness, and a growing
+    radius becomes ``max(2 rho, (b - b')^T b / ||c||)`` and stops once it
+    passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
+    when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
+    ``halvings`` > 0 lets a normal-equation stop instead halve ``eps_prime``
+    and go on from the current iterate, at most that many times.
+    """
+    m, n = shape_of(a)
+    # a fixed-radius run must start inside its ball
+    if x0 is None or (rho_cap is None and not norm2(x0) <= rho * (1.0 + 1e-9)):
+        x, b_prime = np.zeros(n), np.zeros(m)
+    else:
+        x = np.asarray(x0, dtype=np.float64).copy()
+        b_prime = matvec(a, x)
+    bound = None
+    iterations = 0
+    since_revalidate = 0
+    while iterations < max_iters:
+        gap = b - b_prime
+        gap_norm = norm2(gap)
+        if not math.isfinite(gap_norm):
+            return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
+                        "non-finite iterate")
+        if gap_norm <= eps:
+            return _Run(APPROX_SOLUTION, iterations, x, b_prime, rho, None, "")
+        c = matvec_transpose(a, gap)
+        c_norm = norm2(c)
+        if not math.isfinite(c_norm):
+            return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
+                        "non-finite pivot direction")
+        if halvings > 0 and 0.0 < c_norm <= eps_prime:
+            halvings -= 1
+            eps_prime *= 0.5
+            continue
+        if c_norm <= eps_prime:
+            return _Run(NORMAL_EQ_SOLUTION, iterations, x, b_prime, rho, None,
+                        "pivot direction vanished" if c_norm == 0.0
+                        else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
+        d = np.maximum(c, 0.0) if cone else c
+        d_norm = norm2(d) if cone else c_norm
+        gap_dot_b = float(np.dot(gap, b))
+        wall = time.perf_counter_ns() - t0
+        stop = None
+        if d_norm == 0.0 and gap_dot_b > 0.0:
+            # Farkas: y = b - b' has A^T y <= 0 and y^T b > 0
+            event, stop = "witness", WITNESS
+            detail = "no ascent direction in the nonnegative cone section"
+            bound = gap_dot_b / c_norm if c_norm > 0.0 else math.inf
+        elif d_norm == 0.0:
+            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, b)
+            event = "pivot"
+        elif rho > 0.0 and rho * d_norm >= gap_dot_b:
+            v, preimage = pivot_point(a, d, rho)
+            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b)
+            event = "pivot"
+        elif rho_cap is None:
+            event, stop, detail = "witness", WITNESS, ""
+            bound = gap_dot_b / c_norm
+        else:
+            rho = max(2.0 * rho, gap_dot_b / d_norm)
+            event = "expand"
+            if rho > rho_cap:
+                stop, detail = ITERATION_CAP, f"radius exceeded cap {rho_cap:.3e}"
+        if cone:
+            x_min = float(x.min()) if n else 0.0
+            if x_min < -1e-12:
+                # convex combinations of nonnegative vectors cannot go
+                # negative; a violation means the state is corrupt
+                return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
+                            "iterate left the nonnegative cone")
+            trace.append(offset + iterations, rho, gap_norm, c_norm, event, x_min, wall)
+        else:
+            trace.append(offset + iterations, rho, gap_norm, c_norm, event, wall)
+        iterations += 1
+        if stop is not None:
+            return _Run(stop, iterations, x, b_prime, rho, bound, detail)
+        if event == "pivot":
+            since_revalidate += 1
+            if since_revalidate >= _REVALIDATE_EVERY:
+                b_prime = matvec(a, x)
+                since_revalidate = 0
+    return _Run(ITERATION_CAP, iterations, x, b_prime, rho, None, "")
+
+
 def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
                   x0=None) -> SolveResult:
     """Membership test at fixed radius: an approximate solution with
     ``||x|| <= rho``, an approximate normal-equation solution, or a witness
     that ``b`` lies outside ``E_rho``.  Tolerances are absolute.  A warm
     start ``x0`` is used only when it already lies inside the ball."""
-    m, n = shape_of(a)
     b = np.asarray(b, dtype=np.float64)
     if norm2(b) == 0.0:
         raise ValueError("b must be nonzero")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if eps_prime is None:
-        eps_prime = eps
+    eps_prime = eps if eps_prime is None else eps_prime
+    _check_tolerances(eps=eps, eps_prime=eps_prime)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    state = _BallState(a, b, rho, x0)
-    t0 = time.perf_counter_ns()
-    status, iterations = _membership_loop(state, eps, eps_prime, max_iters, trace, t0)
-    extra = {"rho": rho, "b_prime": state.b_prime}
-    if status == WITNESS:
-        extra["lower_bound"] = state.witness_bound
-    return _result(status, a, b, state.x, iterations, trace, **extra)
-
-
-class _BallState:
-    """Iterate pair ``(x', b' = A x')`` inside a fixed-radius ellipsoid."""
-
-    def __init__(self, a, b, rho, x0=None):
-        m, n = shape_of(a)
-        self.a, self.b, self.rho = a, b, rho
-        if x0 is not None and norm2(x0) <= rho * (1.0 + 1e-9):
-            self.x = np.asarray(x0, dtype=np.float64).copy()
-            self.b_prime = matvec(a, self.x)
-        else:
-            self.x = np.zeros(n)
-            self.b_prime = np.zeros(m)
-        self.witness_bound = None
-        self.steps_since_revalidate = 0
-
-    def revalidate(self):
-        self.b_prime = matvec(self.a, self.x)
-        self.steps_since_revalidate = 0
-
-
-def _membership_loop(state: _BallState, eps, eps_prime, max_iters, trace, t0,
-                     iteration_offset=0):
-    """Shared fixed-radius iteration; returns ``(status, iterations_done)``."""
-    a, b, rho = state.a, state.b, state.rho
-    iterations = 0
-    while iterations < max_iters:
-        gap = b - state.b_prime
-        gap_norm = norm2(gap)
-        if not math.isfinite(gap_norm):
-            return NUMERICAL_FAILURE, iterations
-        if gap_norm <= eps:
-            return APPROX_SOLUTION, iterations
-        c = matvec_transpose(a, gap)
-        c_norm = norm2(c)
-        if c_norm <= eps_prime:
-            return NORMAL_EQ_SOLUTION, iterations
-        gap_dot_b = float(np.dot(gap, b))
-        wall = time.perf_counter_ns() - t0
-        if rho * c_norm >= gap_dot_b:
-            preimage = (rho / c_norm) * c
-            v = matvec(a, preimage)
-            state.b_prime, state.x, _ = move_to_pivot(state.b_prime, state.x, v, preimage, b)
-            trace.append(iteration_offset + iterations, rho, gap_norm, c_norm, "pivot", wall)
-            state.steps_since_revalidate += 1
-            if state.steps_since_revalidate >= _REVALIDATE_EVERY:
-                state.revalidate()
-        else:
-            state.witness_bound = gap_dot_b / c_norm
-            trace.append(iteration_offset + iterations, rho, gap_norm, c_norm, "witness", wall)
-            return WITNESS, iterations + 1
-        iterations += 1
-    return ITERATION_CAP, iterations
+    run = _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns())
+    return _result(run.status, a, b, run.x, run.iterations, trace,
+                   rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
 
 
 def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
@@ -182,73 +221,20 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
     still open, ``eps_prime`` is halved and the solve resumes from the
     current iterate, at most that many times.
     """
-    m, n = shape_of(a)
     b = np.asarray(b, dtype=np.float64)
     if norm2(b) == 0.0:
-        return SolveResult(APPROX_SOLUTION, np.zeros(n), 0.0, 0.0, 0,
+        return SolveResult(APPROX_SOLUTION, np.zeros(shape_of(a)[1]), 0.0, 0.0, 0,
                            Trace(TRIANGLE_TRACE_COLUMNS), rho=0.0)
-    if eps_prime is None:
-        eps_prime = eps
+    eps_prime = eps if eps_prime is None else eps_prime
+    _check_tolerances(eps=eps, eps_prime=eps_prime)
     if rho_cap is None:
         rho_cap = 4.0 * norm2(b) ** 2 / eps_prime
+    rho = 0.0 if x0 is None else norm2(np.asarray(x0, dtype=np.float64))
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    t0 = time.perf_counter_ns()
-
-    if x0 is not None:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        b_prime = matvec(a, x)
-        rho = norm2(x)
-    else:
-        x = np.zeros(n)
-        b_prime = np.zeros(m)
-        rho = 0.0
-    status = ITERATION_CAP
-    detail = ""
-    iterations = 0
-    steps_since_revalidate = 0
-    halvings_left = max(0, restart_halvings)
-    while iterations < max_iters:
-        gap = b - b_prime
-        gap_norm = norm2(gap)
-        if not math.isfinite(gap_norm):
-            status, detail = NUMERICAL_FAILURE, "non-finite iterate"
-            break
-        if gap_norm <= eps:
-            status = APPROX_SOLUTION
-            break
-        c = matvec_transpose(a, gap)
-        c_norm = norm2(c)
-        if c_norm <= eps_prime:
-            if c_norm > 0.0 and halvings_left > 0:
-                # restart heuristic: tighten the normal-equation clause and
-                # keep going from the current iterate
-                halvings_left -= 1
-                eps_prime *= 0.5
-                continue
-            status = NORMAL_EQ_SOLUTION
-            detail = ("pivot direction vanished" if c_norm == 0.0
-                      else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
-            break
-        gap_dot_b = float(np.dot(gap, b))
-        wall = time.perf_counter_ns() - t0
-        if rho > 0.0 and rho * c_norm >= gap_dot_b:
-            preimage = (rho / c_norm) * c
-            v = matvec(a, preimage)
-            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b)
-            trace.append(iterations, rho, gap_norm, c_norm, "pivot", wall)
-            steps_since_revalidate += 1
-            if steps_since_revalidate >= _REVALIDATE_EVERY:
-                b_prime = matvec(a, x)
-                steps_since_revalidate = 0
-        else:
-            rho = max(2.0 * rho, gap_dot_b / c_norm)
-            trace.append(iterations, rho, gap_norm, c_norm, "expand", wall)
-            if rho > rho_cap:
-                status, detail = ITERATION_CAP, f"radius exceeded cap {rho_cap:.3e}"
-                iterations += 1
-                break
-        iterations += 1
-    return _result(status, a, b, x, iterations, trace, rho=rho, detail=detail)
+    run = _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
+                      rho_cap=rho_cap, halvings=max(0, restart_halvings))
+    return _result(run.status, a, b, run.x, run.iterations, trace,
+                   rho=run.rho, detail=run.detail)
 
 
 def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> SolveResult:
@@ -263,10 +249,10 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     that still fits inside the new ball.  A vanishing pivot direction ends
     the search with an exact normal-equation solution instead.
     """
-    m, n = shape_of(a)
     b = np.asarray(b, dtype=np.float64)
     if norm2(b) == 0.0:
         raise ValueError("b must be nonzero")
+    _check_tolerances(eps=eps)
     x_eps = np.asarray(x_eps, dtype=np.float64)
     start_gap = norm2(b - matvec(a, x_eps))
     if start_gap > eps * (1.0 + 1e-9):
@@ -293,35 +279,30 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         rho = 0.5 * (rho_hi + rho_lo)
         if rho <= 0.0:
             break
-        state = _BallState(a, b, rho, warm)
-        inner_status, inner_iters = _membership_loop(
-            state, _INNER_EPS_FACTOR * eps, zero_floor,
-            min(inner_cap, max_iters - iterations),
-            trace, t0, iteration_offset=iterations,
-        )
-        iterations += inner_iters
+        run = _pivot_loop(a, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
+                          min(inner_cap, max_iters - iterations), trace, t0, offset=iterations)
+        iterations += run.iterations
+        warm = run.x
         wall = time.perf_counter_ns() - t0
-        if inner_status == APPROX_SOLUTION:
-            best_x = state.x
-            rho_hi = min(rho, norm2(state.x))
-            warm = state.x
-            trace.append(iterations, rho_hi, norm2(b - state.b_prime), 0.0, "shrink", wall)
-        elif inner_status == WITNESS:
+        if run.status == APPROX_SOLUTION:
+            best_x = run.x
+            rho_hi = min(rho, norm2(run.x))
+            trace.append(iterations, rho_hi, norm2(b - run.b_prime), 0.0, "shrink", wall)
+        elif run.status == WITNESS:
             # Clamping to rho_hi keeps the bracket ordered; a smaller lower
             # bound is weaker but stays certified (no exact solution lies
             # strictly inside any radius below the witness bound).
-            rho_lo = min(max(rho_lo, state.witness_bound), rho_hi)
-            warm = state.x
-            trace.append(iterations, rho_lo, norm2(b - state.b_prime), 0.0, "expand", wall)
-        elif inner_status == NORMAL_EQ_SOLUTION:
+            rho_lo = min(max(rho_lo, run.bound), rho_hi)
+            trace.append(iterations, rho_lo, norm2(b - run.b_prime), 0.0, "expand", wall)
+        elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
-            return _result(NORMAL_EQ_SOLUTION, a, b, state.x, iterations, trace,
+            return _result(NORMAL_EQ_SOLUTION, a, b, run.x, iterations, trace,
                            rho=rho, rho_interval=(rho_lo, rho_hi),
                            detail="pivot direction vanished during bisection")
         else:
-            status = inner_status
-            detail = ("inner membership test exhausted its budget"
-                      if inner_status == ITERATION_CAP else "non-finite iterate")
+            status = run.status
+            detail = (run.detail if status == NUMERICAL_FAILURE
+                      else "inner membership test exhausted its budget")
             break
 
     if status == MIN_NORM_SOLUTION and rho_hi - rho_lo > eps:

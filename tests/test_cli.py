@@ -72,15 +72,17 @@ class TestSolve:
         assert run(["solve", "--mtx", str(path), "--eps", "1e-8"]) == 0
 
     def test_cone_stall_maps_to_exit_two(self, tmp_path):
-        # all-negative matrix: once the iterate overshoots, every component
-        # of A^T(b - b') goes negative and the cone section has no ascent
-        # direction left; the honest outcome is a witness-at-rho stall
+        # all-negative matrix with its row-sum b: x = (1, 1) >= 0 solves it.
+        # Once the iterate overshoots, c+ = 0 while (b - b')^T b < 0, which
+        # certifies nothing; the apex pivot carries the search on.  A radius
+        # budget below the first jump ends inconclusive instead.
         import scipy.sparse as sp
         a = np.array([[-1.0, -2.0], [-3.0, -0.5]])
         path = tmp_path / "neg.mtx"
         mmio.write_matrix_market(sp.csr_array(a), path)
-        rc = run(["solve", "--mtx", str(path), "--algo", "lpfeas", "--eps", "1e-6"])
-        assert rc == 2
+        args = ["solve", "--mtx", str(path), "--algo", "lpfeas", "--eps", "1e-6"]
+        assert run(args) == 0
+        assert run(args + ["--rho-max", "1e-6"]) == 2
 
     def test_iteration_cap_exit_code(self):
         rc = run(["solve", "--gen", "dorr:120:0.001", "--algo", "cta",
@@ -91,6 +93,8 @@ class TestSolve:
         assert run(["solve"]) == 1
         assert run(["solve", "--gen", "nosuch:5"]) == 1
         assert run(["solve", "--gen", "diag-pd"]) == 1
+        assert run(["solve", "--gen", "diag-pd:5", "--algo", "ta", "--eps", "0"]) == 1
+        assert "eps must be finite and positive" in capsys.readouterr().err
 
     def test_min_norm_flag(self, tmp_path):
         summary = tmp_path / "s.json"
@@ -178,23 +182,6 @@ class TestBench:
         assert len(rows) == 2
         assert rows[0]["outcome"].startswith("error:")
         assert rows[1]["outcome"] == "approx_solution"
-
-    def test_worker_pool_env_matches_serial(self, tmp_path, monkeypatch):
-        args = ["bench", "--gen", "diag-pd:40", "--gen", "clement:40",
-                "--algo", "cta", "--eps", "1e-7", "--trials", "1",
-                "--h-mode", "a"]
-        outputs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("TRISOLVE_WORKERS", workers)
-            out = tmp_path / f"bench{workers}.csv"
-            assert run(args + ["--out", str(out)]) == 0
-            with open(out, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            assert len(rows) == 2
-            outputs.append([
-                {k: v for k, v in row.items() if k != "wall_ms"} for row in rows
-            ])
-        assert outputs[0] == outputs[1]
 
 
 class TestDynamicsCommand:

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from trisolve.feasibility import (
-    cone_pivot_point,
-    default_rho_max,
-    nonnegative_feasibility,
-    nonnegative_part,
-)
+from trisolve.feasibility import default_rho_max, nonnegative_feasibility
 from trisolve.linalg import GramProduct, norm2
+from trisolve.triangle import pivot_point, solve_adaptive
 
 
 def lp_oracle_feasible(a, b):
@@ -19,20 +15,35 @@ def lp_oracle_feasible(a, b):
 
 
 class TestNonnegativePart:
+    """The cone direction ``c+ = max(c, 0)``, seen through the search on the
+    identity, where ``c = b - b'``."""
+
     def test_mixed(self):
-        assert np.array_equal(nonnegative_part(np.array([1.0, -2.0, 0.0])), [1.0, 0.0, 0.0])
+        # c = (1, -2, 0): one pivot along c+ = (1, 0, 0), then c+ = 0 with
+        # (b - b')^T b = 4 > 0 certifies infeasibility
+        res = nonnegative_feasibility(np.eye(3), np.array([1.0, -2.0, 0.0]), eps=1e-8)
+        assert res.status == "witness"
+        assert np.array_equal(res.x, [1.0, 0.0, 0.0])
 
     def test_all_negative(self):
-        assert np.array_equal(nonnegative_part(np.array([-1.0, -2.0])), np.zeros(2))
+        res = nonnegative_feasibility(np.eye(2), np.array([-1.0, -2.0]), eps=1e-8)
+        assert res.status == "witness" and res.iterations == 1
+        assert np.array_equal(res.x, np.zeros(2))
 
     def test_all_nonnegative_unchanged(self):
-        c = np.array([0.5, 0.0, 3.0])
-        assert np.array_equal(nonnegative_part(c), c)
+        # c >= 0 all along: the cone search repeats the unconstrained one
+        a, b = np.eye(3), np.array([0.5, 0.0, 3.0])
+        cone = nonnegative_feasibility(a, b, eps=1e-8)
+        free = solve_adaptive(a, b, eps=1e-8)
+        assert cone.status == "feasible"
+        assert np.array_equal(cone.x, free.x)
+        cols = ("rho", "residual_norm", "normal_residual_norm", "event")
+        assert [cone.trace.column(k) for k in cols] == [free.trace.column(k) for k in cols]
 
 
 class TestConePivot:
     def test_identity_projected_direction(self):
-        v, pre = cone_pivot_point(np.eye(2), nonnegative_part(np.array([1.0, -1.0])), 1.0)
+        v, pre = pivot_point(np.eye(2), np.maximum(np.array([1.0, -1.0]), 0.0), 1.0)
         assert np.allclose(v, [1.0, 0.0])
         assert np.allclose(pre, [1.0, 0.0])
 
@@ -40,15 +51,15 @@ class TestConePivot:
         rng = np.random.default_rng(0)
         for _ in range(20):
             c = rng.standard_normal(8)
-            cp = nonnegative_part(c)
+            cp = np.maximum(c, 0.0)
             if norm2(cp) == 0.0:
                 continue
-            _, pre = cone_pivot_point(rng.standard_normal((4, 8)), cp, 2.0)
+            _, pre = pivot_point(rng.standard_normal((4, 8)), cp, 2.0)
             assert np.all(pre >= 0.0)
 
     def test_all_negative_direction_stalls(self):
         with pytest.raises(ValueError):
-            cone_pivot_point(np.eye(2), nonnegative_part(np.array([-1.0, -2.0])), 1.0)
+            pivot_point(np.eye(2), np.maximum(np.array([-1.0, -2.0]), 0.0), 1.0)
 
 
 class TestFeasibilitySolver:
@@ -65,6 +76,17 @@ class TestFeasibilitySolver:
         res = nonnegative_feasibility(a, b, eps=1e-8, max_iters=10_000)
         assert res.status in ("witness", "inconclusive")
         assert res.status != "feasible"
+
+    def test_positive_matrix_planted_lp_is_feasible(self):
+        # with A > 0, c+ = 0 can occur while (b - b')^T b < 0: no certificate,
+        # and the pivot toward the apex x = 0 carries the search on
+        rng = np.random.default_rng(0)
+        a = rng.random((30, 60))
+        b = a @ rng.random(60)
+        res = nonnegative_feasibility(a, b, eps=1e-6 * norm2(b), max_iters=20_000)
+        assert res.status == "feasible"
+        assert res.x.min() >= 0.0
+        assert norm2(a @ res.x - b) <= 1e-6 * norm2(b)
 
     def test_random_feasible_vs_lp_oracle(self):
         rng = np.random.default_rng(1)

@@ -50,8 +50,7 @@ class TestHybrid:
         b = a @ rng.standard_normal(8)
         res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-6, eps_ta=1e-10))
         stage1, stage2 = res.stage_results
-        gap_col = "gap_norm" if "gap_norm" in stage2.trace.columns else "residual_norm"
-        gaps = stage2.trace.column(gap_col)
+        gaps = stage2.trace.column("residual_norm")
         if gaps:
             assert gaps[0] <= stage1.residual_norm * (1 + 1e-9)
 

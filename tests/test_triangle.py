@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import check_witness
+from trisolve.feasibility import nonnegative_feasibility
 from trisolve.linalg import GramProduct, norm2
 from trisolve.triangle import (
-    is_strict_pivot,
     min_norm_solve,
     move_to_pivot,
-    pivot_direction,
     pivot_point,
     solve_adaptive,
     solve_in_ball,
@@ -15,18 +14,26 @@ from trisolve.triangle import (
 
 
 class TestPivotDirection:
+    """The direction ``c = A^T(b - b')`` as the pivot loop uses it: ``||c||``
+    is the trace's ``normal_residual_norm``, and a pivot from the origin
+    lands on ``rho c / ||c||``."""
+
     def test_zero_at_target(self):
         b = np.array([1.0, 2.0])
-        assert np.array_equal(pivot_direction(np.eye(2), b, b), np.zeros(2))
+        res = solve_adaptive(np.eye(2), b, eps=1e-12, x0=b)
+        assert res.status == "approx_solution" and res.iterations == 0
+        assert res.normal_residual_norm == 0.0
 
     def test_identity(self):
-        c = pivot_direction(np.eye(2), np.array([1.0, 0.0]), np.zeros(2))
-        assert np.array_equal(c, [1.0, 0.0])
+        res = solve_adaptive(np.eye(2), np.array([1.0, 0.0]), eps=1e-12)
+        assert res.trace.column("normal_residual_norm")[0] == 1.0
+        assert np.array_equal(res.x, [1.0, 0.0])
 
     def test_rank_deficient_kills_component(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        c = pivot_direction(a, np.array([0.0, 1.0]), np.zeros(2))
-        assert np.array_equal(c, np.zeros(2))
+        res = solve_adaptive(a, np.array([0.0, 1.0]), eps=1e-12)
+        assert res.normal_residual_norm == 0.0
+        assert res.detail == "pivot direction vanished"
 
 
 class TestPivotPoint:
@@ -56,15 +63,17 @@ class TestPivotPoint:
 
 
 class TestStrictPivotTest:
+    """``rho ||c|| >= (b - b')^T b``, read off the first event of a
+    fixed-radius run from the origin."""
+
     def test_boundary_equality_is_strict(self):
-        b = np.array([1.0, 0.0])
-        c = pivot_direction(np.eye(2), b, np.zeros(2))
-        assert is_strict_pivot(1.0, c, b, np.zeros(2))
+        # rho ||c|| = (b - b')^T b = 1
+        res = solve_in_ball(np.eye(2), np.array([1.0, 0.0]), rho=1.0, eps=1e-12)
+        assert res.trace.column("event")[0] == "pivot"
 
     def test_vanishing_radius_fails(self):
-        b = np.array([1.0, 0.0])
-        c = pivot_direction(np.eye(2), b, np.zeros(2))
-        assert not is_strict_pivot(1e-12, c, b, np.zeros(2))
+        res = solve_in_ball(np.eye(2), np.array([1.0, 0.0]), rho=1e-12, eps=1e-12)
+        assert res.trace.column("event") == ["witness"]
 
 
 class TestMoveToPivot:
@@ -95,8 +104,8 @@ class TestMoveToPivot:
             x_prime = rng.standard_normal(5) * 0.1
             b_prime = a @ x_prime
             rho = norm2(x_prime) + float(rng.uniform(0.5, 2.0))
-            c = pivot_direction(a, b, b_prime)
-            if norm2(c) < 1e-12 or not is_strict_pivot(rho, c, b, b_prime):
+            c = a.T @ (b - b_prime)
+            if norm2(c) < 1e-12 or rho * norm2(c) < float(np.dot(b - b_prime, b)):
                 continue
             v, pre = pivot_point(a, c, rho)
             b2, _, _ = move_to_pivot(b_prime, x_prime, v, pre, b)
@@ -288,3 +297,37 @@ class TestAdaptiveRestarts:
                                    restart_halvings=60)
         assert restarted.status == "approx_solution"
         assert restarted.residual_norm <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [
+    lambda a, b: solve_in_ball(a, b, rho=1.0, eps=1e-8),
+    lambda a, b: solve_adaptive(a, b, eps=1e-8),
+    lambda a, b: min_norm_solve(a, b, eps=1e-8, x_eps=np.eye(a.shape[1])[0]),
+    lambda a, b: nonnegative_feasibility(a, b, eps=1e-8),
+], ids=["solve_in_ball", "solve_adaptive", "min_norm_solve", "nonnegative_feasibility"])
+def test_non_finite_matrix_fails_at_once(solve, bad):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((20, 30))
+    a[3, 5] = bad
+    b = a[:, 0].copy()  # finite, and solved by x = e_0
+    with np.errstate(invalid="ignore"):
+        res = solve(a, b)
+    assert res.status == "numerical_failure"
+    assert res.iterations <= 1
+
+
+@pytest.mark.parametrize("solve, name", [
+    (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=0.0), "eps"),
+    (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=-1.0), "eps"),
+    (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=1e-8,
+                            eps_prime=np.nan), "eps_prime"),
+    (lambda: solve_in_ball(np.eye(2), np.array([1.0, 0.0]), rho=1.0, eps=-1.0), "eps"),
+    (lambda: min_norm_solve(np.eye(2), np.array([1.0, 0.0]), eps=np.inf,
+                            x_eps=np.array([1.0, 0.0])), "eps"),
+    (lambda: nonnegative_feasibility(np.eye(2), np.array([1.0, 2.0]), eps=np.nan), "eps"),
+], ids=["adaptive-zero", "adaptive-negative", "adaptive-eps-prime-nan", "ball-negative",
+        "min-norm-inf", "feasibility-nan"])
+def test_bad_tolerance_names_the_argument(solve, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        solve()

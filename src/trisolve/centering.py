@@ -22,11 +22,9 @@ from .linalg import (
     H_MODE_GRAM,
     H_MODE_SYMMETRIC,
     HOperator,
-    frobenius_norm,
-    matvec,
-    matvec_transpose,
+    matvec,  # noqa: F401  re-exported as trisolve.centering.matvec
     norm2,
-    shape_of,
+    prepare_system,
 )
 from .results import (
     APPROX_SOLUTION,
@@ -98,10 +96,8 @@ def min_norm_coefficients(mom: Moments, order: int | None = None,
     if not 1 <= t <= mom.t:
         raise ValueError(f"order {t} outside 1..{mom.t}")
     phi = mom.phi
-    hankel = np.empty((t, t))
-    for i in range(t):
-        for j in range(t):
-            hankel[i, j] = phi[i + j + 1]  # phi_{(i+1)+(j+1)} with 0-based phi
+    i = np.arange(t)
+    hankel = phi[i[:, None] + i + 1]  # phi_{(i+1)+(j+1)} with 0-based phi
     rhs = phi[:t].copy()
     scale = np.sqrt(np.abs(np.diag(hankel)))
     scale[scale == 0.0] = 1.0
@@ -240,12 +236,11 @@ def _order_schedule(t_max: int):
 
 def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResult:
     """Solve ``Ax = b`` (or its normal equation) by cycled centering steps."""
-    opts = (options or CenteringOptions())
-    m, n = shape_of(a)
+    opts = options or CenteringOptions()
+    # symmetric mode applies A^T once, at the end: no stored transpose
+    op, b = prepare_system(a, b, transpose=opts.h_mode == H_MODE_GRAM)
+    m, n = op.shape
     opts = opts.validated(m)
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
 
     trace = Trace(CENTERING_TRACE_COLUMNS)
     b_norm = norm2(b)
@@ -253,17 +248,17 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         x = np.zeros(n)
         return SolveResult(APPROX_SOLUTION, x, 0.0, 0.0, 0, trace)
 
-    h = HOperator(a, opts.h_mode)
+    h = HOperator(op, opts.h_mode)
     if opts.start == "random":
         x = np.random.default_rng(opts.start_seed).standard_normal(n)
     else:
         x = np.zeros(n)
-    r = b - matvec(a, x) if opts.start != "zero" else b.copy()
+    r = b - op.matvec(x) if opts.start != "zero" else b.copy()
 
     eps_abs = opts.epsilon * b_norm
     quad_threshold = eps_abs * eps_abs
     drift_budget = 1e-10
-    a_fro = frobenius_norm(a)
+    a_fro = op.frobenius_norm()
     schedule = _order_schedule(opts.t_max)
     t0 = time.perf_counter_ns()
     status = ITERATION_CAP
@@ -283,7 +278,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         try:
             enhanced = opts.enhanced and not opts.known_solvable
             x_new, r_new, _, atr_norm, probe = _step_arrays(
-                x, r, t, h, a, opts.rcond,
+                x, r, t, h, op, opts.rcond,
                 enhanced_threshold=quad_threshold if enhanced else None,
             )
         except NormalEquationReached:
@@ -312,15 +307,15 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         iterations += 1
         if probe is not None:
             x_hat, _ = probe
-            stepped = norm2(matvec_transpose(a, b - matvec(a, x)))
-            refined = norm2(matvec_transpose(a, b - matvec(a, x_hat)))
+            stepped = norm2(op.rmatvec(b - op.matvec(x)))
+            refined = norm2(op.rmatvec(b - op.matvec(x_hat)))
             if refined < stepped:
                 x = x_hat
-                r = b - matvec(a, x)
+                r = b - op.matvec(x)
             status = NORMAL_EQ_SOLUTION
             break
         if opts.recheck_every and iterations % opts.recheck_every == 0:
-            fresh = b - matvec(a, x)
+            fresh = b - op.matvec(x)
             drift = norm2(fresh - r)
             scale = b_norm + a_fro * norm2(x)
             if drift > drift_budget * scale:
@@ -330,7 +325,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             r = fresh
 
     # Honest reporting: final quality measured from the returned iterate.
-    final_r = b - matvec(a, x)
+    final_r = b - op.matvec(x)
     res_norm = norm2(final_r)
-    nres_norm = norm2(matvec_transpose(a, final_r))
+    nres_norm = norm2(op.rmatvec(final_r))
     return SolveResult(status, x, res_norm, nres_norm, iterations, trace, detail=detail)

@@ -25,7 +25,7 @@ from .linalg import H_MODE_SYMMETRIC, HOperator, norm2
 def _as_operator(h) -> HOperator:
     if isinstance(h, HOperator):
         return h
-    return HOperator(np.asarray(h, dtype=np.float64), H_MODE_SYMMETRIC)
+    return HOperator(h, H_MODE_SYMMETRIC)
 
 
 def first_order_image(h, r: np.ndarray) -> np.ndarray:

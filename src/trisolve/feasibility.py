@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .linalg import frobenius_norm, norm2, shape_of
+from .linalg import norm2, prepare, prepare_system
 from .results import (
     APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
@@ -33,13 +33,15 @@ from .triangle import _check_tolerances, _pivot_loop, _result
 
 
 def default_rho_max(a, b) -> float:
-    """Radius budget ``10 n max(1, ||b|| / sigma)`` with the RMS row norm
-    standing in as the scale ``sigma``."""
-    m, n = shape_of(a)
-    sigma = frobenius_norm(a) / math.sqrt(m)
+    """Radius budget ``10 max(n, 1) max(1, ||b|| / sigma)`` with the RMS row
+    norm standing in as the scale ``sigma``; ``a`` is a matrix or a prepared
+    operator."""
+    op = prepare(a, transpose=False)
+    m, n = op.shape
+    sigma = op.frobenius_norm() / math.sqrt(m)
     if sigma == 0.0:
         sigma = 1.0
-    return 10.0 * n * max(1.0, norm2(b) / sigma)
+    return 10.0 * max(n, 1) * max(1.0, norm2(b) / sigma)
 
 
 def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> SolveResult:
@@ -49,17 +51,17 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     certificate of infeasibility (``c+ = 0`` and ``(b - b')^T b > 0``);
     ``inconclusive`` when the radius or iteration budget runs out.
     """
-    b = np.asarray(b, dtype=np.float64)
+    op, b = prepare_system(a, b)
     if norm2(b) == 0.0:
         raise ValueError("b must be nonzero")
     _check_tolerances(eps=eps)
     if rho_max is None:
-        rho_max = default_rho_max(a, b)
+        rho_max = default_rho_max(op, b)
     if rho_max <= 0.0:
         raise ValueError("rho_max must be positive")
     trace = Trace(FEASIBILITY_TRACE_COLUMNS)
     # eps_prime = -inf: the cone search has no normal-equation stop
-    run = _pivot_loop(a, b, None, 0.0, eps, -math.inf, max_iters, trace,
+    run = _pivot_loop(op, b, None, 0.0, eps, -math.inf, max_iters, trace,
                       time.perf_counter_ns(), rho_cap=rho_max, cone=True)
     status, detail = run.status, run.detail
     if status == APPROX_SOLUTION:
@@ -68,6 +70,6 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
         status = INCONCLUSIVE
         detail = (f"radius budget {rho_max:.3e} exhausted" if detail
                   else "iteration budget exhausted")
-    return _result(status, a, b, run.x, run.iterations, trace, rho=run.rho,
+    return _result(status, op, b, run.x, run.iterations, trace, rho=run.rho,
                    lower_bound=run.bound, min_x_entry=float(run.x.min()) if run.x.size else 0.0,
                    detail=detail)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centering import CenteringOptions, centering_solve
-from .linalg import GramProduct, matvec, matvec_transpose, norm2, shape_of
+from .linalg import GramProduct, norm2, prepare_system
 from .results import (
     APPROX_SOLUTION,
     NORMAL_EQ_SOLUTION,
@@ -54,16 +54,17 @@ def _merged_trace(stages) -> Trace:
 
 
 def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
-    """Run the centering stage, then the triangle stage, warm-started."""
+    """Run the centering stage, then the triangle stage, warm-started.  Both
+    stages apply the one operator prepared here."""
     opts = options or HybridOptions()
-    m, n = shape_of(a)
-    b = np.asarray(b, dtype=np.float64)
+    op, b = prepare_system(a, b)
+    n = op.shape[1]
     b_norm = norm2(b)
     if b_norm == 0.0:
         return SolveResult(APPROX_SOLUTION, np.zeros(n), 0.0, 0.0, 0,
                            Trace(HYBRID_TRACE_COLUMNS))
 
-    stage1 = centering_solve(a, b, CenteringOptions(
+    stage1 = centering_solve(op, b, CenteringOptions(
         epsilon=opts.eps_cta, t_max=opts.t_max, h_mode=opts.h_mode,
         max_iters=opts.max_iters_stage1,
     ))
@@ -72,21 +73,21 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.
         eps2 = max(opts.eps_ta * b_norm, 1.01 * stage1.residual_norm)
-        stage2 = min_norm_solve(a, b, eps2, stage1.x,
+        stage2 = min_norm_solve(op, b, eps2, stage1.x,
                                 inner_cap=opts.min_norm_inner_cap,
                                 max_iters=opts.max_iters_stage2)
         final_status = stage2.status
         x = stage2.x
     elif stage1.status == APPROX_SOLUTION:
-        stage2 = solve_adaptive(a, b, eps=opts.eps_ta * b_norm,
+        stage2 = solve_adaptive(op, b, eps=opts.eps_ta * b_norm,
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
         final_status = stage2.status
         x = stage2.x if stage2.residual_norm <= stage1.residual_norm else stage1.x
     else:
         # No consistent-solution evidence: run the triangle stage on the
         # normal-equation pair, applied implicitly.
-        gram = GramProduct(a)
-        g = matvec_transpose(a, b)
+        gram = GramProduct(op)
+        g = op.rmatvec(b)
         stage2 = solve_adaptive(gram, g, eps=opts.eps_ta * norm2(g),
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
         x = (stage2.x if stage2.normal_residual_norm <= stage1.normal_residual_norm
@@ -96,9 +97,9 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         final_status = (NORMAL_EQ_SOLUTION if stage2.status == APPROX_SOLUTION
                         else stage2.status)
 
-    final = b - matvec(a, x)
+    final = b - op.matvec(x)
     result = SolveResult(
-        final_status, x, norm2(final), norm2(matvec_transpose(a, final)),
+        final_status, x, norm2(final), norm2(op.rmatvec(final)),
         stage1.iterations + stage2.iterations,
         _merged_trace([("stage1", stage1), ("stage2", stage2)]),
         rho=stage2.rho, rho_interval=stage2.rho_interval,

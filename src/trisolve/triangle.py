@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import frobenius_norm, matvec, matvec_transpose, norm2, shape_of
+from .linalg import norm2, prepare, prepare_system
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -47,14 +47,15 @@ _INNER_EPS_FACTOR = 0.25
 
 def pivot_point(a, c, rho):
     """Maximizer of ``c^T x`` over ``E_rho`` plus its preimage:
-    ``v = rho A c / ||c||`` attained at ``x = rho c / ||c||``."""
+    ``v = rho A c / ||c||`` attained at ``x = rho c / ||c||``.  ``a`` is a
+    matrix or a prepared operator."""
     c_norm = norm2(c)
     if c_norm == 0.0:
         raise ValueError("pivot direction is zero; caller must branch to the witness case")
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     preimage = (rho / c_norm) * np.asarray(c, dtype=np.float64)
-    return matvec(a, preimage), preimage
+    return prepare(a, transpose=False).matvec(preimage), preimage
 
 
 def move_to_pivot(b_prime, x_prime, v, preimage, b):
@@ -78,10 +79,10 @@ def _check_tolerances(**tolerances) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _result(status, a, b, x, iterations, trace, **extra) -> SolveResult:
-    final = np.asarray(b) - matvec(a, x)
+def _result(status, op, b, x, iterations, trace, **extra) -> SolveResult:
+    final = b - op.matvec(x)
     return SolveResult(
-        status, x, norm2(final), norm2(matvec_transpose(a, final)),
+        status, x, norm2(final), norm2(op.rmatvec(final)),
         iterations, trace, **extra,
     )
 
@@ -96,7 +97,7 @@ class _Run(NamedTuple):
     detail: str
 
 
-def _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
+def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
                 cone=False, halvings=0, offset=0) -> _Run:
     """The Triangle Algorithm iteration shared by every driver.
 
@@ -110,13 +111,13 @@ def _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=Non
     ``halvings`` > 0 lets a normal-equation stop instead halve ``eps_prime``
     and go on from the current iterate, at most that many times.
     """
-    m, n = shape_of(a)
+    m, n = op.shape
     # a fixed-radius run must start inside its ball
     if x0 is None or (rho_cap is None and not norm2(x0) <= rho * (1.0 + 1e-9)):
         x, b_prime = np.zeros(n), np.zeros(m)
     else:
         x = np.asarray(x0, dtype=np.float64).copy()
-        b_prime = matvec(a, x)
+        b_prime = op.matvec(x)
     bound = None
     iterations = 0
     since_revalidate = 0
@@ -128,7 +129,7 @@ def _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=Non
                         "non-finite iterate")
         if gap_norm <= eps:
             return _Run(APPROX_SOLUTION, iterations, x, b_prime, rho, None, "")
-        c = matvec_transpose(a, gap)
+        c = op.rmatvec(gap)
         c_norm = norm2(c)
         if not math.isfinite(c_norm):
             return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
@@ -155,7 +156,7 @@ def _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=Non
             b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, b)
             event = "pivot"
         elif rho > 0.0 and rho * d_norm >= gap_dot_b:
-            v, preimage = pivot_point(a, d, rho)
+            v, preimage = pivot_point(op, d, rho)
             b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b)
             event = "pivot"
         elif rho_cap is None:
@@ -182,7 +183,7 @@ def _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=Non
         if event == "pivot":
             since_revalidate += 1
             if since_revalidate >= _REVALIDATE_EVERY:
-                b_prime = matvec(a, x)
+                b_prime = op.matvec(x)
                 since_revalidate = 0
     return _Run(ITERATION_CAP, iterations, x, b_prime, rho, None, "")
 
@@ -193,7 +194,7 @@ def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
     ``||x|| <= rho``, an approximate normal-equation solution, or a witness
     that ``b`` lies outside ``E_rho``.  Tolerances are absolute.  A warm
     start ``x0`` is used only when it already lies inside the ball."""
-    b = np.asarray(b, dtype=np.float64)
+    op, b = prepare_system(a, b)
     if norm2(b) == 0.0:
         raise ValueError("b must be nonzero")
     if rho <= 0.0:
@@ -201,8 +202,8 @@ def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
     eps_prime = eps if eps_prime is None else eps_prime
     _check_tolerances(eps=eps, eps_prime=eps_prime)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    run = _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns())
-    return _result(run.status, a, b, run.x, run.iterations, trace,
+    run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns())
+    return _result(run.status, op, b, run.x, run.iterations, trace,
                    rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
 
 
@@ -221,9 +222,9 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
     still open, ``eps_prime`` is halved and the solve resumes from the
     current iterate, at most that many times.
     """
-    b = np.asarray(b, dtype=np.float64)
+    op, b = prepare_system(a, b)
     if norm2(b) == 0.0:
-        return SolveResult(APPROX_SOLUTION, np.zeros(shape_of(a)[1]), 0.0, 0.0, 0,
+        return SolveResult(APPROX_SOLUTION, np.zeros(op.shape[1]), 0.0, 0.0, 0,
                            Trace(TRIANGLE_TRACE_COLUMNS), rho=0.0)
     eps_prime = eps if eps_prime is None else eps_prime
     _check_tolerances(eps=eps, eps_prime=eps_prime)
@@ -231,9 +232,9 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
         rho_cap = 4.0 * norm2(b) ** 2 / eps_prime
     rho = 0.0 if x0 is None else norm2(np.asarray(x0, dtype=np.float64))
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    run = _pivot_loop(a, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
+    run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
                       rho_cap=rho_cap, halvings=max(0, restart_halvings))
-    return _result(run.status, a, b, run.x, run.iterations, trace,
+    return _result(run.status, op, b, run.x, run.iterations, trace,
                    rho=run.rho, detail=run.detail)
 
 
@@ -247,26 +248,31 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     ``rho_hi - rho_lo <= eps``; the returned result carries the bracket in
     ``rho_interval``.  Each test warm-starts from the most recent iterate
     that still fits inside the new ball.  A vanishing pivot direction ends
-    the search with an exact normal-equation solution instead.
+    the search with an exact normal-equation solution instead.  Non-finite
+    ``A x_eps`` (from NaN or Inf in ``A`` or ``x_eps``) is a numerical
+    failure at iteration 0.
     """
-    b = np.asarray(b, dtype=np.float64)
+    op, b = prepare_system(a, b)
     if norm2(b) == 0.0:
         raise ValueError("b must be nonzero")
     _check_tolerances(eps=eps)
     x_eps = np.asarray(x_eps, dtype=np.float64)
-    start_gap = norm2(b - matvec(a, x_eps))
+    trace = Trace(TRIANGLE_TRACE_COLUMNS)
+    start_gap = norm2(b - op.matvec(x_eps))
+    if not math.isfinite(start_gap):
+        return _result(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
+                       detail="non-finite start residual")
     if start_gap > eps * (1.0 + 1e-9):
         raise ValueError(
             f"x_eps is not an eps-approximate solution: ||Ax-b|| = {start_gap:.3e} > {eps:.3e}"
         )
     # Floating-point floor standing in for an exact "||c|| > 0" guard.
-    zero_floor = 1e-14 * frobenius_norm(a) * norm2(b)
+    zero_floor = 1e-14 * op.frobenius_norm() * norm2(b)
 
     rho_hi = norm2(x_eps)
     rho_lo = 0.0
     best_x = x_eps.copy()
     warm = None
-    trace = Trace(TRIANGLE_TRACE_COLUMNS)
     t0 = time.perf_counter_ns()
     iterations = 0
     status = MIN_NORM_SOLUTION
@@ -279,7 +285,7 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         rho = 0.5 * (rho_hi + rho_lo)
         if rho <= 0.0:
             break
-        run = _pivot_loop(a, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
+        run = _pivot_loop(op, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
                           min(inner_cap, max_iters - iterations), trace, t0, offset=iterations)
         iterations += run.iterations
         warm = run.x
@@ -296,7 +302,7 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
             trace.append(iterations, rho_lo, norm2(b - run.b_prime), 0.0, "expand", wall)
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
-            return _result(NORMAL_EQ_SOLUTION, a, b, run.x, iterations, trace,
+            return _result(NORMAL_EQ_SOLUTION, op, b, run.x, iterations, trace,
                            rho=rho, rho_interval=(rho_lo, rho_hi),
                            detail="pivot direction vanished during bisection")
         else:
@@ -307,5 +313,5 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
 
     if status == MIN_NORM_SOLUTION and rho_hi - rho_lo > eps:
         status, detail = ITERATION_CAP, "bisection budget exhausted"
-    return _result(status, a, b, best_x, iterations, trace,
+    return _result(status, op, b, best_x, iterations, trace,
                    rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail)

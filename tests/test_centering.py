@@ -221,6 +221,18 @@ class TestDriver:
         assert res.status == "iteration_cap"
         assert res.iterations == 3
 
+    @pytest.mark.parametrize("spec, eps, status, iterations", [
+        ("convdiff:12", 1e-8, "normal_eq_solution", 921),
+        ("clement:301", 1e-9, "approx_solution", 1100),
+    ])
+    def test_golden_iteration_counts(self, spec, eps, status, iterations):
+        # Ill-conditioned problems whose counts move under any reordering
+        # of floating-point sums: a kernel change must keep them exactly.
+        family, n = spec.split(":")
+        a = gallery.make(family, int(n))
+        res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=eps))
+        assert (res.status, res.iterations) == (status, iterations)
+
     def test_random_start_reproducible(self):
         a = gallery.gen_diag("pd", 20, seed=2)
         b = gallery.row_sum_rhs(a)

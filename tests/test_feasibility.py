@@ -154,3 +154,13 @@ class TestFeasibilitySolver:
 
     def test_default_rho_max_positive(self):
         assert default_rho_max(np.eye(3), np.ones(3)) > 0
+
+    def test_zero_columns_certify_infeasibility(self):
+        # no column: Ax = 0 for every x, so b = 1 is out of reach, and
+        # y = b has A^T y = 0 <= 0 < y^T b, a Farkas certificate
+        b = np.ones(3)
+        assert default_rho_max(np.zeros((3, 0)), b) > 0
+        res = nonnegative_feasibility(np.zeros((3, 0)), b, 1e-6)
+        assert res.status == "witness"
+        assert res.lower_bound == np.inf
+        assert res.x.shape == (0,) and res.residual_norm == norm2(b)

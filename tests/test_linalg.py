@@ -3,15 +3,21 @@ import pytest
 import scipy.sparse as sparse
 
 from conftest import random_sparse
+from trisolve.centering import CenteringOptions, centering_solve
+from trisolve.feasibility import nonnegative_feasibility
+from trisolve.hybrid import hybrid_solve
 from trisolve.linalg import (
     GramProduct,
     HOperator,
+    Operator,
     frobenius_norm,
     matvec,
     matvec_transpose,
     norm2,
+    prepare,
     validate_symmetric,
 )
+from trisolve.triangle import min_norm_solve, solve_adaptive, solve_in_ball
 
 
 class TestMatvec:
@@ -117,6 +123,15 @@ class TestNorm2:
     def test_ones(self):
         assert norm2(np.ones(4)) == 2.0
 
+    def test_bits_match_numpy(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            v = rng.standard_normal(int(rng.integers(0, 500))) * 10.0 ** rng.integers(-150, 150)
+            assert norm2(v) == np.linalg.norm(v)
+        m = rng.standard_normal((7, 9))
+        for w in (m, m.T, m[:, ::2], [3.0, 4.0]):
+            assert norm2(w) == np.linalg.norm(w)
+
 
 class TestSparseDenseAgreement:
     def test_paths_agree(self):
@@ -132,6 +147,87 @@ class TestSparseDenseAgreement:
             assert norm2(mv_s - mv_d) <= 1e-13 * scale
             scale = max(norm2(mt_d), 1e-300)
             assert norm2(mt_s - mt_d) <= 1e-13 * scale
+
+
+def _csr_parts(cls, rng, shape, rows_of_entries):
+    """CSR matrix of class ``cls`` whose row ``i`` stores the entries of
+    ``rows_of_entries[i]`` (column lists, kept in the given order, repeats
+    kept as duplicates)."""
+    indptr = np.cumsum([0] + [len(cols) for cols in rows_of_entries])
+    indices = np.array([c for cols in rows_of_entries for c in cols], dtype=np.int32)
+    return cls((rng.standard_normal(len(indices)), indices, indptr), shape=shape)
+
+
+class TestStoredTranspose:
+    """``A^T v`` through the CSR copy an :class:`Operator` stores has the
+    bits of ``v @ A``."""
+
+    def _cases(self):
+        rng = np.random.default_rng(17)
+        for cls in (sparse.csr_array, sparse.csr_matrix):
+            for shape in ((40, 40), (25, 60), (60, 25)):
+                yield cls(sparse.random(*shape, density=0.2, random_state=rng, format="csr"))
+            # unsorted column indices, then duplicate entries
+            yield _csr_parts(cls, rng, (3, 5), [[4, 0, 2], [3, 1], [2, 4, 0, 1]])
+            yield _csr_parts(cls, rng, (3, 4), [[1, 1, 3], [0, 2, 0, 0], [3, 1, 3]])
+            # empty rows, one of them last
+            yield _csr_parts(cls, rng, (5, 4), [[], [2, 0], [], [1, 3], []])
+
+    def test_byte_identical_to_left_product(self):
+        rng = np.random.default_rng(18)
+        for a in self._cases():
+            op = Operator(a)
+            assert op.transposed is not None
+            for _ in range(3):
+                v = rng.standard_normal(a.shape[0])
+                expected = np.asarray(v @ a)
+                assert op.rmatvec(v).tobytes() == expected.tobytes()
+                assert matvec_transpose(a, v, op.transposed).tobytes() == expected.tobytes()
+
+    def test_stored_only_where_asked(self):
+        a = sparse.csr_array(np.eye(3))
+        assert Operator(a, transpose=False).transposed is None
+        assert Operator(np.eye(3)).transposed is None  # dense keeps a.T @ v
+        assert HOperator(a, "a").operator.transposed is None
+        assert HOperator(a, "aat").operator.transposed is not None
+
+
+class TestPrepare:
+    def test_operators_pass_through(self):
+        g = GramProduct(np.ones((2, 3)))
+        op = Operator(np.eye(2))
+        assert prepare(g) is g and prepare(op) is op
+
+    def test_coerces_array_likes(self):
+        op = prepare([[1, 2], [3, 4]])
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matvec([1.0, 1.0]), [3.0, 7.0])
+        with pytest.raises(ValueError, match="2-D"):
+            prepare([1.0, 2.0])
+
+
+_ENTRY_POINTS = {
+    "centering_solve": lambda a, b: centering_solve(a, b, CenteringOptions(epsilon=1e-10)),
+    "solve_in_ball": lambda a, b: solve_in_ball(a, b, rho=10.0, eps=1e-10),
+    "solve_adaptive": lambda a, b: solve_adaptive(a, b, eps=1e-10),
+    "min_norm_solve": lambda a, b: min_norm_solve(a, b, eps=1e-6, x_eps=[1.0, 1.0]),
+    "nonnegative_feasibility": lambda a, b: nonnegative_feasibility(a, b, eps=1e-10),
+    "hybrid_solve": lambda a, b: hybrid_solve(a, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_point_solves_a_nested_list(name):
+    res = _ENTRY_POINTS[name]([[2.0, 0.0], [0.0, 1.0]], [2.0, 1.0])
+    assert res.success
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("b", [np.ones((2, 1)), np.ones(3), 1.0])
+def test_entry_point_names_a_bad_rhs(name, b):
+    with pytest.raises(ValueError, match=r"^b has shape .*, expected \(2,\)$"):
+        _ENTRY_POINTS[name](np.eye(2), b)
 
 
 class TestGramProduct:

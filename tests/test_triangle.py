@@ -317,6 +317,25 @@ def test_non_finite_matrix_fails_at_once(solve, bad):
     assert res.iterations <= 1
 
 
+@pytest.mark.parametrize("where", ["matrix", "x_eps"])
+def test_min_norm_non_finite_start_fails_at_once(where):
+    # Inf in A times x_eps = 0, or a NaN in x_eps, gives a NaN start
+    # residual; NaN fails every comparison, so the start check alone would
+    # let it through to a false certificate
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 8))
+    x_eps = np.zeros(8)
+    if where == "matrix":
+        a[1, 2] = np.inf
+    else:
+        x_eps[4] = np.nan
+    with np.errstate(invalid="ignore"):
+        res = min_norm_solve(a, np.ones(5), eps=1e-6, x_eps=x_eps)
+    assert res.status == "numerical_failure"
+    assert res.iterations == 0
+    assert res.rho_interval is None
+
+
 @pytest.mark.parametrize("solve, name", [
     (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=0.0), "eps"),
     (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=-1.0), "eps"),

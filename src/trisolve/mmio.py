@@ -2,15 +2,17 @@
 
 Coordinate files become sparse CSR matrices with symmetric or skew-symmetric
 entries expanded to general storage; array files become dense row-major
-matrices.  Pattern entries read as ``1.0``.  Parse failures raise
-:class:`MatrixMarketError` naming the offending line.  Writing uses the
-shortest decimal rendering that round-trips to the same float64, so
-``read(write(A))`` reproduces every value bit-exactly.
+matrices.  Pattern entries read as ``1.0``.  One ``np.loadtxt`` call parses all
+entry lines (its C tokenizer skips ``%`` comments and blank lines, rejects a
+wrong token count and rounds correctly); range, finiteness and triangle checks
+are array masks.  Failures raise :class:`MatrixMarketError` naming the
+offending line.  Writing uses the shortest decimal that round-trips to the same
+float64, so ``read(write(A))`` reproduces every value bit-exactly.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,18 +43,8 @@ class MmInfo:
     duplicates: int = 0   # coordinate entries that were summed into others
 
 
-def _fail(lineno: int, message: str):
+def _fail(lineno, message: str):
     raise MatrixMarketError(f"line {lineno}: {message}")
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        _fail(lineno, f"non-numeric token {token!r}")
-    if not math.isfinite(value):
-        _fail(lineno, f"non-finite value {token!r}")
-    return value
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -105,119 +97,139 @@ def read_matrix_market_with_info(source):
     fmt, field, symmetry = _parse_header(lines[0])
 
     # Comments and blank lines are skipped everywhere after the banner.
-    body = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(lines)
-        if i > 0 and ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
+    size_at = next((k for k in range(1, len(lines))
+                    if lines[k].strip() and not lines[k].lstrip().startswith("%")), None)
+    if size_at is None:
         raise MatrixMarketError("line 1: missing size line")
-    size_lineno, size_line = body[0]
-    tokens = size_line.split()
+    size_lineno, tokens = size_at + 1, lines[size_at].split()
+    shape = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    if len(tokens) != len(shape.split()):
+        _fail(size_lineno, f"{fmt} size line needs {shape!r}")
+    m, n, *count = (_parse_int(t, size_lineno) for t in tokens)
+    if m <= 0 or n <= 0 or min(count, default=0) < 0:
+        _fail(size_lineno, "matrix dimensions must be positive")
+    if symmetry != "general" and m != n:
+        _fail(size_lineno, f"{symmetry} matrices must be square")
 
     if fmt == "coordinate":
-        if len(tokens) != 3:
-            _fail(size_lineno, "coordinate size line needs 'rows cols nnz'")
-        m, n, nnz = (_parse_int(t, size_lineno) for t in tokens)
-        if m <= 0 or n <= 0 or nnz < 0:
-            _fail(size_lineno, "matrix dimensions must be positive")
-        matrix, dups = _read_coordinate(body[1:], m, n, nnz, field, symmetry)
-        return matrix, MmInfo(fmt, field, symmetry, m, n, nnz, dups)
+        names = ("i", "j") if field == "pattern" else ("i", "j", "v")
+        data = _parse_entries(lines, size_lineno, names, count[0], m, n, symmetry)
+        matrix, dups = _coordinate_matrix(data, m, n, symmetry)
+        return matrix, MmInfo(fmt, field, symmetry, m, n, count[0], dups)
 
-    if len(tokens) != 2:
-        _fail(size_lineno, "array size line needs 'rows cols'")
-    m, n = (_parse_int(t, size_lineno) for t in tokens)
-    if m <= 0 or n <= 0:
-        _fail(size_lineno, "matrix dimensions must be positive")
-    matrix = _read_array(body[1:], m, n, symmetry)
-    return matrix, MmInfo(fmt, field, symmetry, m, n, m * n)
+    expected = {"general": m * n, "symmetric": m * (m + 1) // 2}.get(symmetry, m * (m - 1) // 2)
+    data = _parse_entries(lines, size_lineno, ("v",), expected, m, n, symmetry)
+    return _array_matrix(data["v"], m, n, symmetry), MmInfo(fmt, field, symmetry, m, n, m * n)
 
 
 def read_matrix_market(source):
-    """Parse ``source`` and return the matrix (sparse CSR for coordinate
-    files, dense ndarray for array files)."""
+    """Parse ``source``; return sparse CSR (coordinate) or a dense ndarray (array)."""
     return read_matrix_market_with_info(source)[0]
 
 
-def _read_coordinate(entry_lines, m, n, nnz, field, symmetry):
-    want = 2 if field == "pattern" else 3
-    if len(entry_lines) != nnz:
-        where = entry_lines[nnz][0] if len(entry_lines) > nnz else "end of file"
-        raise MatrixMarketError(
-            f"line {where}: expected {nnz} entries, found {len(entry_lines)}"
-        )
-    rows = np.empty(2 * nnz, dtype=np.int64)
-    cols = np.empty(2 * nnz, dtype=np.int64)
-    vals = np.empty(2 * nnz, dtype=np.float64)
-    count = 0
-    for lineno, line in entry_lines:
-        tokens = line.split()
-        if len(tokens) != want:
-            _fail(lineno, f"entry needs {want} tokens, got {len(tokens)}")
-        i = _parse_int(tokens[0], lineno)
-        j = _parse_int(tokens[1], lineno)
-        if not (1 <= i <= m) or not (1 <= j <= n):
-            _fail(lineno, f"index ({i}, {j}) outside 1..{m} x 1..{n}")
-        value = 1.0 if field == "pattern" else _parse_float(tokens[2], lineno)
-        if symmetry in ("symmetric", "skew-symmetric"):
-            if i < j:
-                _fail(lineno, f"{symmetry} files store only the lower triangle")
-            if symmetry == "skew-symmetric" and i == j:
-                _fail(lineno, "skew-symmetric files cannot carry diagonal entries")
-        rows[count], cols[count], vals[count] = i - 1, j - 1, value
-        count += 1
-        if symmetry != "general" and i != j:
-            mirrored = -value if symmetry == "skew-symmetric" else value
-            rows[count], cols[count], vals[count] = j - 1, i - 1, mirrored
-            count += 1
-    coo = sparse.coo_array(
-        (vals[:count], (rows[:count], cols[:count])), shape=(m, n)
-    )
-    csr = sparse.csr_array(coo)  # conversion sums duplicate coordinates
-    return csr, count - csr.nnz
+def _load(lines, dtype):
+    with warnings.catch_warnings():  # loadtxt warns when no line holds data
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=dtype, comments="%", ndmin=1)
 
 
-def _read_array(entry_lines, m, n, symmetry):
-    if symmetry == "general":
-        expected = m * n
-    else:
-        if m != n:
-            raise MatrixMarketError("line 2: symmetric array files must be square")
-        expected = m * (m + 1) // 2 if symmetry == "symmetric" else m * (m - 1) // 2
-    if len(entry_lines) != expected:
-        where = entry_lines[expected][0] if len(entry_lines) > expected else "end of file"
-        raise MatrixMarketError(
-            f"line {where}: expected {expected} values, found {len(entry_lines)}"
-        )
-    values = np.empty(expected)
-    for k, (lineno, line) in enumerate(entry_lines):
-        tokens = line.split()
-        if len(tokens) != 1:
-            _fail(lineno, f"array entry needs 1 value, got {len(tokens)}")
-        values[k] = _parse_float(tokens[0], lineno)
+def _entry_linenos(lines, start):
+    """1-based numbers of the lines after line ``start`` that hold data."""
+    return [k + 1 for k in range(start, len(lines)) if lines[k].split("%", 1)[0].strip()]
+
+
+def _parse_entries(lines, start, names, expected, m, n, symmetry):
+    """Parse and check the entry lines after line ``start`` (fields: int64 ``i``,
+    ``j``, float64 ``v``).  Lines are counted only on failure, where the first
+    offending line wins, as in a line-by-line read."""
+    dtype = np.dtype([(name, np.float64 if name == "v" else np.int64) for name in names])
+    noun = "entries" if "i" in names else "values"
+    body = lines[start:]
+    try:
+        data = _load(body, dtype)
+    except ValueError:
+        linenos = _entry_linenos(lines, start)
+        if len(linenos) != expected:
+            _count_error(len(linenos), expected, noun, linenos)
+        lo, hi = 0, len(body)  # body[:lo] parses, body[:hi] does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _load(body[:mid], dtype)
+                lo = mid
+            except ValueError:
+                hi = mid
+        _check(_load(body[:lo], dtype), m, n, symmetry, lambda: linenos)
+        _fail(start + lo + 1, _describe(body[lo], dtype))
+    if len(data) != expected:
+        _count_error(len(data), expected, noun, _entry_linenos(lines, start))
+    _check(data, m, n, symmetry, lambda: _entry_linenos(lines, start))
+    return data
+
+
+def _count_error(found, expected, noun, linenos):
+    where = linenos[expected] if len(linenos) > expected else "end of file"
+    _fail(where, f"expected {expected} {noun}, found {found}")
+
+
+def _check(data, m, n, symmetry, linenos):
+    """Raise for the first entry a line-by-line read rejects, with its message."""
+    fields = data.dtype.names
+    rules = [(~np.isfinite(data["v"]), "non-finite value {v}")] if "v" in fields else []
+    if "i" in fields:
+        i, j = data["i"], data["j"]
+        rules.insert(0, ((i < 1) | (i > m) | (j < 1) | (j > n),
+                         f"index ({{i}}, {{j}}) outside 1..{m} x 1..{n}"))
+        if symmetry != "general":
+            rules.append((i < j, f"{symmetry} files store only the lower triangle"))
+        if symmetry == "skew-symmetric":
+            rules.append((i == j, "skew-symmetric files cannot carry diagonal entries"))
+    bad = np.logical_or.reduce([mask for mask, _ in rules])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(text for mask, text in rules if mask[k])
+        _fail(linenos()[k], message.format(**{f: data[f][k] for f in fields}))
+
+
+def _describe(line, dtype):
+    """Why ``np.loadtxt`` rejects ``line``: its token count, or its first bad token."""
+    tokens = line.split("%", 1)[0].split()
+    if len(tokens) != len(dtype.names):
+        need = "1 value" if len(dtype.names) == 1 else f"{len(dtype.names)} tokens"
+        return f"entry needs {need}, got {len(tokens)}"
+    for token, name in zip(tokens, dtype.names):
+        try:
+            _load([token], dtype[name])
+        except ValueError:
+            what = "non-numeric token" if name == "v" else "expected an integer, got"
+            return f"{what} {token!r}"
+    return f"cannot parse {line.strip()!r}"
+
+
+def _coordinate_matrix(data, m, n, symmetry):
+    rows, cols = data["i"] - 1, data["j"] - 1
+    vals = data["v"] if "v" in data.dtype.names else np.ones(len(data))
+    if symmetry != "general":
+        # Each stored entry is followed by its mirror, the order a line-by-line
+        # read appends them in, so duplicate sums keep their bits.
+        mirror = -vals if symmetry == "skew-symmetric" else vals
+        keep = np.column_stack((np.ones(len(data), bool), rows != cols)).ravel()
+        rows, cols = (np.column_stack(pair).ravel()[keep] for pair in ((rows, cols), (cols, rows)))
+        vals = np.column_stack((vals, mirror)).ravel()[keep]
+    # The CSR conversion sums duplicate coordinates in entry order.
+    csr = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(m, n)))
+    return csr, len(vals) - csr.nnz
+
+
+def _array_matrix(values, m, n, symmetry):
+    if symmetry == "general":  # column-major per the exchange format
+        return np.ascontiguousarray(values.reshape(n, m).T)
+    # Column j of the stored lower triangle is row j of the upper one.
+    r, c = np.triu_indices(n, k=0 if symmetry == "symmetric" else 1)
     a = np.zeros((m, n))
-    k = 0
-    for j in range(n):  # column-major per the exchange format
-        if symmetry == "general":
-            i_start = 0
-        elif symmetry == "symmetric":
-            i_start = j
-        else:
-            i_start = j + 1
-        for i in range(i_start, m):
-            a[i, j] = values[k]
-            if symmetry == "symmetric" and i != j:
-                a[j, i] = values[k]
-            elif symmetry == "skew-symmetric":
-                a[j, i] = -values[k]
-            k += 1
+    a[c, r] = values
+    a[r, c] = values if symmetry == "symmetric" else -values
     return a
-
-
-def _render(value: float) -> str:
-    # repr() is the shortest decimal string that parses back to the same
-    # float64, which is what makes round-trips bit-exact.
-    return repr(float(value))
 
 
 def write_matrix_market(a, target) -> None:
@@ -231,20 +243,18 @@ def write_matrix_market(a, target) -> None:
 
 
 def _write(a, fh) -> None:
+    # repr() of a Python float is the shortest decimal string that parses
+    # back to the same float64, which is what makes round-trips bit-exact.
     if sparse.issparse(a):
         coo = sparse.coo_array(a)
         m, n = coo.shape
-        fh.write(f"{BANNER} matrix coordinate real general\n")
-        fh.write(f"{m} {n} {coo.nnz}\n")
         order = np.lexsort((coo.coords[1], coo.coords[0]))
-        for k in order:
-            i, j = coo.coords[0][k], coo.coords[1][k]
-            fh.write(f"{i + 1} {j + 1} {_render(coo.data[k])}\n")
+        rows, cols = ((c[order] + 1).tolist() for c in coo.coords)
+        vals = np.asarray(coo.data[order], dtype=np.float64).tolist()
+        fh.write(f"{BANNER} matrix coordinate real general\n{m} {n} {coo.nnz}\n")
+        fh.write("".join(f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, vals)))
     else:
         arr = np.asarray(a, dtype=np.float64)
         m, n = arr.shape
-        fh.write(f"{BANNER} matrix array real general\n")
-        fh.write(f"{m} {n}\n")
-        for j in range(n):
-            for i in range(m):
-                fh.write(f"{_render(arr[i, j])}\n")
+        fh.write(f"{BANNER} matrix array real general\n{m} {n}\n")
+        fh.write("".join(f"{v!r}\n" for v in arr.T.ravel().tolist()))

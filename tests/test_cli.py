@@ -63,7 +63,8 @@ class TestSolve:
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 oops\n")
         assert run(["solve", "--mtx", str(bad)]) == 1
-        assert "line 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'oops'" in err
 
     def test_mtx_source(self, tmp_path):
         from trisolve import gallery

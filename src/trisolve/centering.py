@@ -13,6 +13,7 @@ solution.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -44,6 +45,16 @@ MOMENT_RCOND = 1e-13
 # Accept a step as monotone up to this relative slack.
 _MONOTONE_SLACK = 1e-13
 
+# Recompute r = b - A x this often and fail on drift beyond the budget.
+_RECHECK_EVERY = 250
+
+# With ``accelerate``: after this many consecutive steps that shrink the
+# residual norm by less than this ratio (slow zig-zag), blend the last two
+# iterates with the contraction-ratio weight, which on a critical line lands
+# the orbit on an eigenvector.
+_ACCEL_RATIO = 0.95
+_ACCEL_PATIENCE = 3
+
 
 class NormalEquationReached(Exception):
     """Raised by the step when ``H r = 0``: the current iterate already
@@ -65,7 +76,8 @@ class Moments:
 def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     """Compute ``phi_i = r^T H^i r`` for ``i = 1..2t`` from ``t``
     applications of ``H``; the high moments come from inner products of the
-    stored powers (``phi_{i+j} = p_i^T p_j``, exact for symmetric ``H``)."""
+    stored powers (``phi_{i+j} = p_i^T p_j``, exact for symmetric ``H``).
+    Raises ``FloatingPointError`` when a moment is not finite."""
     if not 1 <= t <= h.dim:
         raise ValueError(f"order t={t} outside 1..{h.dim}")
     p = [np.asarray(r, dtype=np.float64)]
@@ -78,12 +90,15 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     phi = np.empty(2 * t)
     for k in range(1, 2 * t + 1):
         i = k // 2
-        phi[k - 1] = float(np.dot(p[i], p[k - i]))
+        value = float(np.dot(p[i], p[k - i]))
+        if not math.isfinite(value):
+            # checked here so that LAPACK never sees (and reports) it
+            raise FloatingPointError("non-finite moments")
+        phi[k - 1] = value
     return Moments(t, phi, p, q)
 
 
-def min_norm_coefficients(mom: Moments, order: int | None = None,
-                          rcond: float = MOMENT_RCOND) -> np.ndarray:
+def min_norm_coefficients(mom: Moments, order: int | None = None) -> np.ndarray:
     """Minimum-norm solution of the moment system at the given order
     (default: the order of ``mom``).
 
@@ -102,7 +117,7 @@ def min_norm_coefficients(mom: Moments, order: int | None = None,
     scale = np.sqrt(np.abs(np.diag(hankel)))
     scale[scale == 0.0] = 1.0
     balanced = hankel / np.outer(scale, scale)
-    beta, *_ = np.linalg.lstsq(balanced, rhs / scale, rcond=rcond)
+    beta, *_ = np.linalg.lstsq(balanced, rhs / scale, rcond=MOMENT_RCOND)
     return beta / scale
 
 
@@ -115,29 +130,25 @@ class CenteringOptions:
     normal-equation solution once ``|r^T H r| <= (epsilon * ||b||)^2``
     (i.e., in Gram mode, once ``||A^T r|| <= epsilon * ||b||``).
 
+    ``t_max`` is the top of the order cycle, ``max_iters`` the iteration
+    cap, and ``h_mode`` selects ``H = A`` (``"a"``, symmetric ``A``) or
+    ``H = A A^T`` (``"aat"``).
+
     ``known_solvable`` disables the normal-equation clause: when the system
     is known consistent the residual clause alone suffices, and on matrices
     with small singular values the normal-equation certificate would
     otherwise arrive first.
+
+    ``accelerate`` blends the last two iterates when the residual norm
+    stalls in a slow zig-zag (see ``_ACCEL_RATIO``).
     """
 
     epsilon: float = 1e-15
     t_max: int = 5
     max_iters: int = 100_000
     h_mode: str = H_MODE_GRAM
-    enhanced: bool = False
     known_solvable: bool = False
-    recheck_every: int = 250
-    start: str = "zero"          # "zero" or "random"
-    start_seed: int = 0
-    rcond: float = MOMENT_RCOND
-    # Optional plug-in: when the residual norm shrinks by less than
-    # accel_ratio for accel_patience consecutive steps (slow zig-zag), blend
-    # the last two iterates with the contraction-ratio weight, which on a
-    # critical line lands the orbit on an eigenvector.
     accelerate: bool = False
-    accel_ratio: float = 0.95
-    accel_patience: int = 3
 
     def validated(self, m: int) -> "CenteringOptions":
         if not 0.0 < self.epsilon < 1.0:
@@ -146,23 +157,20 @@ class CenteringOptions:
             raise ValueError("t_max must be at least 1")
         if self.h_mode not in (H_MODE_SYMMETRIC, H_MODE_GRAM):
             raise ValueError(f"unknown h_mode {self.h_mode!r}")
-        if self.start not in ("zero", "random"):
-            raise ValueError(f"unknown start {self.start!r}")
         out = self
         if self.t_max > m:
             out = replace(out, t_max=m)
         return out
 
 
-def _step_arrays(x, r, t, h, a, rcond, enhanced_threshold=None):
+def _step_arrays(x, r, t, h):
     """One order-``t`` step on raw arrays.
 
-    Returns ``(x_new, r_new, used_order, atr_norm, probe)`` where ``probe``
-    is the optional refined candidate from :func:`first_order_probe` and
-    ``atr_norm`` is ``||A^T r||`` (``||A r||`` in symmetric mode) of the
-    incoming residual.  If a step at order ``t`` fails to shrink the
-    residual numerically, it is retried at lower orders on the same Krylov
-    vectors; the best candidate wins.
+    Returns ``(x_new, r_new, used_order, atr_norm)`` where ``atr_norm`` is
+    ``||A^T r||`` (``||A r||`` in symmetric mode) of the incoming residual.
+    If a step at order ``t`` fails to shrink the residual numerically, it is
+    retried at lower orders on the same Krylov vectors; the best candidate
+    wins.
     """
     mom = moments(h, r, t)
     if mom.phi[1] == 0.0:  # phi_2 = ||H r||^2, so H r = 0 exactly
@@ -172,7 +180,7 @@ def _step_arrays(x, r, t, h, a, rcond, enhanced_threshold=None):
     r_norm = norm2(r)
     best = None
     for order in range(t, 0, -1):
-        alpha = min_norm_coefficients(mom, order, rcond)
+        alpha = min_norm_coefficients(mom, order)
         r_new = r.copy()
         for i in range(order):
             r_new -= alpha[i] * mom.krylov[i + 1]
@@ -187,42 +195,7 @@ def _step_arrays(x, r, t, h, a, rcond, enhanced_threshold=None):
     x_new = x.copy()
     for i in range(order):
         x_new += alpha[i] * directions[i]
-
-    probe = None
-    if enhanced_threshold is not None and t >= 2:
-        probe = first_order_probe(
-            x, r, h, j_max=t, threshold=enhanced_threshold,
-            hr=mom.krylov[1],
-            atr=mom.transposed[0] if mom.transposed is not None else None,
-        )
-    return x_new, r_new, order, atr_norm, probe
-
-
-def first_order_probe(x, r, h: HOperator, j_max: int, threshold: float,
-                      hr=None, atr=None):
-    """Search the short first-order orbit of ``r`` for a refined solution.
-
-    Follows ``y <- y - (y^T H y / y^T H^2 y) H y`` for up to ``j_max - 1``
-    compositions; if some image satisfies ``|y^T H y| <= threshold``, returns
-    ``(x_hat, j)`` where ``x_hat`` accumulates the per-image first-order
-    solution updates.  Returns ``None`` when no image qualifies.
-    """
-    y = np.asarray(r, dtype=np.float64)
-    x_hat = np.asarray(x, dtype=np.float64).copy()
-    if hr is None:
-        hr, atr = h.apply_with_transpose(y)
-    for j in range(1, j_max):
-        phi1 = float(np.dot(y, hr))
-        phi2 = float(np.dot(hr, hr))
-        if phi2 == 0.0:
-            return None  # orbit terminated without triggering
-        alpha = phi1 / phi2
-        x_hat += alpha * (atr if h.mode == H_MODE_GRAM else y)
-        y = y - alpha * hr
-        hr, atr = h.apply_with_transpose(y)
-        if abs(float(np.dot(y, hr))) <= threshold:
-            return x_hat, j
-    return None
+    return x_new, r_new, order, atr_norm
 
 
 def _order_schedule(t_max: int):
@@ -249,11 +222,8 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         return SolveResult(APPROX_SOLUTION, x, 0.0, 0.0, 0, trace)
 
     h = HOperator(op, opts.h_mode)
-    if opts.start == "random":
-        x = np.random.default_rng(opts.start_seed).standard_normal(n)
-    else:
-        x = np.zeros(n)
-    r = b - op.matvec(x) if opts.start != "zero" else b.copy()
+    x = np.zeros(n)
+    r = b.copy()
 
     eps_abs = opts.epsilon * b_norm
     quad_threshold = eps_abs * eps_abs
@@ -276,13 +246,12 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             break
         t = next(schedule)
         try:
-            enhanced = opts.enhanced and not opts.known_solvable
-            x_new, r_new, _, atr_norm, probe = _step_arrays(
-                x, r, t, h, op, opts.rcond,
-                enhanced_threshold=quad_threshold if enhanced else None,
-            )
+            x_new, r_new, _, atr_norm = _step_arrays(x, r, t, h)
         except NormalEquationReached:
             status = NORMAL_EQ_SOLUTION
+            break
+        except FloatingPointError as exc:
+            status, detail = NUMERICAL_FAILURE, str(exc)
             break
         except np.linalg.LinAlgError as exc:
             status, detail = NUMERICAL_FAILURE, f"moment solve failed: {exc}"
@@ -296,8 +265,8 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             break
         if opts.accelerate:
             ratio = norm2(r_new) / r_norm if r_norm > 0 else 0.0
-            slow_steps = slow_steps + 1 if ratio > opts.accel_ratio else 0
-            if slow_steps >= opts.accel_patience:
+            slow_steps = slow_steps + 1 if ratio > _ACCEL_RATIO else 0
+            if slow_steps >= _ACCEL_PATIENCE:
                 # contraction-ratio blend of the pre- and post-step iterates
                 w = ratio / (1.0 + ratio)
                 x_new = w * x + (1.0 - w) * x_new
@@ -305,16 +274,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
                 slow_steps = 0
         x, r = x_new, r_new
         iterations += 1
-        if probe is not None:
-            x_hat, _ = probe
-            stepped = norm2(op.rmatvec(b - op.matvec(x)))
-            refined = norm2(op.rmatvec(b - op.matvec(x_hat)))
-            if refined < stepped:
-                x = x_hat
-                r = b - op.matvec(x)
-            status = NORMAL_EQ_SOLUTION
-            break
-        if opts.recheck_every and iterations % opts.recheck_every == 0:
+        if iterations % _RECHECK_EVERY == 0:
             fresh = b - op.matvec(x)
             drift = norm2(fresh - r)
             scale = b_norm + a_fro * norm2(x)

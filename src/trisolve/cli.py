@@ -1,5 +1,5 @@
 """Command-line interface: solve benchmark systems, generate test matrices,
-run benchmark sweeps, and emit dynamics portraits.
+and emit dynamics portraits.
 
 Every solve uses the row-sum right-hand side, so ``x = (1, ..., 1)^T`` is a
 known solution whenever the system is consistent.  Exit codes: 0 for a
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 
@@ -128,19 +127,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", metavar="PATH", required=True)
 
-    bench = sub.add_parser("bench", help="benchmark algorithms across generated problems")
-    bench.add_argument("--gen", metavar="FAMILY:N[:PARAMS]", action="append", default=[])
-    bench.add_argument("--algo", choices=["cta", "ta", "hybrid", "lpfeas"],
-                       action="append", default=[])
-    bench.add_argument("--eps", type=float, default=1e-10)
-    bench.add_argument("--t-max", type=int, default=5)
-    bench.add_argument("--max-iters", type=int, default=100_000)
-    bench.add_argument("--h-mode", choices=["a", "aat"], default="aat")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--trials", type=int, default=5,
-                       help="wall-time trials per problem (median reported)")
-    bench.add_argument("--out", metavar="PATH", help="CSV output (default stdout)")
-
     dyn = sub.add_parser("dynamics", help="emit a 2-D phase portrait (SVG + CSV)")
     dyn.add_argument("--lambda", dest="eigenvalues", default="1,3",
                      metavar="L1,L2", help="eigenvalues of the 2x2 operator")
@@ -191,14 +177,15 @@ def _load_matrix(args):
     return matrix, family
 
 
-def _run_algorithm(algo, matrix, b, args):
+def _run_algorithm(matrix, b, args):
+    algo = args.algo
     eps = args.eps
-    eps_prime = args.eps_prime if getattr(args, "eps_prime", None) is not None else eps
+    eps_prime = args.eps_prime if args.eps_prime is not None else eps
     if algo == "cta":
         return centering_solve(matrix, b, CenteringOptions(
             epsilon=eps, t_max=args.t_max, max_iters=args.max_iters,
             h_mode=args.h_mode,
-            known_solvable=getattr(args, "known_solvable", False),
+            known_solvable=args.known_solvable,
         ))
     if algo == "ta":
         # absolute tolerances for the membership machinery
@@ -207,14 +194,14 @@ def _run_algorithm(algo, matrix, b, args):
                               max_iters=args.max_iters)
     if algo == "hybrid":
         result = hybrid_solve(matrix, b, HybridOptions(
-            eps_cta=eps_prime, eps_ta=eps, want_min_norm=getattr(args, "min_norm", False),
+            eps_cta=eps_prime, eps_ta=eps, want_min_norm=args.min_norm,
             t_max=args.t_max, h_mode=args.h_mode,
             max_iters_stage1=args.max_iters, max_iters_stage2=args.max_iters,
         ))
         return result
     if algo == "lpfeas":
         return nonnegative_feasibility(matrix, b, eps=eps * norm2(b),
-                                       rho_max=getattr(args, "rho_max", None),
+                                       rho_max=args.rho_max,
                                        max_iters=args.max_iters)
     raise _UsageError(f"unknown algorithm {algo!r}")
 
@@ -240,11 +227,8 @@ def _summary_dict(result, matrix, family, wall_ms, b_norm):
 def _cmd_solve(args) -> int:
     matrix, family = _load_matrix(args)
     b = gallery.row_sum_rhs(matrix)
-    if norm2(b) == 0.0:
-        print("row-sum right-hand side is zero; x = 0 solves the system", file=sys.stderr)
-        return EXIT_OK
     start = time.perf_counter()
-    result = _run_algorithm(args.algo, matrix, b, args)
+    result = _run_algorithm(matrix, b, args)
     wall_ms = 1000.0 * (time.perf_counter() - start)
     if args.trace:
         result.trace.write_csv(args.trace)
@@ -271,42 +255,6 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _bench_row(spec, algo, args):
-    family, n, params = _parse_gen_spec(spec)
-    try:
-        matrix = gallery.make(family, n, params, args.seed)
-        b = gallery.row_sum_rhs(matrix)
-        result = _run_algorithm(algo, matrix, b, args)
-        times = []
-        for _ in range(max(1, args.trials)):
-            t0 = time.perf_counter()
-            _run_algorithm(algo, matrix, b, args)
-            times.append(1000.0 * (time.perf_counter() - t0))
-        wall = statistics.median(times)
-        m, n_cols = shape_of(matrix)
-        return (family, n_cols, algo, result.iterations, f"{wall:.3f}",
-                f"{result.residual_norm:.6e}", f"{result.normal_residual_norm:.6e}",
-                result.status)
-    except Exception as exc:  # individual failures must not abort the suite
-        return (family, n, algo, 0, "", "", "", f"error: {exc}")
-
-
-def _cmd_bench(args) -> int:
-    if not args.gen:
-        raise _UsageError("bench needs at least one --gen spec")
-    algos = args.algo or ["cta"]
-    rows = [_bench_row(spec, algo, args) for spec in args.gen for algo in algos]
-    lines = ["family,n,algo,iterations,wall_ms,residual,normal_residual,outcome"]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
 def _cmd_dynamics(args) -> int:
     try:
         eigs = [float(tok) for tok in args.eigenvalues.split(",")]
@@ -329,8 +277,6 @@ def main(argv=None) -> int:
             return _cmd_solve(args)
         if args.command == "generate":
             return _cmd_generate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "dynamics":
             return _cmd_dynamics(args)
         raise _UsageError(f"unknown command {args.command!r}")

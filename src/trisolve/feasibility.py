@@ -49,11 +49,13 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
 
     Returns ``feasible`` with such an ``x``; ``witness`` with a Farkas
     certificate of infeasibility (``c+ = 0`` and ``(b - b')^T b > 0``);
-    ``inconclusive`` when the radius or iteration budget runs out.
+    ``inconclusive`` when the radius or iteration budget runs out.  For
+    ``b = 0`` the feasible point ``x = 0`` is returned at iteration 0.
     """
     op, b = prepare_system(a, b)
     if norm2(b) == 0.0:
-        raise ValueError("b must be nonzero")
+        return SolveResult(FEASIBLE, np.zeros(op.shape[1]), 0.0, 0.0, 0,
+                           Trace(FEASIBILITY_TRACE_COLUMNS), rho=0.0, min_x_entry=0.0)
     _check_tolerances(eps=eps)
     if rho_max is None:
         rho_max = default_rho_max(op, b)

@@ -9,7 +9,7 @@ normal-equation pair ``(A^T A, A^T b)``, with the product applied implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .linalg import GramProduct, norm2, prepare_system
 from .results import (
     APPROX_SOLUTION,
     NORMAL_EQ_SOLUTION,
+    NUMERICAL_FAILURE,
     SolveResult,
     Trace,
 )
@@ -55,7 +56,9 @@ def _merged_trace(stages) -> Trace:
 
 def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     """Run the centering stage, then the triangle stage, warm-started.  Both
-    stages apply the one operator prepared here."""
+    stages apply the one operator prepared here.  A first stage that ends in
+    ``numerical_failure`` ends the solve: its iterate and norms cannot seed
+    the second stage."""
     opts = options or HybridOptions()
     op, b = prepare_system(a, b)
     n = op.shape[1]
@@ -69,6 +72,9 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         max_iters=opts.max_iters_stage1,
     ))
 
+    if stage1.status == NUMERICAL_FAILURE:
+        return replace(stage1, trace=_merged_trace([("stage1", stage1)]),
+                       stage_results=[stage1])
     if stage1.status == APPROX_SOLUTION and opts.want_min_norm:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.

@@ -88,20 +88,6 @@ def nnz_of(a) -> int:
     return int(np.count_nonzero(arr))
 
 
-def validate_symmetric(a, rel_tol: float = 1e-12) -> bool:
-    """Debug check that ``a`` is square and symmetric. O(n^2); not called by solvers."""
-    m, n = shape_of(a)
-    if m != n:
-        return False
-    if sparse.issparse(a):
-        d = a - a.T
-        num = float(np.sqrt(abs((d.multiply(d)).sum())))
-    else:
-        arr = np.asarray(a)
-        num = float(np.linalg.norm(arr - arr.T, "fro"))
-    return num <= rel_tol * max(frobenius_norm(a), 1.0)
-
-
 class Operator:
     """The matrix of one solve: ``A`` as float64 storage and, when
     ``transpose`` is set and ``A`` is sparse, a CSR copy of ``A^T`` that
@@ -177,9 +163,9 @@ class GramProduct:
 
 class HOperator:
     """The solver-side operator ``H``: mode ``"a"`` applies the matrix itself
-    (caller asserts symmetry, see :func:`validate_symmetric`); mode ``"aat"``
-    applies ``A (A^T r)`` without materializing ``A A^T``.  Only the Gram
-    mode stores ``A^T`` of a sparse matrix.
+    (caller asserts symmetry); mode ``"aat"`` applies ``A (A^T r)`` without
+    materializing ``A A^T``.  Only the Gram mode stores ``A^T`` of a sparse
+    matrix.
     """
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
@@ -206,7 +192,3 @@ class HOperator:
             return op.matvec(r), None
         at_r = op.rmatvec(r)
         return op.matvec(at_r), at_r
-
-    def quadratic_form(self, r: np.ndarray, hr: np.ndarray) -> float:
-        """``r^T H r`` given a precomputed ``hr = H r``."""
-        return float(np.dot(r, hr))

@@ -98,7 +98,7 @@ class _Run(NamedTuple):
 
 
 def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
-                cone=False, halvings=0, offset=0) -> _Run:
+                cone=False, offset=0) -> _Run:
     """The Triangle Algorithm iteration shared by every driver.
 
     Each step takes the gap ``b - b'`` and the direction ``c = A^T(b - b')``,
@@ -108,8 +108,6 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
     radius becomes ``max(2 rho, (b - b')^T b / ||c||)`` and stops once it
     passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
     when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
-    ``halvings`` > 0 lets a normal-equation stop instead halve ``eps_prime``
-    and go on from the current iterate, at most that many times.
     """
     m, n = op.shape
     # a fixed-radius run must start inside its ball
@@ -134,10 +132,6 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
         if not math.isfinite(c_norm):
             return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
                         "non-finite pivot direction")
-        if halvings > 0 and 0.0 < c_norm <= eps_prime:
-            halvings -= 1
-            eps_prime *= 0.5
-            continue
         if c_norm <= eps_prime:
             return _Run(NORMAL_EQ_SOLUTION, iterations, x, b_prime, rho, None,
                         "pivot direction vanished" if c_norm == 0.0
@@ -208,7 +202,7 @@ def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
 
 
 def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
-                   x0=None, restart_halvings: int = 0) -> SolveResult:
+                   x0=None) -> SolveResult:
     """Solve ``Ax = b`` or its normal equation by growing the search radius.
 
     Starts from ``rho = 0`` (or the norm of the warm start ``x0``); whenever
@@ -216,11 +210,6 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
     ``max(2 rho, (b - b')^T b / ||c||)``, which eventually clears the norm of
     the minimum-norm solution.  ``c = 0`` certifies an exact normal-equation
     solution immediately.  Tolerances are absolute.
-
-    ``restart_halvings`` > 0 enables the restart heuristic: when the run
-    ends through the normal-equation clause while the residual target is
-    still open, ``eps_prime`` is halved and the solve resumes from the
-    current iterate, at most that many times.
     """
     op, b = prepare_system(a, b)
     if norm2(b) == 0.0:
@@ -233,7 +222,7 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
     rho = 0.0 if x0 is None else norm2(np.asarray(x0, dtype=np.float64))
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
     run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
-                      rho_cap=rho_cap, halvings=max(0, restart_halvings))
+                      rho_cap=rho_cap)
     return _result(run.status, op, b, run.x, run.iterations, trace,
                    rho=run.rho, detail=run.detail)
 

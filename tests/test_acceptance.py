@@ -52,7 +52,7 @@ def test_residual_monotonicity():
         t = int(rng.integers(1, min(5, m) + 1))
         h = HOperator(a, mode)
         try:
-            _, r1, _, _, _ = _step_arrays(np.zeros(a.shape[1]), b, t, h, a, 1e-13)
+            _, r1, _, _ = _step_arrays(np.zeros(a.shape[1]), b, t, h)
         except NormalEquationReached:
             continue
         r0_norm, r1_norm = norm2(b), norm2(r1)

@@ -4,11 +4,9 @@ import pytest
 from conftest import krylov_degree, random_instance, spd_with_spectrum
 from trisolve import gallery
 from trisolve.centering import (
-    MOMENT_RCOND,
     CenteringOptions,
     NormalEquationReached,
     centering_solve,
-    first_order_probe,
     min_norm_coefficients,
     moments,
     _order_schedule,
@@ -93,7 +91,7 @@ class TestStep:
         b = np.array([3.0, -1.0, 2.0])
         a = np.eye(3)
         h = HOperator(a, "a")
-        x, r, *_ = _step_arrays(np.zeros(3), b.copy(), 1, h, a, MOMENT_RCOND)
+        x, r, *_ = _step_arrays(np.zeros(3), b.copy(), 1, h)
         assert norm2(r) <= 1e-15
         assert np.allclose(x, b)
 
@@ -101,7 +99,7 @@ class TestStep:
         a = np.diag([1.0, 3.0])
         b = np.array([1.0, 3.0])
         h = HOperator(a, "a")
-        x, r, *_ = _step_arrays(np.zeros(2), b.copy(), 1, h, a, MOMENT_RCOND)
+        x, r, *_ = _step_arrays(np.zeros(2), b.copy(), 1, h)
         assert np.isclose(float(np.dot(r, r)), 10.0 - 784.0 / 82.0)
         assert norm2(r) < norm2(b)
         # invariant r = b - A x preserved
@@ -113,7 +111,7 @@ class TestStep:
         a = h_mat
         h = HOperator(a, "a")
         r0 = q[:, 2].copy()
-        _, r, *_ = _step_arrays(np.zeros(8), r0.copy(), 1, h, a, MOMENT_RCOND)
+        _, r, *_ = _step_arrays(np.zeros(8), r0.copy(), 1, h)
         assert norm2(r) <= 1e-12 * norm2(r0)
 
     def test_gram_zero_signals_normal_equation(self):
@@ -121,7 +119,7 @@ class TestStep:
         b = np.array([0.0, 1.0])  # orthogonal to range(A)
         h = HOperator(a, "aat")
         with pytest.raises(NormalEquationReached):
-            _step_arrays(np.zeros(2), b.copy(), 1, h, a, MOMENT_RCOND)
+            _step_arrays(np.zeros(2), b.copy(), 1, h)
 
     def test_apply_budget_at_most_2t(self):
         rng = np.random.default_rng(4)
@@ -129,37 +127,8 @@ class TestStep:
             a, b = random_instance(rng, 20, 20)
             h = HOperator(a, "aat")
             before = h.apply_count
-            _step_arrays(np.zeros(a.shape[1]), b, t, h, a, 1e-13,
-                         enhanced_threshold=1e-30)
-            assert h.apply_count - before <= 2 * t
-
-
-class TestFirstOrderProbe:
-    def test_identity_triggers_immediately(self):
-        a = np.eye(3)
-        h = HOperator(a, "a")
-        r = np.array([1.0, -2.0, 0.5])
-        x = np.zeros(3)
-        out = first_order_probe(x, r, h, j_max=3, threshold=1e-20)
-        assert out is not None
-        x_hat, j = out
-        assert j == 1
-        assert np.allclose(x_hat, x + r)  # alpha_{1,1} = 1 for H = I
-
-    def test_eigenvector_triggers(self):
-        rng = np.random.default_rng(5)
-        h_mat, lam, q = spd_with_spectrum(rng, 6, 1.0, 4.0)
-        h = HOperator(h_mat, "a")
-        out = first_order_probe(np.zeros(6), q[:, 0].copy(), h, j_max=4, threshold=1e-18)
-        assert out is not None and out[1] == 1
-
-    def test_generic_residual_not_triggered(self):
-        rng = np.random.default_rng(6)
-        h_mat, _, _ = spd_with_spectrum(rng, 6, 1.0, 4.0)
-        h = HOperator(h_mat, "a")
-        out = first_order_probe(np.zeros(6), rng.standard_normal(6), h,
-                                j_max=4, threshold=1e-300)
-        assert out is None
+            _step_arrays(np.zeros(a.shape[1]), b, t, h)
+            assert h.apply_count - before == t
 
 
 class TestSchedule:
@@ -202,6 +171,24 @@ class TestDriver:
         assert res.iterations == 0
         assert np.array_equal(res.x, np.zeros(4))
 
+    @pytest.mark.parametrize("h_mode", ["a", "aat"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2^300"])
+    def test_non_finite_moments_fail_silently(self, h_mode, bad, capfd):
+        # LAPACK reports non-finite input to lstsq on stderr; the moments
+        # are checked before they reach it
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6))
+        a = a + a.T
+        if bad == "2^300":
+            a *= 2.0 ** 300
+        else:
+            a[2, 3] = float(bad)
+        res = centering_solve(a, rng.standard_normal(6),
+                              CenteringOptions(epsilon=1e-10, h_mode=h_mode))
+        assert res.status == "numerical_failure"
+        assert res.detail == "non-finite moments"
+        assert capfd.readouterr() == ("", "")
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             centering_solve(np.eye(3), np.ones(4))
@@ -233,15 +220,6 @@ class TestDriver:
         res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=eps))
         assert (res.status, res.iterations) == (status, iterations)
 
-    def test_random_start_reproducible(self):
-        a = gallery.gen_diag("pd", 20, seed=2)
-        b = gallery.row_sum_rhs(a)
-        opts = CenteringOptions(epsilon=1e-10, start="random", start_seed=9, h_mode="a")
-        r1 = centering_solve(a, b, opts)
-        r2 = centering_solve(a, b, opts)
-        assert r1.iterations == r2.iterations
-        assert np.array_equal(r1.x, r2.x)
-
     def test_trace_schema_and_monotone_tail(self):
         a = gallery.gen_diag("pd", 30, seed=3)
         b = gallery.row_sum_rhs(a)
@@ -250,17 +228,6 @@ class TestDriver:
                                      "normal_residual_norm", "wall_ns")
         norms = res.trace.column("residual_norm")
         assert all(b2 <= a2 * (1 + 1e-10) for a2, b2 in zip(norms, norms[1:]))
-
-    def test_enhanced_driver_matches_plain_on_inconsistent(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)  # generically inconsistent
-        plain = centering_solve(a, b, CenteringOptions(epsilon=1e-9))
-        enhanced = centering_solve(a, b, CenteringOptions(epsilon=1e-9, enhanced=True))
-        assert plain.status == enhanced.status == "normal_eq_solution"
-        scale = norm2(b)
-        assert enhanced.normal_residual_norm <= 1e-9 * scale * (1 + 1e-9)
-        assert enhanced.iterations <= plain.iterations
 
     def test_known_solvable_disables_normal_clause(self):
         # a small-singular-value consistent system: the normal-equation
@@ -304,7 +271,7 @@ class TestInvariants:
             h = HOperator(a, mode)
             x0 = np.zeros(a.shape[1])
             try:
-                x1, r1, _, _, _ = _step_arrays(x0, b, t, h, a, 1e-13)
+                x1, r1, _, _ = _step_arrays(x0, b, t, h)
             except NormalEquationReached:
                 continue
             assert norm2(r1) <= norm2(b) * (1 + 1e-12)
@@ -392,7 +359,7 @@ class TestInvariants:
         for _ in range(60):
             t = next(sched)
             try:
-                x, r, _, _, _ = _step_arrays(x, r, t, h, a, 1e-13)
+                x, r, _, _ = _step_arrays(x, r, t, h)
             except NormalEquationReached:
                 break
             fresh = b - matvec(a, x)

@@ -3,6 +3,7 @@ import json
 
 import jsonschema
 import numpy as np
+import pytest
 
 from trisolve import mmio
 from trisolve.cli import SUMMARY_SCHEMA, main
@@ -92,10 +93,26 @@ class TestSolve:
 
     def test_usage_error_exit_code(self, capsys):
         assert run(["solve"]) == 1
+        assert run(["bench", "--gen", "diag-pd:5"]) == 1
         assert run(["solve", "--gen", "nosuch:5"]) == 1
         assert run(["solve", "--gen", "diag-pd"]) == 1
         assert run(["solve", "--gen", "diag-pd:5", "--algo", "ta", "--eps", "0"]) == 1
         assert "eps must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["cta", "ta", "hybrid", "lpfeas"])
+    def test_zero_rhs_writes_every_artifact(self, tmp_path, algo):
+        # the Neumann Laplacian has zero row sums, so b = 0
+        paths = {flag: tmp_path / name for flag, name in
+                 [("--summary", "s.json"), ("--trace", "t.csv"), ("--dump-x", "x.mtx")]}
+        args = ["solve", "--gen", "poisson-n:10", "--algo", algo]
+        for flag, path in paths.items():
+            args += [flag, str(path)]
+        assert run(args) == 0
+        summary = json.loads(paths["--summary"].read_text())
+        jsonschema.validate(summary, SUMMARY_SCHEMA)
+        assert summary["iterations"] == 0
+        assert paths["--trace"].exists()
+        assert not mmio.read_matrix_market(paths["--dump-x"]).any()
 
     def test_min_norm_flag(self, tmp_path):
         summary = tmp_path / "s.json"
@@ -136,53 +153,6 @@ class TestGenerate:
 
     def test_bad_spec(self, capsys):
         assert run(["generate", "--gen", "diag-pd", "--out", "x.mtx"]) == 1
-
-
-class TestBench:
-    def test_rows_and_monotone_iterations(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = run([
-            "bench", "--gen", "diag-pd:100", "--gen", "diag-pd:500",
-            "--gen", "diag-pd:1000", "--algo", "cta", "--eps", "1e-8",
-            "--h-mode", "a", "--trials", "1", "--seed", "3", "--out", str(out),
-        ])
-        assert rc == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        iters = [int(r["iterations"]) for r in rows]
-        sizes = [int(r["n"]) for r in rows]
-        assert sizes == [100, 500, 1000]
-        assert iters[0] <= iters[1] <= iters[2]
-        assert all(r["outcome"] == "approx_solution" for r in rows)
-
-    def test_empty_config_rejected(self):
-        assert run(["bench"]) == 1
-
-    def test_same_seed_identical_iteration_counts(self, tmp_path):
-        outs = []
-        for tag in ("a", "b"):
-            out = tmp_path / f"{tag}.csv"
-            rc = run(["bench", "--gen", "clement:64", "--algo", "cta",
-                      "--eps", "1e-8", "--trials", "1", "--seed", "5",
-                      "--out", str(out)])
-            assert rc == 0
-            with open(out, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            outs.append([(r["family"], r["iterations"], r["outcome"]) for r in rows])
-        assert outs[0] == outs[1]
-
-    def test_individual_failure_recorded_not_fatal(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = run(["bench", "--gen", "diag-indef:2", "--gen", "diag-pd:20",
-                  "--algo", "cta", "--eps", "1e-6", "--trials", "1",
-                  "--out", str(out)])
-        assert rc == 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert rows[0]["outcome"].startswith("error:")
-        assert rows[1]["outcome"] == "approx_solution"
 
 
 class TestDynamicsCommand:

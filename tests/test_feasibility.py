@@ -63,6 +63,11 @@ class TestConePivot:
 
 
 class TestFeasibilitySolver:
+    def test_zero_rhs_is_feasible_at_origin(self):
+        res = nonnegative_feasibility(np.eye(3), np.zeros(3), eps=1e-10)
+        assert res.status == "feasible" and res.iterations == 0
+        assert np.array_equal(res.x, np.zeros(3))
+
     def test_identity_positive_target(self):
         res = nonnegative_feasibility(np.eye(2), np.array([1.0, 1.0]), eps=1e-8)
         assert res.status == "feasible"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import norm2
@@ -76,3 +77,17 @@ class TestHybrid:
         stages = set(res.trace.column("stage"))
         assert "stage1" in stages and "stage2" in stages
         assert res.status == "normal_eq_solution"
+
+
+@pytest.mark.parametrize("want_min_norm", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(6, 6), (4, 7), (7, 4)])
+def test_non_finite_matrix_stops_after_stage_one(shape, bad, want_min_norm, capfd):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(shape)
+    a[1, 2] = bad
+    res = hybrid_solve(a, rng.standard_normal(shape[0]),
+                       HybridOptions(want_min_norm=want_min_norm))
+    assert res.status == "numerical_failure"
+    assert [s.status for s in res.stage_results] == ["numerical_failure"]
+    assert capfd.readouterr().err == ""

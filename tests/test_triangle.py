@@ -284,21 +284,6 @@ class TestMinNorm:
             assert res.normal_residual_norm <= 1e-10
 
 
-class TestAdaptiveRestarts:
-    def test_halved_tolerance_restarts_continue_progress(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((4, 9))
-        b = a @ rng.standard_normal(9)
-        # a loose eps_prime makes the normal-equation clause fire early on a
-        # consistent system; restarts tighten it until the residual target wins
-        loose = solve_adaptive(a, b, eps=1e-10, eps_prime=1e-2)
-        assert loose.status == "normal_eq_solution"
-        restarted = solve_adaptive(a, b, eps=1e-10, eps_prime=1e-2,
-                                   restart_halvings=60)
-        assert restarted.status == "approx_solution"
-        assert restarted.residual_norm <= 1e-10
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("solve", [
     lambda a, b: solve_in_ball(a, b, rho=1.0, eps=1e-8),

@@ -26,6 +26,7 @@ from .linalg import (
     matvec,  # noqa: F401  re-exported as trisolve.centering.matvec
     norm2,
     prepare_system,
+    quiet_floating_point,
 )
 from .results import (
     APPROX_SOLUTION,
@@ -207,6 +208,7 @@ def _order_schedule(t_max: int):
         yield from cycle
 
 
+@quiet_floating_point
 def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResult:
     """Solve ``Ax = b`` (or its normal equation) by cycled centering steps."""
     opts = options or CenteringOptions()
@@ -238,7 +240,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
 
     while iterations < opts.max_iters:
         r_norm = norm2(r)
-        if not np.isfinite(r_norm):
+        if not math.isfinite(r_norm):
             status, detail = NUMERICAL_FAILURE, "non-finite residual"
             break
         if r_norm <= eps_abs:

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .linalg import norm2, prepare, prepare_system
+from .linalg import norm2, prepare, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
@@ -44,6 +44,7 @@ def default_rho_max(a, b) -> float:
     return 10.0 * max(n, 1) * max(1.0, norm2(b) / sigma)
 
 
+@quiet_floating_point
 def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> SolveResult:
     """Search for nonnegative ``x`` with ``||Ax - b|| <= eps`` (absolute).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centering import CenteringOptions, centering_solve
-from .linalg import GramProduct, norm2, prepare_system
+from .linalg import GramProduct, norm2, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     NORMAL_EQ_SOLUTION,
@@ -54,6 +54,7 @@ def _merged_trace(stages) -> Trace:
     return merged
 
 
+@quiet_floating_point
 def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     """Run the centering stage, then the triangle stage, warm-started.  Both
     stages apply the one operator prepared here.  A first stage that ends in

@@ -13,6 +13,12 @@ and ``frobenius_norm`` (e.g. :class:`GramProduct`), are used as they are.
 input, or the Gram operator ``A A^T`` applied as ``A (A^T r)`` without ever
 forming the ``m x m`` product.
 
+Products on CSR storage (``A`` itself, or the stored ``A^T``) call scipy's
+compiled ``csr_matvec`` kernel directly, skipping the per-call dispatch of
+``A @ v``; this is the kernel ``A @ v`` runs, so the bits are the same.
+Other sparse formats, CSR storage of another dtype and dense matrices go
+through scipy's and numpy's own ``@``.
+
 Sparse kernels accumulate left-to-right within each row and are
 single-threaded; dense products go through BLAS and stay deterministic for a
 fixed thread count.  All objects here are immutable after construction
@@ -22,18 +28,53 @@ concurrent solves.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import scipy.sparse as sparse
+# A private scipy module: the compiled kernel behind ``csr @ v``.  Calling it
+# directly saves about 4 us of dispatch per product, most of the cost of a
+# product on small systems; tests/test_linalg.py pins its bits to ``a @ v``.
+from scipy.sparse import _sparsetools
 
 H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
 H_MODE_GRAM = "aat"      # H = A A^T, applied implicitly
+
+_CSR_TYPES = (sparse.csr_array, sparse.csr_matrix)
+
+
+def quiet_floating_point(solve):
+    """Run ``solve`` with numpy's floating-point reports switched off.
+
+    Numpy reports overflow and invalid operations as warnings on stderr.  The
+    drivers check for non-finite values themselves and say so in the result's
+    status, so every public driver runs under this scope.  Each call enters a
+    fresh ``np.errstate``, so nested drivers restore the caller's settings."""
+
+    @functools.wraps(solve)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return solve(*args, **kwargs)
+
+    return quiet
 
 
 def shape_of(a) -> tuple[int, int]:
     m, n = a.shape
     return int(m), int(n)
+
+
+def _product(a, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` for a float64 vector ``v`` of matching length; float64 CSR
+    storage goes straight to the kernel, with the output buffer that
+    ``a @ v`` would allocate."""
+    if isinstance(a, _CSR_TYPES) and a.dtype == np.float64:
+        m, n = a.shape
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
+        return out
+    return a @ v
 
 
 def matvec(a, v: np.ndarray) -> np.ndarray:
@@ -43,16 +84,17 @@ def matvec(a, v: np.ndarray) -> np.ndarray:
     n = a.shape[1]
     if v.shape != (n,):
         raise ValueError(f"matvec: vector has length {v.shape}, matrix has {n} columns")
-    return a @ v
+    return _product(a, v)
 
 
 def matvec_transpose(a, v: np.ndarray, a_t=None) -> np.ndarray:
     """``A.T @ v`` for a stored matrix.
 
     ``a_t`` is the CSR copy of ``A^T`` that an :class:`Operator` keeps for
-    sparse ``a``; the product is then the row-wise ``a_t @ v``.  Without it a
-    sparse product is ``v @ a``, for which scipy builds a transposed matrix
-    object on every call.  For CSR or CSC ``a`` both accumulate the same
+    sparse ``a``; the product is then scipy's compiled CSR kernel on
+    ``a_t``, called directly.  Without it a sparse product is ``v @ a``:
+    scipy wraps ``a``'s storage in a transposed view on every call and runs
+    the matching kernel on it.  For CSR or CSC ``a`` both accumulate the same
     terms in the same order and give the same bits.
     """
     v = np.asarray(v, dtype=np.float64)
@@ -60,7 +102,7 @@ def matvec_transpose(a, v: np.ndarray, a_t=None) -> np.ndarray:
     if v.shape != (m,):
         raise ValueError(f"matvec_transpose: vector has length {v.shape}, matrix has {m} rows")
     if a_t is not None:
-        return a_t @ v
+        return _product(a_t, v)
     if sparse.issparse(a):
         return np.asarray(v @ a)
     return a.T @ v

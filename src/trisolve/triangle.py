@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import norm2, prepare, prepare_system
+from .linalg import norm2, prepare, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -182,6 +182,7 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
     return _Run(ITERATION_CAP, iterations, x, b_prime, rho, None, "")
 
 
+@quiet_floating_point
 def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
                   x0=None) -> SolveResult:
     """Membership test at fixed radius: an approximate solution with
@@ -201,6 +202,7 @@ def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
                    rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
 
 
+@quiet_floating_point
 def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
                    x0=None) -> SolveResult:
     """Solve ``Ax = b`` or its normal equation by growing the search radius.
@@ -227,6 +229,7 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
                    rho=run.rho, detail=run.detail)
 
 
+@quiet_floating_point
 def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> SolveResult:
     """Refine an approximate solution ``x_eps`` into an approximate
     minimum-norm solution by bisecting on the ellipsoid radius.

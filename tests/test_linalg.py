@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -157,31 +162,76 @@ def _csr_parts(cls, rng, shape, rows_of_entries):
     return cls((rng.standard_normal(len(indices)), indices, indptr), shape=shape)
 
 
+def _with_index_dtype(a, dtype):
+    a = a.copy()
+    a.indices = a.indices.astype(dtype)
+    a.indptr = a.indptr.astype(dtype)
+    return a
+
+
 class TestStoredTranspose:
-    """``A^T v`` through the CSR copy an :class:`Operator` stores has the
-    bits of ``v @ A``."""
+    """Products on CSR storage, ``A`` itself or the CSR copy of ``A^T`` an
+    :class:`Operator` stores, go straight to scipy's kernel and have the
+    bits of scipy's own ``A @ v`` and ``v @ A``."""
 
     def _cases(self):
         rng = np.random.default_rng(17)
         for cls in (sparse.csr_array, sparse.csr_matrix):
+            matrices = []
             for shape in ((40, 40), (25, 60), (60, 25)):
-                yield cls(sparse.random(*shape, density=0.2, random_state=rng, format="csr"))
+                matrices.append(cls(sparse.random(*shape, density=0.2, random_state=rng,
+                                                  format="csr")))
             # unsorted column indices, then duplicate entries
-            yield _csr_parts(cls, rng, (3, 5), [[4, 0, 2], [3, 1], [2, 4, 0, 1]])
-            yield _csr_parts(cls, rng, (3, 4), [[1, 1, 3], [0, 2, 0, 0], [3, 1, 3]])
+            matrices.append(_csr_parts(cls, rng, (3, 5), [[4, 0, 2], [3, 1], [2, 4, 0, 1]]))
+            matrices.append(_csr_parts(cls, rng, (3, 4), [[1, 1, 3], [0, 2, 0, 0], [3, 1, 3]]))
             # empty rows, one of them last
-            yield _csr_parts(cls, rng, (5, 4), [[], [2, 0], [], [1, 3], []])
+            matrices.append(_csr_parts(cls, rng, (5, 4), [[], [2, 0], [], [1, 3], []]))
+            # no rows, no columns
+            matrices.append(_csr_parts(cls, rng, (0, 4), []))
+            matrices.append(_csr_parts(cls, rng, (4, 0), [[], [], [], []]))
+            for a in matrices:
+                for dtype in (np.int32, np.int64):
+                    yield _with_index_dtype(a, dtype)
+
+    @staticmethod
+    def _vectors(rng, k):
+        yield rng.standard_normal(k)
+        yield rng.standard_normal(k)
+        yield rng.standard_normal(2 * k)[::2]  # strided, not contiguous
 
     def test_byte_identical_to_left_product(self):
         rng = np.random.default_rng(18)
         for a in self._cases():
             op = Operator(a)
             assert op.transposed is not None
-            for _ in range(3):
-                v = rng.standard_normal(a.shape[0])
+            a_t = _with_index_dtype(op.transposed, a.indices.dtype)
+            for v in self._vectors(rng, a.shape[0]):
                 expected = np.asarray(v @ a)
                 assert op.rmatvec(v).tobytes() == expected.tobytes()
-                assert matvec_transpose(a, v, op.transposed).tobytes() == expected.tobytes()
+                assert matvec_transpose(a, v, a_t).tobytes() == expected.tobytes()
+
+    def test_matvec_byte_identical_to_product(self):
+        rng = np.random.default_rng(19)
+        for a in self._cases():
+            op = Operator(a)
+            for v in self._vectors(rng, a.shape[1]):
+                expected = a @ v
+                assert matvec(a, v).tobytes() == expected.tobytes()
+                assert op.matvec(v).tobytes() == expected.tobytes()
+
+    def test_other_storage_keeps_scipy_product(self):
+        # other sparse formats, and CSR of another dtype, go through a @ v
+        rng = np.random.default_rng(20)
+        base = sparse.random(7, 5, density=0.4, random_state=rng, format="csr")
+        others = [cls(base) for cls in (sparse.csc_array, sparse.csc_matrix,
+                                        sparse.coo_array, sparse.coo_matrix)]
+        others += [sparse.csr_array(base, dtype=np.float32),
+                   sparse.csr_array(np.round(10 * base.toarray()).astype(np.int64)),
+                   sparse.csr_array(base * (1.0 + 2.0j))]
+        for a in others:
+            v, w = rng.standard_normal(5), rng.standard_normal(7)
+            assert matvec(a, v).tobytes() == (a @ v).tobytes()
+            assert matvec_transpose(a, w).tobytes() == np.asarray(w @ a).tobytes()
 
     def test_stored_only_where_asked(self):
         a = sparse.csr_array(np.eye(3))
@@ -227,6 +277,70 @@ def test_entry_point_solves_a_nested_list(name):
 def test_entry_point_names_a_bad_rhs(name, b):
     with pytest.raises(ValueError, match=r"^b has shape .*, expected \(2,\)$"):
         _ENTRY_POINTS[name](np.eye(2), b)
+
+
+# Runs every entry point on a consistent system made non-finite three ways
+# (one NaN entry, one Inf entry, A scaled by 2^300 so that the moments
+# overflow) and prints one status line per solve.
+_NON_FINITE_SCRIPT = """
+import numpy as np
+from trisolve import (CenteringOptions, centering_solve, hybrid_solve, min_norm_solve,
+                      nonnegative_feasibility, solve_adaptive, solve_in_ball)
+rng = np.random.default_rng(11)
+base = rng.standard_normal((6, 6))
+base = base + base.T
+ones = np.ones(6)
+solves = {
+    "centering_solve": lambda a, b: centering_solve(a, b, CenteringOptions(epsilon=1e-10)),
+    "solve_in_ball": lambda a, b: solve_in_ball(a, b, rho=10.0, eps=1e-10),
+    "solve_adaptive": lambda a, b: solve_adaptive(a, b, eps=1e-10),
+    "min_norm_solve": lambda a, b: min_norm_solve(a, b, eps=1e-6, x_eps=ones),
+    "nonnegative_feasibility": lambda a, b: nonnegative_feasibility(a, b, eps=1e-10),
+    "hybrid_solve": lambda a, b: hybrid_solve(a, b),
+}
+for bad in ("nan", "inf", "2^300"):
+    for name, solve in solves.items():
+        b = base @ ones
+        a = base.copy()
+        if bad == "2^300":
+            a *= 2.0 ** 300
+            b *= 2.0 ** 300  # exact: ones still solves the system
+        else:
+            a[2, 3] = float(bad)
+        print(bad, name, solve(a, b).status)
+"""
+
+
+def test_non_finite_input_is_silent_outside_pytest():
+    # pytest's warnings plugin hides numpy's RuntimeWarnings from capfd, so
+    # the solves run in a plain interpreter that prints every warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-W", "always", "-c", _NON_FINITE_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 * len(_ENTRY_POINTS)
+    for line in lines:
+        bad, _, status = line.split()
+        if bad != "2^300":
+            assert status == "numerical_failure", line
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [None, np.nan])
+def test_entry_point_restores_the_callers_error_settings(name, bad):
+    # hybrid_solve nests centering_solve and a triangle driver; each scope
+    # must hand back exactly the settings it was entered with
+    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    if bad is not None:
+        a[0, 1] = bad
+    with np.errstate(all="raise", under="warn"):
+        before = np.geterr()
+        _ENTRY_POINTS[name](a, np.array([2.0, 1.0]))
+        assert np.geterr() == before
 
 
 class TestGramProduct:

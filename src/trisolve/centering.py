@@ -13,11 +13,18 @@ solution.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+# A private numpy module: the LAPACK ``gelsd`` gufunc that
+# ``np.linalg.lstsq`` wraps.  Calling it directly skips about 10 us of
+# argument checks, error-state setup and result copies per moment solve, half
+# the cost of a solve at order 5, and gives numpy's bits;
+# tests/test_centering.py pins them to ``np.linalg.lstsq``.
+from numpy.linalg import _umath_linalg
 
 from .linalg import (
     H_MODE_GRAM,
@@ -42,6 +49,10 @@ from .results import (
 # treated as zero; the Hankel matrices go numerically rank-deficient long
 # before the iteration stops making progress.
 MOMENT_RCOND = 1e-13
+
+# numpy 1.x splits the kernel by shape and ``np.linalg.lstsq`` calls
+# ``lstsq_m`` for a square system; newer releases merged both into ``lstsq``.
+_gelsd = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_m
 
 # Accept a step as monotone up to this relative slack.
 _MONOTONE_SLACK = 1e-13
@@ -91,12 +102,22 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     phi = np.empty(2 * t)
     for k in range(1, 2 * t + 1):
         i = k // 2
-        value = float(np.dot(p[i], p[k - i]))
+        value = float(p[i].dot(p[k - i]))
         if not math.isfinite(value):
             # checked here so that LAPACK never sees (and reports) it
             raise FloatingPointError("non-finite moments")
         phi[k - 1] = value
     return Moments(t, phi, p, q)
+
+
+@functools.cache
+def _hankel_index(t: int) -> np.ndarray:
+    """Read-only ``t x t`` array of ``i + j + 1``: ``phi[_hankel_index(t)]``
+    is the order-``t`` Hankel matrix of the 0-based moments."""
+    i = np.arange(t)
+    index = i[:, None] + i + 1
+    index.flags.writeable = False
+    return index
 
 
 def min_norm_coefficients(mom: Moments, order: int | None = None) -> np.ndarray:
@@ -106,20 +127,30 @@ def min_norm_coefficients(mom: Moments, order: int | None = None) -> np.ndarray:
     The Hankel matrix has entries ``phi_{i+j}`` and right-hand side
     ``phi_i``.  It is symmetrically equilibrated by its diagonal before the
     rank-revealing least-squares solve, which keeps the graded moment scales
-    from swamping the small singular values.
+    from swamping the small singular values.  The solve is numpy's ``gelsd``
+    gufunc with ``MOMENT_RCOND``, called as ``np.linalg.lstsq`` calls it, so
+    the coefficients are bit for bit those of ``np.linalg.lstsq``.
+
+    Raises ``np.linalg.LinAlgError`` when a moment it reads is not finite
+    (before LAPACK sees it) or when the SVD does not converge.  Outside the
+    drivers' floating-point scope numpy also reports a failed SVD as an
+    invalid value, by its ``np.errstate`` settings (a warning by default).
     """
     t = mom.t if order is None else order
     if not 1 <= t <= mom.t:
         raise ValueError(f"order {t} outside 1..{mom.t}")
     phi = mom.phi
-    i = np.arange(t)
-    hankel = phi[i[:, None] + i + 1]  # phi_{(i+1)+(j+1)} with 0-based phi
-    rhs = phi[:t].copy()
-    scale = np.sqrt(np.abs(np.diag(hankel)))
-    scale[scale == 0.0] = 1.0
-    balanced = hankel / np.outer(scale, scale)
-    beta, *_ = np.linalg.lstsq(balanced, rhs / scale, rcond=MOMENT_RCOND)
-    return beta / scale
+    head = phi[:2 * t].tolist()
+    if not all(map(math.isfinite, head)):
+        raise np.linalg.LinAlgError("non-finite moments")
+    # sqrt of the Hankel diagonal phi_{2(i+1)}; a zero entry scales by one
+    scale = np.array([math.sqrt(abs(p)) or 1.0 for p in head[1::2]])
+    col = scale[:, None]
+    balanced = phi[_hankel_index(t)] / (col * scale)
+    beta = _gelsd(balanced, phi[:t, None] / col, MOMENT_RCOND, signature="ddd->ddid")[0]
+    if math.isnan(beta[0, 0]):  # gelsd fills its outputs with NaN on failure
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return beta[:, 0] / scale
 
 
 @dataclass
@@ -164,8 +195,9 @@ class CenteringOptions:
         return out
 
 
-def _step_arrays(x, r, t, h):
-    """One order-``t`` step on raw arrays.
+def _step_arrays(x, r, t, h, r_norm=None):
+    """One order-``t`` step on raw arrays; ``r_norm`` is ``||r||`` when the
+    caller has it.
 
     Returns ``(x_new, r_new, used_order, atr_norm)`` where ``atr_norm`` is
     ``||A^T r||`` (``||A r||`` in symmetric mode) of the incoming residual.
@@ -178,7 +210,8 @@ def _step_arrays(x, r, t, h):
         raise NormalEquationReached
     atr_norm = norm2(mom.transposed[0]) if mom.transposed is not None else norm2(mom.krylov[1])
 
-    r_norm = norm2(r)
+    if r_norm is None:
+        r_norm = norm2(r)
     best = None
     for order in range(t, 0, -1):
         alpha = min_norm_coefficients(mom, order)
@@ -248,7 +281,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             break
         t = next(schedule)
         try:
-            x_new, r_new, _, atr_norm = _step_arrays(x, r, t, h)
+            x_new, r_new, _, atr_norm = _step_arrays(x, r, t, h, r_norm)
         except NormalEquationReached:
             status = NORMAL_EQ_SOLUTION
             break

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import krylov_degree, random_instance, spd_with_spectrum
-from trisolve import gallery
+from trisolve import centering, gallery
 from trisolve.centering import (
+    MOMENT_RCOND,
     CenteringOptions,
+    Moments,
     NormalEquationReached,
     centering_solve,
     min_norm_coefficients,
@@ -12,7 +14,29 @@ from trisolve.centering import (
     _order_schedule,
     _step_arrays,
 )
-from trisolve.linalg import HOperator, matvec, matvec_transpose, norm2
+from trisolve.linalg import HOperator, matvec, matvec_transpose, norm2, prepare_system
+
+
+def _lstsq_reference(mom, t):
+    """The moment solve written with numpy's public calls: diagonal
+    equilibration and ``np.linalg.lstsq``.  Returns the coefficients and the
+    rank ``lstsq`` reports."""
+    phi = mom.phi
+    i = np.arange(t)
+    hankel = phi[i[:, None] + i + 1]
+    rhs = phi[:t].copy()
+    scale = np.sqrt(np.abs(np.diag(hankel)))
+    scale[scale == 0.0] = 1.0
+    balanced = hankel / np.outer(scale, scale)
+    beta, _, rank, _ = np.linalg.lstsq(balanced, rhs / scale, rcond=MOMENT_RCOND)
+    return beta / scale, rank
+
+
+def _gallery_moments(spec, h_mode, t):
+    family, n = spec.split(":")
+    a = gallery.make(family, int(n))
+    op, b = prepare_system(a, gallery.row_sum_rhs(a), transpose=h_mode == "aat")
+    return moments(HOperator(op, h_mode), b, t)
 
 
 class TestMoments:
@@ -86,7 +110,90 @@ class TestMomentSystem:
             assert np.allclose(got, oracle, atol=1e-10)
 
 
+class TestMomentSolveBits:
+    """``min_norm_coefficients`` calls numpy's LAPACK gufunc directly; its
+    coefficients must equal ``np.linalg.lstsq``'s byte for byte."""
+
+    @staticmethod
+    def _assert_bits_match(mom):
+        ranks = []
+        for k in range(1, mom.t + 1):
+            expected, rank = _lstsq_reference(mom, k)
+            got = min_norm_coefficients(mom, k)
+            assert got.dtype == np.float64 and got.shape == (k,)
+            assert got.tobytes() == expected.tobytes(), k
+            ranks.append(rank)
+        return ranks
+
+    @pytest.mark.parametrize("spec, h_mode", [
+        ("convdiff:12", "aat"), ("clement:301", "aat"), ("poisson-d:60", "a"),
+    ])
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_gallery_moments(self, spec, h_mode, t):
+        self._assert_bits_match(_gallery_moments(spec, h_mode, t))
+
+    def test_zero_even_moments_scale_by_one(self):
+        phi = np.array([1.5, 0.0, 0.25, 4.0, -0.75, -0.0, 2.0, 9.0,
+                        0.5, 0.0, 1.0, 3.0, -2.0, 7.0, 0.125, 6.0])
+        for t in range(1, 9):
+            self._assert_bits_match(Moments(t, phi[:2 * t].copy(), [], None))
+
+    def test_rank_deficient_hankel_is_truncated(self):
+        # r touches three eigenspaces: from order 4 on the Hankel matrix has
+        # numerical rank 3, and the rcond cutoff drops the rest
+        h = HOperator(np.diag([1.0, 2.0, 5.0, 9.0, 9.0, 9.0, 9.0, 9.0]), "a")
+        r = np.array([1.0, -0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0])
+        ranks = self._assert_bits_match(moments(h, r, 8))
+        assert ranks[3:] == [3] * 5
+        # a constant Hankel matrix (H = I) has rank one
+        ranks = self._assert_bits_match(moments(HOperator(np.eye(8), "a"), r, 8))
+        assert ranks == [1] * 8
+        # two eigenvalues 5e-6 apart: the third singular value of the
+        # balanced order-3 matrix is about 8e-15 relative, inside the cutoff
+        h = HOperator(np.diag([1.0, 1.0 + 5e-6, 3.0]), "a")
+        ranks = self._assert_bits_match(moments(h, np.ones(3), 3))
+        assert ranks == [1, 2, 2]
+
+    @pytest.mark.parametrize("errors", [None, "ignore", "raise"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_moments_fail_before_lapack(self, errors, bad, capfd):
+        # LAPACK prints "DLASCL parameter number 4" for non-finite input
+        for index in (0, 1, 2, 5):
+            phi = np.array([2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
+            phi[index] = bad
+            mom = Moments(3, phi, [], None)
+            with np.errstate(**({"all": errors} if errors else {})):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite moments"):
+                    min_norm_coefficients(mom)
+        assert capfd.readouterr() == ("", "")
+
+    def test_failed_svd_ends_the_solve(self, monkeypatch):
+        # gelsd fills its outputs with NaN when the SVD does not converge
+        def failed(a, b, rcond, signature):
+            t = a.shape[0]
+            return np.full((t, 1), np.nan), np.full(1, np.nan), -1, np.full(t, np.nan)
+
+        monkeypatch.setattr(centering, "_gelsd", failed)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            min_norm_coefficients(moments(HOperator(np.eye(2), "a"), np.ones(2), 1))
+        res = centering_solve(np.diag([1.0, 3.0]), np.ones(2))
+        assert res.status == "numerical_failure"
+        assert res.detail == ("moment solve failed: "
+                              "SVD did not converge in Linear Least Squares")
+
+
 class TestStep:
+    def test_given_residual_norm_changes_nothing(self):
+        rng = np.random.default_rng(5)
+        a, b = random_instance(rng, 20, 20)
+        x0 = rng.standard_normal(a.shape[1])
+        for t in (1, 3):
+            plain = _step_arrays(x0, b, t, HOperator(a, "aat"))
+            given = _step_arrays(x0, b, t, HOperator(a, "aat"), norm2(b))
+            assert plain[2:] == given[2:]
+            assert plain[0].tobytes() == given[0].tobytes()
+            assert plain[1].tobytes() == given[1].tobytes()
+
     def test_identity_one_step(self):
         b = np.array([3.0, -1.0, 2.0])
         a = np.eye(3)

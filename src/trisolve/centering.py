@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -43,6 +44,8 @@ from .results import (
     NUMERICAL_FAILURE,
     SolveResult,
     Trace,
+    finish,
+    zero_rhs,
 )
 
 # Singular values of the moment system below this relative cutoff are
@@ -185,8 +188,8 @@ class CenteringOptions:
     def validated(self, m: int) -> "CenteringOptions":
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
+        if not isinstance(self.t_max, numbers.Integral) or self.t_max < 1:
+            raise ValueError(f"t_max must be an integer of at least 1, got {self.t_max!r}")
         if self.h_mode not in (H_MODE_SYMMETRIC, H_MODE_GRAM):
             raise ValueError(f"unknown h_mode {self.h_mode!r}")
         out = self
@@ -246,15 +249,12 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     """Solve ``Ax = b`` (or its normal equation) by cycled centering steps."""
     opts = options or CenteringOptions()
     # symmetric mode applies A^T once, at the end: no stored transpose
-    op, b = prepare_system(a, b, transpose=opts.h_mode == H_MODE_GRAM)
+    op, b, b_norm = prepare_system(a, b, transpose=opts.h_mode == H_MODE_GRAM)
     m, n = op.shape
-    opts = opts.validated(m)
-
     trace = Trace(CENTERING_TRACE_COLUMNS)
-    b_norm = norm2(b)
     if b_norm == 0.0:
-        x = np.zeros(n)
-        return SolveResult(APPROX_SOLUTION, x, 0.0, 0.0, 0, trace)
+        return zero_rhs(APPROX_SOLUTION, n, trace)
+    opts = opts.validated(m)
 
     h = HOperator(op, opts.h_mode)
     x = np.zeros(n)
@@ -319,8 +319,4 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
                 break
             r = fresh
 
-    # Honest reporting: final quality measured from the returned iterate.
-    final_r = b - op.matvec(x)
-    res_norm = norm2(final_r)
-    nres_norm = norm2(op.rmatvec(final_r))
-    return SolveResult(status, x, res_norm, nres_norm, iterations, trace, detail=detail)
+    return finish(status, op, b, x, iterations, trace, detail=detail)

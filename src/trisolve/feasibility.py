@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 import time
 
-import numpy as np
-
-from .linalg import norm2, prepare, prepare_system, quiet_floating_point
+from .linalg import check_positive, norm2, prepare, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
@@ -28,8 +26,10 @@ from .results import (
     ITERATION_CAP,
     SolveResult,
     Trace,
+    finish,
+    zero_rhs,
 )
-from .triangle import _check_tolerances, _pivot_loop, _result
+from .triangle import _pivot_loop
 
 
 def default_rho_max(a, b) -> float:
@@ -51,18 +51,18 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     Returns ``feasible`` with such an ``x``; ``witness`` with a Farkas
     certificate of infeasibility (``c+ = 0`` and ``(b - b')^T b > 0``);
     ``inconclusive`` when the radius or iteration budget runs out.  For
-    ``b = 0`` the feasible point ``x = 0`` is returned at iteration 0.
+    ``b = 0`` the feasible point ``x = 0`` is returned at iteration 0.  Only
+    a passed ``rho_max`` is checked, not :func:`default_rho_max`.
     """
-    op, b = prepare_system(a, b)
-    if norm2(b) == 0.0:
-        return SolveResult(FEASIBLE, np.zeros(op.shape[1]), 0.0, 0.0, 0,
-                           Trace(FEASIBILITY_TRACE_COLUMNS), rho=0.0, min_x_entry=0.0)
-    _check_tolerances(eps=eps)
+    op, b, b_norm = prepare_system(a, b)
+    trace = Trace(FEASIBILITY_TRACE_COLUMNS)
+    if b_norm == 0.0:
+        return zero_rhs(FEASIBLE, op.shape[1], trace, rho=0.0, min_x_entry=0.0)
+    check_positive(eps=eps)
     if rho_max is None:
         rho_max = default_rho_max(op, b)
-    if rho_max <= 0.0:
-        raise ValueError("rho_max must be positive")
-    trace = Trace(FEASIBILITY_TRACE_COLUMNS)
+    else:
+        check_positive(rho_max=rho_max)
     # eps_prime = -inf: the cone search has no normal-equation stop
     run = _pivot_loop(op, b, None, 0.0, eps, -math.inf, max_iters, trace,
                       time.perf_counter_ns(), rho_cap=rho_max, cone=True)
@@ -73,6 +73,6 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
         status = INCONCLUSIVE
         detail = (f"radius budget {rho_max:.3e} exhausted" if detail
                   else "iteration budget exhausted")
-    return _result(status, op, b, run.x, run.iterations, trace, rho=run.rho,
-                   lower_bound=run.bound, min_x_entry=float(run.x.min()) if run.x.size else 0.0,
-                   detail=detail)
+    return finish(status, op, b, run.x, run.iterations, trace, rho=run.rho,
+                  lower_bound=run.bound, min_x_entry=float(run.x.min()) if run.x.size else 0.0,
+                  detail=detail)

@@ -111,8 +111,27 @@ POISSON_DIRICHLET = "dirichlet"
 POISSON_NEUMANN = "neumann"
 
 
-def _grid_index(ix: int, iy: int, grid: int) -> int:
-    return ix + grid * iy
+def _five_point(grid: int, center, west, east, south, north):
+    """Sparse CSR matrix of a 5-point stencil on a ``grid x grid`` mesh,
+    unknown ``ix + grid * iy``, neighbours off the mesh dropped; a ``center``
+    of None is the neighbour count.  Each row holds its centre, then its
+    west, east, south and north entries, explicit zeros included."""
+    n = grid * grid
+    k = np.arange(n)
+    ix, iy = k % grid, k // grid
+    sides = ((ix > 0, -1, west), (ix < grid - 1, 1, east),
+             (iy > 0, -grid, south), (iy < grid - 1, grid, north))
+    if center is None:
+        # float masks: numpy adds bool arrays as a logical or
+        center = sum(mask.astype(np.float64) for mask, _, _ in sides)
+    rows, cols, vals = [k], [k], [np.broadcast_to(center, n)]
+    for mask, step, coeff in sides:
+        rows.append(k[mask])
+        cols.append(k[mask] + step)
+        vals.append(np.full(len(rows[-1]), coeff, dtype=np.float64))
+    coo = sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return sparse.csr_array(coo)
 
 
 def gen_poisson2d(grid: int, bc: str = POISSON_DIRICHLET):
@@ -127,30 +146,7 @@ def gen_poisson2d(grid: int, bc: str = POISSON_DIRICHLET):
         raise ValueError("grid must be at least 2")
     if bc not in (POISSON_DIRICHLET, POISSON_NEUMANN):
         raise ValueError(f"unknown boundary condition {bc!r}")
-    n = grid * grid
-    rows, cols, vals = [], [], []
-    for iy in range(grid):
-        for ix in range(grid):
-            k = _grid_index(ix, iy, grid)
-            neighbors = []
-            if ix > 0:
-                neighbors.append(_grid_index(ix - 1, iy, grid))
-            if ix < grid - 1:
-                neighbors.append(_grid_index(ix + 1, iy, grid))
-            if iy > 0:
-                neighbors.append(_grid_index(ix, iy - 1, grid))
-            if iy < grid - 1:
-                neighbors.append(_grid_index(ix, iy + 1, grid))
-            center = 4.0 if bc == POISSON_DIRICHLET else float(len(neighbors))
-            rows.append(k)
-            cols.append(k)
-            vals.append(center)
-            for kk in neighbors:
-                rows.append(k)
-                cols.append(kk)
-                vals.append(-1.0)
-    coo = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
-    return sparse.csr_array(coo)
+    return _five_point(grid, 4.0 if bc == POISSON_DIRICHLET else None, -1.0, -1.0, -1.0, -1.0)
 
 
 def gen_convdiff(grid: int, p1: float, p2: float, p3: float):
@@ -163,32 +159,8 @@ def gen_convdiff(grid: int, p1: float, p2: float, p3: float):
     if p1 <= 0 or p2 <= 0 or p3 <= 0:
         raise ValueError("p1, p2, p3 must be positive")
     h = 1.0 / (grid + 1)
-    center = 4.0 - p3 * h * h
-    west, east = -1.0 - p1 * h, -1.0 + p1 * h
-    south, north = -1.0 - p2 * h, -1.0 + p2 * h
-    n = grid * grid
-    rows, cols, vals = [], [], []
-    for iy in range(grid):
-        for ix in range(grid):
-            k = _grid_index(ix, iy, grid)
-            rows.append(k)
-            cols.append(k)
-            vals.append(center)
-            stencil = []
-            if ix > 0:
-                stencil.append((_grid_index(ix - 1, iy, grid), west))
-            if ix < grid - 1:
-                stencil.append((_grid_index(ix + 1, iy, grid), east))
-            if iy > 0:
-                stencil.append((_grid_index(ix, iy - 1, grid), south))
-            if iy < grid - 1:
-                stencil.append((_grid_index(ix, iy + 1, grid), north))
-            for kk, coeff in stencil:
-                rows.append(k)
-                cols.append(kk)
-                vals.append(coeff)
-    coo = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
-    return sparse.csr_array(coo)
+    return _five_point(grid, 4.0 - p3 * h * h, -1.0 - p1 * h, -1.0 + p1 * h,
+                       -1.0 - p2 * h, -1.0 + p2 * h)
 
 
 def gen_ode_mvm(n: int, gamma: float, h: float) -> np.ndarray:

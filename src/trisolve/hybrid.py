@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .centering import CenteringOptions, centering_solve
-from .linalg import GramProduct, norm2, prepare_system, quiet_floating_point
+from .linalg import GramProduct, check_positive, norm2, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     NORMAL_EQ_SOLUTION,
     NUMERICAL_FAILURE,
     SolveResult,
     Trace,
+    finish,
+    zero_rhs,
 )
 from .triangle import min_norm_solve, solve_adaptive
 
@@ -61,12 +61,10 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     ``numerical_failure`` ends the solve: its iterate and norms cannot seed
     the second stage."""
     opts = options or HybridOptions()
-    op, b = prepare_system(a, b)
-    n = op.shape[1]
-    b_norm = norm2(b)
+    op, b, b_norm = prepare_system(a, b)
     if b_norm == 0.0:
-        return SolveResult(APPROX_SOLUTION, np.zeros(n), 0.0, 0.0, 0,
-                           Trace(HYBRID_TRACE_COLUMNS))
+        return zero_rhs(APPROX_SOLUTION, op.shape[1], Trace(HYBRID_TRACE_COLUMNS))
+    check_positive(eps_cta=opts.eps_cta, eps_ta=opts.eps_ta)
 
     stage1 = centering_solve(op, b, CenteringOptions(
         epsilon=opts.eps_cta, t_max=opts.t_max, h_mode=opts.h_mode,
@@ -104,13 +102,8 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         final_status = (NORMAL_EQ_SOLUTION if stage2.status == APPROX_SOLUTION
                         else stage2.status)
 
-    final = b - op.matvec(x)
-    result = SolveResult(
-        final_status, x, norm2(final), norm2(op.rmatvec(final)),
-        stage1.iterations + stage2.iterations,
-        _merged_trace([("stage1", stage1), ("stage2", stage2)]),
-        rho=stage2.rho, rho_interval=stage2.rho_interval,
-        lower_bound=stage2.lower_bound, detail=stage2.detail,
-    )
-    result.stage_results = [stage1, stage2]
-    return result
+    return finish(final_status, op, b, x, stage1.iterations + stage2.iterations,
+                  _merged_trace([("stage1", stage1), ("stage2", stage2)]),
+                  rho=stage2.rho, rho_interval=stage2.rho_interval,
+                  lower_bound=stage2.lower_bound, detail=stage2.detail,
+                  stage_results=[stage1, stage2])

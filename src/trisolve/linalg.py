@@ -169,14 +169,28 @@ def prepare(a, transpose: bool = True):
 
 
 def prepare_system(a, b, transpose: bool = True):
-    """``(prepare(a, transpose), b)`` with ``b`` as a float64 vector of the
-    operator's row count."""
+    """The entry of every driver: ``(prepare(a, transpose), b, ||b||)`` with
+    ``b`` as a float64 vector of the operator's row count.  Raises
+    ``ValueError`` for a wrong shape, and for a nonzero ``b`` whose norm
+    underflows to 0, which the drivers would read as ``b = 0``.  NaN, Inf or
+    an overflowing norm pass; the drivers end in ``numerical_failure``."""
     op = prepare(a, transpose)
     b = np.asarray(b, dtype=np.float64)
     m = op.shape[0]
     if b.shape != (m,):
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
-    return op, b
+    b_norm = norm2(b)
+    if b_norm == 0.0 and b.any():
+        raise ValueError("b is nonzero but its norm underflows to 0; scale b up")
+    return op, b, b_norm
+
+
+def check_positive(**named) -> None:
+    """Raise ``ValueError`` naming the first keyword argument that is not a
+    finite positive number."""
+    for name, value in named.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class GramProduct:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import norm2
+
 # Terminal statuses.  Drivers return exactly one of these.
 APPROX_SOLUTION = "approx_solution"       # ||Ax - b|| within tolerance
 NORMAL_EQ_SOLUTION = "normal_eq_solution"  # ||A^T A x - A^T b|| within tolerance
@@ -86,6 +88,18 @@ class SolveResult:
             f"residual_norm={self.residual_norm:.3e}, "
             f"normal_residual_norm={self.normal_residual_norm:.3e})"
         )
+
+
+def finish(status, op, b, x, iterations, trace, **extra) -> SolveResult:
+    """The exit of every driver: both residual norms measured from ``x``."""
+    final = b - op.matvec(x)
+    return SolveResult(status, x, norm2(final), norm2(op.rmatvec(final)),
+                       iterations, trace, **extra)
+
+
+def zero_rhs(status, n, trace, **extra) -> SolveResult:
+    """The answer to ``b = 0``: ``x = 0`` at iteration 0, both residuals 0."""
+    return SolveResult(status, np.zeros(n), 0.0, 0.0, 0, trace, **extra)
 
 
 CENTERING_TRACE_COLUMNS = ("iter", "t", "residual_norm", "normal_residual_norm", "wall_ns")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import norm2, prepare, prepare_system, quiet_floating_point
+from .linalg import check_positive, norm2, prepare, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -33,6 +33,8 @@ from .results import (
     SolveResult,
     Trace,
     WITNESS,
+    finish,
+    zero_rhs,
 )
 
 # Re-validate b' = A x' this often; convex-combination updates drift slowly.
@@ -71,20 +73,6 @@ def move_to_pivot(b_prime, x_prime, v, preimage, b):
     alpha = float(np.dot(np.asarray(b) - b_prime, d)) / denom
     alpha = min(1.0, max(0.0, alpha))
     return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
-
-
-def _check_tolerances(**tolerances) -> None:
-    for name, value in tolerances.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _result(status, op, b, x, iterations, trace, **extra) -> SolveResult:
-    final = b - op.matvec(x)
-    return SolveResult(
-        status, x, norm2(final), norm2(op.rmatvec(final)),
-        iterations, trace, **extra,
-    )
 
 
 class _Run(NamedTuple):
@@ -188,18 +176,17 @@ def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
     """Membership test at fixed radius: an approximate solution with
     ``||x|| <= rho``, an approximate normal-equation solution, or a witness
     that ``b`` lies outside ``E_rho``.  Tolerances are absolute.  A warm
-    start ``x0`` is used only when it already lies inside the ball."""
-    op, b = prepare_system(a, b)
-    if norm2(b) == 0.0:
-        raise ValueError("b must be nonzero")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    eps_prime = eps if eps_prime is None else eps_prime
-    _check_tolerances(eps=eps, eps_prime=eps_prime)
+    start ``x0`` is used only when it already lies inside the ball.  ``b = 0``
+    is answered before any check: ``x = 0`` at iteration 0, with ``rho``."""
+    op, b, b_norm = prepare_system(a, b)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
+    if b_norm == 0.0:
+        return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=rho)
+    eps_prime = eps if eps_prime is None else eps_prime
+    check_positive(rho=rho, eps=eps, eps_prime=eps_prime)
     run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns())
-    return _result(run.status, op, b, run.x, run.iterations, trace,
-                   rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
+    return finish(run.status, op, b, run.x, run.iterations, trace,
+                  rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
 
 
 @quiet_floating_point
@@ -211,22 +198,24 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
     the strict-pivot test fails, the radius jumps to
     ``max(2 rho, (b - b')^T b / ||c||)``, which eventually clears the norm of
     the minimum-norm solution.  ``c = 0`` certifies an exact normal-equation
-    solution immediately.  Tolerances are absolute.
+    solution immediately.  Tolerances are absolute; only a passed
+    ``rho_cap`` is checked, not the default ``4 ||b||^2 / eps_prime``.
     """
-    op, b = prepare_system(a, b)
-    if norm2(b) == 0.0:
-        return SolveResult(APPROX_SOLUTION, np.zeros(op.shape[1]), 0.0, 0.0, 0,
-                           Trace(TRIANGLE_TRACE_COLUMNS), rho=0.0)
-    eps_prime = eps if eps_prime is None else eps_prime
-    _check_tolerances(eps=eps, eps_prime=eps_prime)
-    if rho_cap is None:
-        rho_cap = 4.0 * norm2(b) ** 2 / eps_prime
-    rho = 0.0 if x0 is None else norm2(np.asarray(x0, dtype=np.float64))
+    op, b, b_norm = prepare_system(a, b)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
+    if b_norm == 0.0:
+        return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=0.0)
+    eps_prime = eps if eps_prime is None else eps_prime
+    check_positive(eps=eps, eps_prime=eps_prime)
+    if rho_cap is None:
+        rho_cap = 4.0 * b_norm ** 2 / eps_prime
+    else:
+        check_positive(rho_cap=rho_cap)
+    rho = 0.0 if x0 is None else norm2(np.asarray(x0, dtype=np.float64))
     run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
                       rho_cap=rho_cap)
-    return _result(run.status, op, b, run.x, run.iterations, trace,
-                   rho=run.rho, detail=run.detail)
+    return finish(run.status, op, b, run.x, run.iterations, trace,
+                  rho=run.rho, detail=run.detail)
 
 
 @quiet_floating_point
@@ -242,24 +231,26 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     that still fits inside the new ball.  A vanishing pivot direction ends
     the search with an exact normal-equation solution instead.  Non-finite
     ``A x_eps`` (from NaN or Inf in ``A`` or ``x_eps``) is a numerical
-    failure at iteration 0.
+    failure at iteration 0.  ``b = 0`` is answered before any check: ``x = 0``
+    at iteration 0, with ``rho = 0`` and ``rho_interval = (0, 0)``.
     """
-    op, b = prepare_system(a, b)
-    if norm2(b) == 0.0:
-        raise ValueError("b must be nonzero")
-    _check_tolerances(eps=eps)
-    x_eps = np.asarray(x_eps, dtype=np.float64)
+    op, b, b_norm = prepare_system(a, b)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
+    if b_norm == 0.0:
+        return zero_rhs(MIN_NORM_SOLUTION, op.shape[1], trace, rho=0.0,
+                        rho_interval=(0.0, 0.0))
+    check_positive(eps=eps)
+    x_eps = np.asarray(x_eps, dtype=np.float64)
     start_gap = norm2(b - op.matvec(x_eps))
     if not math.isfinite(start_gap):
-        return _result(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
-                       detail="non-finite start residual")
+        return finish(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
+                      detail="non-finite start residual")
     if start_gap > eps * (1.0 + 1e-9):
         raise ValueError(
             f"x_eps is not an eps-approximate solution: ||Ax-b|| = {start_gap:.3e} > {eps:.3e}"
         )
     # Floating-point floor standing in for an exact "||c|| > 0" guard.
-    zero_floor = 1e-14 * op.frobenius_norm() * norm2(b)
+    zero_floor = 1e-14 * op.frobenius_norm() * b_norm
 
     rho_hi = norm2(x_eps)
     rho_lo = 0.0
@@ -294,9 +285,9 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
             trace.append(iterations, rho_lo, norm2(b - run.b_prime), 0.0, "expand", wall)
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
-            return _result(NORMAL_EQ_SOLUTION, op, b, run.x, iterations, trace,
-                           rho=rho, rho_interval=(rho_lo, rho_hi),
-                           detail="pivot direction vanished during bisection")
+            return finish(NORMAL_EQ_SOLUTION, op, b, run.x, iterations, trace,
+                          rho=rho, rho_interval=(rho_lo, rho_hi),
+                          detail="pivot direction vanished during bisection")
         else:
             status = run.status
             detail = (run.detail if status == NUMERICAL_FAILURE
@@ -305,5 +296,5 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
 
     if status == MIN_NORM_SOLUTION and rho_hi - rho_lo > eps:
         status, detail = ITERATION_CAP, "bisection budget exhausted"
-    return _result(status, op, b, best_x, iterations, trace,
-                   rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail)
+    return finish(status, op, b, best_x, iterations, trace,
+                  rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail)

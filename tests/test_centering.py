@@ -35,7 +35,7 @@ def _lstsq_reference(mom, t):
 def _gallery_moments(spec, h_mode, t):
     family, n = spec.split(":")
     a = gallery.make(family, int(n))
-    op, b = prepare_system(a, gallery.row_sum_rhs(a), transpose=h_mode == "aat")
+    op, b, _ = prepare_system(a, gallery.row_sum_rhs(a), transpose=h_mode == "aat")
     return moments(HOperator(op, h_mode), b, t)
 
 
@@ -307,6 +307,12 @@ class TestDriver:
             centering_solve(np.eye(2), np.ones(2), CenteringOptions(t_max=0))
         with pytest.raises(ValueError):
             centering_solve(np.eye(2), np.ones(2), CenteringOptions(h_mode="x"))
+
+    def test_t_max_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="^t_max must be an integer of at least 1"):
+            centering_solve(np.eye(2), np.ones(2), CenteringOptions(t_max=2.5))
+        res = centering_solve(np.eye(2), np.ones(2), CenteringOptions(t_max=np.int64(2)))
+        assert res.status == "approx_solution"
 
     def test_iteration_cap(self):
         a = gallery.gen_diag("pd", 50, seed=1)

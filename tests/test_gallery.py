@@ -147,6 +147,66 @@ class TestConvDiff:
             gallery.gen_convdiff(3, 0.0, 1.0, 1.0)
 
 
+def _loop_five_point(grid, stencil):
+    """Reference builder: the per-unknown Python loop the stencil builders
+    replaced.  ``stencil(neighbours)`` gives the centre value and the
+    (west, east, south, north) coefficients."""
+    rows, cols, vals = [], [], []
+    for iy in range(grid):
+        for ix in range(grid):
+            k = ix + grid * iy
+            sides = [(ix > 0, k - 1), (ix < grid - 1, k + 1),
+                     (iy > 0, k - grid), (iy < grid - 1, k + grid)]
+            center, coeffs = stencil(sum(on for on, _ in sides))
+            rows.append(k)
+            cols.append(k)
+            vals.append(center)
+            for (on, kk), coeff in zip(sides, coeffs):
+                if on:
+                    rows.append(k)
+                    cols.append(kk)
+                    vals.append(coeff)
+    coo = sparse.coo_array((vals, (rows, cols)), shape=(grid * grid, grid * grid))
+    return sparse.csr_array(coo)
+
+
+def _loop_poisson(grid, bc):
+    return _loop_five_point(grid, lambda count: (
+        4.0 if bc == "dirichlet" else float(count), (-1.0,) * 4))
+
+
+def _loop_convdiff(grid, p1, p2, p3):
+    h = 1.0 / (grid + 1)
+    return _loop_five_point(grid, lambda count: (
+        4.0 - p3 * h * h, (-1.0 - p1 * h, -1.0 + p1 * h, -1.0 - p2 * h, -1.0 + p2 * h)))
+
+
+def _assert_same_csr(a, b):
+    assert type(a) is type(b)
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+_GRIDS = [2, 3, 4, 5, 9, 16, 31, 64]
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_poisson_bytes_match_the_loop_builder(grid, bc):
+    _assert_same_csr(gallery.gen_poisson2d(grid, bc), _loop_poisson(grid, bc))
+
+
+# (10, 0.1, 7.5) on grid 9 has h = 0.1, so the east coefficient is an
+# explicit zero that both builders store
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("params", [(1.0, 1.0, 1.0), (0.5, 2.0, 3.0), (10.0, 0.1, 7.5)])
+def test_convdiff_bytes_match_the_loop_builder(grid, params):
+    _assert_same_csr(gallery.gen_convdiff(grid, *params), _loop_convdiff(grid, *params))
+
+
 class TestOdeMvm:
     def test_zero_last_column(self):
         m = gallery.gen_ode_mvm(6, 0.5, 1.0 / 7.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import trisolve
 from conftest import random_sparse
 from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
@@ -263,6 +264,41 @@ _ENTRY_POINTS = {
     "nonnegative_feasibility": lambda a, b: nonnegative_feasibility(a, b, eps=1e-10),
     "hybrid_solve": lambda a, b: hybrid_solve(a, b),
 }
+
+
+def test_entry_points_cover_every_public_driver():
+    # quiet_floating_point marks the public drivers with __wrapped__; a new
+    # driver must join the table and so meet the entry rules below
+    drivers = {name for name in trisolve.__all__
+               if hasattr(getattr(trisolve, name), "__wrapped__")}
+    assert set(_ENTRY_POINTS) == drivers
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_point_answers_a_zero_rhs(name):
+    res = _ENTRY_POINTS[name](np.array([[2.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+    assert res.success
+    assert res.iterations == 0
+    assert np.array_equal(res.x, np.zeros(2))
+    assert res.residual_norm == 0.0 and res.normal_residual_norm == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_point_refuses_an_underflowing_rhs(name):
+    # each entry squares to 2^-1200, below the smallest subnormal: ||b|| = 0
+    # although b is not
+    tiny = 2.0 ** -600
+    with pytest.raises(ValueError, match=r"^b is nonzero but its norm underflows"):
+        _ENTRY_POINTS[name](np.array([[2.0, 0.0], [0.0, 1.0]]), [tiny, tiny])
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("b", [[np.nan, 1.0], [2.0, np.inf], [2e200, 1e200]],
+                         ids=["nan", "inf", "norm-overflow"])
+def test_entry_point_fails_at_once_on_a_non_finite_rhs(name, b):
+    res = _ENTRY_POINTS[name](np.array([[2.0, 0.0], [0.0, 1.0]]), b)
+    assert res.status == "numerical_failure"
+    assert res.iterations == 0
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))

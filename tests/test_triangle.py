@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from conftest import check_witness
 from trisolve.feasibility import nonnegative_feasibility
+from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, norm2
 from trisolve.triangle import (
     min_norm_solve,
@@ -321,17 +324,37 @@ def test_min_norm_non_finite_start_fails_at_once(where):
     assert res.rho_interval is None
 
 
-@pytest.mark.parametrize("solve, name", [
-    (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=0.0), "eps"),
-    (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=-1.0), "eps"),
-    (lambda: solve_adaptive(np.eye(2), np.array([1.0, 2.0]), eps=1e-8,
-                            eps_prime=np.nan), "eps_prime"),
-    (lambda: solve_in_ball(np.eye(2), np.array([1.0, 0.0]), rho=1.0, eps=-1.0), "eps"),
-    (lambda: min_norm_solve(np.eye(2), np.array([1.0, 0.0]), eps=np.inf,
-                            x_eps=np.array([1.0, 0.0])), "eps"),
-    (lambda: nonnegative_feasibility(np.eye(2), np.array([1.0, 2.0]), eps=np.nan), "eps"),
-], ids=["adaptive-zero", "adaptive-negative", "adaptive-eps-prime-nan", "ball-negative",
-        "min-norm-inf", "feasibility-nan"])
+_B = np.array([1.0, 2.0])
+_BAD_TOLERANCES = [
+    ("adaptive-zero", lambda: solve_adaptive(np.eye(2), _B, eps=0.0), "eps"),
+    ("adaptive-negative", lambda: solve_adaptive(np.eye(2), _B, eps=-1.0), "eps"),
+    ("adaptive-eps-prime-nan",
+     lambda: solve_adaptive(np.eye(2), _B, eps=1e-8, eps_prime=np.nan), "eps_prime"),
+    ("ball-negative",
+     lambda: solve_in_ball(np.eye(2), np.array([1.0, 0.0]), rho=1.0, eps=-1.0), "eps"),
+    ("min-norm-inf", lambda: min_norm_solve(np.eye(2), np.array([1.0, 0.0]), eps=np.inf,
+                                            x_eps=np.array([1.0, 0.0])), "eps"),
+    ("feasibility-nan", lambda: nonnegative_feasibility(np.eye(2), _B, eps=np.nan), "eps"),
+]
+# the radii and the hybrid tolerances, each solve given the bad value for the
+# argument it names; NaN fails every comparison, so a check of the form
+# "value <= 0" lets it through
+_SOLVE_WITH = {
+    "rho": lambda v: solve_in_ball(np.eye(2), _B, rho=v, eps=1e-8),
+    "rho_cap": lambda v: solve_adaptive(np.eye(2), _B, eps=1e-8, rho_cap=v),
+    "rho_max": lambda v: nonnegative_feasibility(np.eye(2), _B, eps=1e-8, rho_max=v),
+    "eps_cta": lambda v: hybrid_solve(np.eye(2), _B, HybridOptions(eps_cta=v)),
+    "eps_ta": lambda v: hybrid_solve(np.eye(2), _B, HybridOptions(eps_ta=v)),
+}
+_BAD_VALUES = {"rho": (np.nan, np.inf, 0.0, -1.0), "rho_cap": (np.nan, -1.0),
+               "rho_max": (np.nan, np.inf, -1.0), "eps_cta": (0.0, np.nan),
+               "eps_ta": (0.0, np.nan)}
+_BAD_TOLERANCES += [(f"{name}-{value}", functools.partial(_SOLVE_WITH[name], value), name)
+                    for name, values in _BAD_VALUES.items() for value in values]
+
+
+@pytest.mark.parametrize("solve, name", [case[1:] for case in _BAD_TOLERANCES],
+                         ids=[case[0] for case in _BAD_TOLERANCES])
 def test_bad_tolerance_names_the_argument(solve, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
         solve()

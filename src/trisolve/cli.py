@@ -11,6 +11,7 @@ failures, 1 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,7 +93,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parsing leaves the parser unchanged, and the
+    # build costs about 1 ms, as much as a small solve
     parser = _Parser(prog="trisolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

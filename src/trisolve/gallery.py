@@ -12,7 +12,6 @@ Every generator is bit-deterministic for a fixed argument tuple.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 from .linalg import matvec
@@ -174,6 +173,10 @@ def gen_ode_mvm(n: int, gamma: float, h: float) -> np.ndarray:
     a rank-one correction for the corner.  The zero last column of ``B``
     makes ``M`` singular by construction.
     """
+    # imported here: scipy.linalg adds about 60 ms to ``import trisolve``,
+    # and no other code path needs it
+    import scipy.linalg
+
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 0.0 < gamma < 1.0:

@@ -54,12 +54,21 @@ def _merged_trace(stages) -> Trace:
     return merged
 
 
+def _stage_one_only(stage1: SolveResult, **changes) -> SolveResult:
+    """The solve's result when the second stage cannot run: stage one's
+    status, iterate and norms, with the merged trace."""
+    return replace(stage1, trace=_merged_trace([("stage1", stage1)]),
+                   stage_results=[stage1], **changes)
+
+
 @quiet_floating_point
 def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     """Run the centering stage, then the triangle stage, warm-started.  Both
     stages apply the one operator prepared here.  A first stage that ends in
     ``numerical_failure`` ends the solve: its iterate and norms cannot seed
-    the second stage."""
+    the second stage.  So does a first stage that leaves the normal-equation
+    pair with a nonzero ``A^T b`` whose norm underflows to 0; the result
+    then carries stage one's status and a detail naming the underflow."""
     opts = options or HybridOptions()
     op, b, b_norm = prepare_system(a, b)
     if b_norm == 0.0:
@@ -72,8 +81,7 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     ))
 
     if stage1.status == NUMERICAL_FAILURE:
-        return replace(stage1, trace=_merged_trace([("stage1", stage1)]),
-                       stage_results=[stage1])
+        return _stage_one_only(stage1)
     if stage1.status == APPROX_SOLUTION and opts.want_min_norm:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.
@@ -91,9 +99,14 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     else:
         # No consistent-solution evidence: run the triangle stage on the
         # normal-equation pair, applied implicitly.
-        gram = GramProduct(op)
         g = op.rmatvec(b)
-        stage2 = solve_adaptive(gram, g, eps=opts.eps_ta * norm2(g),
+        g_norm = norm2(g)
+        if g_norm == 0.0 and g.any():
+            # the pair's right side is nonzero, but its norm underflows:
+            # stage two's entry refuses such a right side, and its
+            # tolerance, relative to that norm, would be 0
+            return _stage_one_only(stage1, detail="stage two skipped: ||A^T b|| underflows to 0")
+        stage2 = solve_adaptive(GramProduct(op), g, eps=opts.eps_ta * g_norm,
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
         x = (stage2.x if stage2.normal_residual_norm <= stage1.normal_residual_norm
              else stage1.x)

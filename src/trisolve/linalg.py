@@ -65,12 +65,13 @@ def shape_of(a) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def _product(a, v: np.ndarray) -> np.ndarray:
-    """``a @ v`` for a float64 vector ``v`` of matching length; float64 CSR
-    storage goes straight to the kernel, with the output buffer that
-    ``a @ v`` would allocate."""
+def _product(a, v: np.ndarray, m: int, n: int) -> np.ndarray:
+    """``a @ v`` for an ``m x n`` matrix ``a`` and a float64 vector ``v`` of
+    length ``n``; float64 CSR storage goes straight to the kernel, with the
+    output buffer that ``a @ v`` would allocate."""
+    if type(a) is np.ndarray:
+        return a @ v
     if isinstance(a, _CSR_TYPES) and a.dtype == np.float64:
-        m, n = a.shape
         out = np.zeros(m)
         _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
         return out
@@ -81,10 +82,10 @@ def matvec(a, v: np.ndarray) -> np.ndarray:
     """``A @ v`` for a stored matrix, with a deterministic summation order
     for fixed storage."""
     v = np.asarray(v, dtype=np.float64)
-    n = a.shape[1]
+    m, n = a.shape
     if v.shape != (n,):
         raise ValueError(f"matvec: vector has length {v.shape}, matrix has {n} columns")
-    return _product(a, v)
+    return _product(a, v, m, n)
 
 
 def matvec_transpose(a, v: np.ndarray, a_t=None) -> np.ndarray:
@@ -98,12 +99,12 @@ def matvec_transpose(a, v: np.ndarray, a_t=None) -> np.ndarray:
     terms in the same order and give the same bits.
     """
     v = np.asarray(v, dtype=np.float64)
-    m = a.shape[0]
+    m, n = a.shape
     if v.shape != (m,):
         raise ValueError(f"matvec_transpose: vector has length {v.shape}, matrix has {m} rows")
     if a_t is not None:
-        return _product(a_t, v)
-    if sparse.issparse(a):
+        return _product(a_t, v, n, m)
+    if type(a) is not np.ndarray and sparse.issparse(a):
         return np.asarray(v @ a)
     return a.T @ v
 
@@ -163,6 +164,8 @@ def prepare(a, transpose: bool = True):
     :class:`Operator`, a :class:`GramProduct`, or any object with
     ``matvec``, ``rmatvec``, ``shape`` and ``frobenius_norm``), otherwise an
     :class:`Operator` over ``a``, storing ``A^T`` when ``transpose`` is set."""
+    if isinstance(a, Operator):
+        return a
     if isinstance(a, np.ndarray) or sparse.issparse(a) or not hasattr(a, "rmatvec"):
         return Operator(a, transpose)
     return a

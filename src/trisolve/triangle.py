@@ -47,11 +47,13 @@ _REVALIDATE_EVERY = 512
 _INNER_EPS_FACTOR = 0.25
 
 
-def pivot_point(a, c, rho):
+def pivot_point(a, c, rho, c_norm=None):
     """Maximizer of ``c^T x`` over ``E_rho`` plus its preimage:
     ``v = rho A c / ||c||`` attained at ``x = rho c / ||c||``.  ``a`` is a
-    matrix or a prepared operator."""
-    c_norm = norm2(c)
+    matrix or a prepared operator; ``c_norm`` is ``||c||`` when the caller
+    already has it."""
+    if c_norm is None:
+        c_norm = norm2(c)
     if c_norm == 0.0:
         raise ValueError("pivot direction is zero; caller must branch to the witness case")
     if rho <= 0.0:
@@ -60,17 +62,21 @@ def pivot_point(a, c, rho):
     return prepare(a, transpose=False).matvec(preimage), preimage
 
 
-def move_to_pivot(b_prime, x_prime, v, preimage, b):
+def move_to_pivot(b_prime, x_prime, v, preimage, b, gap=None):
     """Advance to the point of segment ``[b', v]`` nearest to ``b``.
 
-    Returns ``(b'', x'', alpha)`` with the step ``alpha`` clamped to [0, 1]
-    so the new iterate stays a convex combination inside the ellipsoid.
+    ``b_prime`` is a float64 array; ``gap`` is ``b - b'`` when the caller
+    already has it.  Returns ``(b'', x'', alpha)`` with the step ``alpha``
+    clamped to [0, 1] so the new iterate stays a convex combination inside
+    the ellipsoid.
     """
-    d = np.asarray(v) - np.asarray(b_prime)
-    denom = float(np.dot(d, d))
+    d = v - b_prime
+    denom = float(d.dot(d))
     if denom == 0.0:
         raise ValueError("degenerate pivot: v coincides with the iterate")
-    alpha = float(np.dot(np.asarray(b) - b_prime, d)) / denom
+    if gap is None:
+        gap = b - b_prime
+    alpha = float(gap.dot(d)) / denom
     alpha = min(1.0, max(0.0, alpha))
     return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
 
@@ -126,7 +132,7 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
                         else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
-        gap_dot_b = float(np.dot(gap, b))
+        gap_dot_b = float(gap.dot(b))
         wall = time.perf_counter_ns() - t0
         stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
@@ -135,11 +141,11 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
             detail = "no ascent direction in the nonnegative cone section"
             bound = gap_dot_b / c_norm if c_norm > 0.0 else math.inf
         elif d_norm == 0.0:
-            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, b)
+            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, b, gap)
             event = "pivot"
         elif rho > 0.0 and rho * d_norm >= gap_dot_b:
-            v, preimage = pivot_point(op, d, rho)
-            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b)
+            v, preimage = pivot_point(op, d, rho, d_norm)
+            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b, gap)
             event = "pivot"
         elif rho_cap is None:
             event, stop, detail = "witness", WITNESS, ""

@@ -143,6 +143,24 @@ class TestDeterminism:
             })
         assert results[0] == results[1]
 
+    def test_successive_calls_do_not_share_arguments(self, tmp_path):
+        # the parser is built once per process; --gen is an "append" action,
+        # so a list carried over from one call would make the next one fail
+        def solve(tag, spec, algo):
+            summary = tmp_path / f"{tag}.json"
+            rc = run(["solve", "--gen", spec, "--algo", algo, "--eps", "1e-8",
+                      "--summary", str(summary)])
+            data = json.loads(summary.read_text())
+            del data["wall_ms"]
+            return rc, data
+
+        first = solve("first", "clement:31", "ta")
+        other = solve("other", "diag-pd:40", "cta")
+        again = solve("again", "clement:31", "ta")
+        assert first == again
+        assert first[1]["matrix"] == {"m": 31, "n": 31, "nnz": 60, "family": "clement"}
+        assert other[1]["matrix"] == {"m": 40, "n": 40, "nnz": 40, "family": "diag-pd"}
+
 
 class TestGenerate:
     def test_roundtrip(self, tmp_path):

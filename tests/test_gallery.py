@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -275,3 +280,25 @@ def test_determinism_and_row_sum_consistency(family, n, params, seed):
 def test_make_rejects_unknown_family():
     with pytest.raises(ValueError):
         gallery.make("hilbert", 5)
+
+
+_IMPORT_SCRIPT = """
+import sys
+import numpy, scipy.sparse
+before = "scipy.linalg" in sys.modules
+import trisolve
+print(before, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # only gen_ode_mvm needs scipy.linalg; the baseline is what numpy and
+    # scipy.sparse load on their own, so a scipy that loads it anyway passes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before

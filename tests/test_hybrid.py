@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import norm2
+from trisolve.linalg import GramProduct, norm2
+from trisolve.triangle import solve_adaptive
 
 
 class TestHybrid:
@@ -63,6 +64,34 @@ class TestHybrid:
         stage1, stage2 = res.stage_results
         best = min(stage1.normal_residual_norm, stage2.normal_residual_norm)
         assert res.normal_residual_norm <= best * (1 + 1e-9)
+
+    def test_underflowing_normal_rhs_returns_stage_one(self):
+        # ||b|| is fine, but ||A^T b|| = 1.7e-170 underflows in norm2: stage
+        # two could not measure its tolerance, and its entry would raise
+        a = 1e-170 * np.eye(3)
+        res = hybrid_solve(a, np.ones(3))
+        stage1 = res.stage_results[0]
+        assert len(res.stage_results) == 1
+        assert res.status == stage1.status == "normal_eq_solution"
+        assert res.iterations == stage1.iterations
+        assert np.array_equal(res.x, stage1.x)
+        assert "||A^T b|| underflows" in res.detail
+        assert set(res.trace.column("stage")) <= {"stage1"}
+
+    def test_least_squares_second_stage_is_unchanged(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((9, 4))
+        b = rng.standard_normal(9)
+        opts = HybridOptions(eps_cta=1e-8, eps_ta=1e-10)
+        res = hybrid_solve(a, b, opts)
+        stage1, stage2 = res.stage_results
+        assert stage1.status != "approx_solution"
+        g = a.T @ b
+        direct = solve_adaptive(GramProduct(a), g, eps=opts.eps_ta * norm2(g),
+                                max_iters=opts.max_iters_stage2, x0=stage1.x)
+        assert stage2.status == direct.status and stage2.iterations == direct.iterations
+        assert stage2.x.tobytes() == direct.x.tobytes()
+        assert res.status == "normal_eq_solution"
 
     def test_merged_trace_carries_stage_markers(self):
         rng = np.random.default_rng(5)

@@ -234,6 +234,20 @@ class TestStoredTranspose:
             assert matvec(a, v).tobytes() == (a @ v).tobytes()
             assert matvec_transpose(a, w).tobytes() == np.asarray(w @ a).tobytes()
 
+    def test_dense_storage_keeps_blas_product(self):
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((7, 5))
+        for stored in (a, np.asfortranarray(a), sparse.csr_array(a)):
+            for bad in (np.ones(6), np.ones((5, 1))):
+                with pytest.raises(ValueError, match="^matvec: vector has length"):
+                    matvec(stored, bad)
+            with pytest.raises(ValueError, match="^matvec_transpose: vector has length"):
+                matvec_transpose(stored, np.ones(5))
+        for stored in (a, np.asfortranarray(a)):
+            v, w = rng.standard_normal(5), rng.standard_normal(7)
+            assert matvec(stored, v).tobytes() == (stored @ v).tobytes()
+            assert matvec_transpose(stored, w).tobytes() == (stored.T @ w).tobytes()
+
     def test_stored_only_where_asked(self):
         a = sparse.csr_array(np.eye(3))
         assert Operator(a, transpose=False).transposed is None

@@ -1,13 +1,18 @@
 import functools
+import math
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from conftest import check_witness
+from trisolve import feasibility, triangle
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import GramProduct, norm2
+from trisolve.linalg import GramProduct, norm2, prepare
 from trisolve.triangle import (
+    _Run,
     min_norm_solve,
     move_to_pivot,
     pivot_point,
@@ -358,3 +363,191 @@ _BAD_TOLERANCES += [(f"{name}-{value}", functools.partial(_SOLVE_WITH[name], val
 def test_bad_tolerance_names_the_argument(solve, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
         solve()
+
+
+# --- the lean iteration gives the bits of the plain one ----------------------
+
+def _operators(rng):
+    a = rng.standard_normal((5, 8))
+    a[np.abs(a) < 0.6] = 0.0
+    return {"dense": prepare(a), "csr": prepare(sparse.csr_array(a)),
+            "gram": GramProduct(sparse.csr_array(a))}
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr", "gram"])
+def test_passed_norm_and_gap_give_the_same_bytes(kind):
+    rng = np.random.default_rng(11)
+    op = _operators(rng)[kind]
+    m, n = op.shape
+    c = rng.standard_normal(n)
+    b, b_prime, x = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(n)
+    v, pre = pivot_point(op, c, 1.7)
+    v2, pre2 = pivot_point(op, c, 1.7, norm2(c))
+    assert (v.tobytes(), pre.tobytes()) == (v2.tobytes(), pre2.tobytes())
+    plain = move_to_pivot(b_prime, x, v, pre, b)
+    lean = move_to_pivot(b_prime, x, v, pre, b, gap=b - b_prime)
+    assert (plain[0].tobytes(), plain[1].tobytes(), plain[2]) == \
+        (lean[0].tobytes(), lean[1].tobytes(), lean[2])
+
+
+def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
+                    cone=False, offset=0):
+    """The pivot loop written out plainly: ``pivot_point`` and
+    ``move_to_pivot`` inlined as their formulas state them, each recomputing
+    ``||c||`` and ``b - b'``, every product through ``np.dot``."""
+    m, n = op.shape
+    if x0 is None or (rho_cap is None and not norm2(x0) <= rho * (1.0 + 1e-9)):
+        x, b_prime = np.zeros(n), np.zeros(m)
+    else:
+        x = np.asarray(x0, dtype=np.float64).copy()
+        b_prime = op.matvec(x)
+
+    def move(v, preimage):
+        d = np.asarray(v) - np.asarray(b_prime)
+        alpha = float(np.dot(np.asarray(b) - b_prime, d)) / float(np.dot(d, d))
+        alpha = min(1.0, max(0.0, alpha))
+        return b_prime + alpha * d, (1.0 - alpha) * x + alpha * preimage
+
+    bound = None
+    iterations = since_revalidate = 0
+    while iterations < max_iters:
+        gap = b - b_prime
+        gap_norm = norm2(gap)
+        if not math.isfinite(gap_norm):
+            return _Run("numerical_failure", iterations, x, b_prime, rho, None,
+                        "non-finite iterate")
+        if gap_norm <= eps:
+            return _Run("approx_solution", iterations, x, b_prime, rho, None, "")
+        c = op.rmatvec(gap)
+        c_norm = norm2(c)
+        if not math.isfinite(c_norm):
+            return _Run("numerical_failure", iterations, x, b_prime, rho, None,
+                        "non-finite pivot direction")
+        if c_norm <= eps_prime:
+            return _Run("normal_eq_solution", iterations, x, b_prime, rho, None,
+                        "pivot direction vanished" if c_norm == 0.0
+                        else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
+        d = np.maximum(c, 0.0) if cone else c
+        d_norm = norm2(d) if cone else c_norm
+        gap_dot_b = float(np.dot(gap, b))
+        wall = time.perf_counter_ns() - t0
+        stop = None
+        if d_norm == 0.0 and gap_dot_b > 0.0:
+            event, stop = "witness", "witness"
+            detail = "no ascent direction in the nonnegative cone section"
+            bound = gap_dot_b / c_norm if c_norm > 0.0 else math.inf
+        elif d_norm == 0.0:
+            b_prime, x = move(0.0, 0.0)
+            event = "pivot"
+        elif rho > 0.0 and rho * d_norm >= gap_dot_b:
+            preimage = (rho / norm2(d)) * np.asarray(d, dtype=np.float64)
+            b_prime, x = move(op.matvec(preimage), preimage)
+            event = "pivot"
+        elif rho_cap is None:
+            event, stop, detail = "witness", "witness", ""
+            bound = gap_dot_b / c_norm
+        else:
+            rho = max(2.0 * rho, gap_dot_b / d_norm)
+            event = "expand"
+            if rho > rho_cap:
+                stop, detail = "iteration_cap", f"radius exceeded cap {rho_cap:.3e}"
+        if cone:
+            x_min = float(x.min()) if n else 0.0
+            if x_min < -1e-12:
+                return _Run("numerical_failure", iterations, x, b_prime, rho, None,
+                            "iterate left the nonnegative cone")
+            trace.append(offset + iterations, rho, gap_norm, c_norm, event, x_min, wall)
+        else:
+            trace.append(offset + iterations, rho, gap_norm, c_norm, event, wall)
+        iterations += 1
+        if stop is not None:
+            return _Run(stop, iterations, x, b_prime, rho, bound, detail)
+        if event == "pivot":
+            since_revalidate += 1
+            if since_revalidate >= 512:
+                b_prime = op.matvec(x)
+                since_revalidate = 0
+    return _Run("iteration_cap", iterations, x, b_prime, rho, None, "")
+
+
+def _system(seed, m, n, cols=None):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    return a, rng.standard_normal(m) if cols is None else a[:, :cols].sum(axis=1)
+
+
+def _lp(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, 4)), rng.standard_normal(3)
+
+
+_A, _Bc = _system(21, 12, 18, cols=5)
+_ILL = np.diag(np.geomspace(1.0, 1e-3, 10)) @ np.random.default_rng(5).standard_normal((10, 14))
+# name: (driver call, the _Run statuses it must produce)
+_LOOP_CASES = {
+    "fixed-radius-witness": (lambda: solve_in_ball(_A, _Bc, rho=0.5, eps=1e-9), ["witness"]),
+    "adaptive-warm-start": (lambda: solve_adaptive(sparse.csr_array(_A), _Bc, eps=1e-9,
+                                                   x0=np.full(18, 0.1)), ["approx_solution"]),
+    "adaptive-gram": (lambda: solve_adaptive(GramProduct(_A), _A.T @ _Bc, eps=1e-9),
+                      ["approx_solution"]),
+    # x_eps = (1, 1, 1, 1, 1, 0, ...) solves the system but is not its
+    # minimum-norm solution, so the bisection both shrinks and expands
+    "min-norm-bisection": (lambda: min_norm_solve(_A, _Bc, eps=1e-4, x_eps=np.repeat(
+        [1.0, 0.0], [5, 13])), None),
+    "cone-feasible": (lambda: nonnegative_feasibility(*_system(2, 6, 9, cols=4), eps=1e-4),
+                      ["approx_solution"]),
+    "farkas-witness": (lambda: nonnegative_feasibility(*_lp(2), eps=1e-6, max_iters=300),
+                       ["witness"]),
+    "apex-pivot": (lambda: nonnegative_feasibility(*_lp(3), eps=1e-6, max_iters=300),
+                   ["iteration_cap"]),
+    "radius-budget": (lambda: nonnegative_feasibility(*_system(2, 6, 9, cols=4), eps=1e-4,
+                                                      rho_max=0.5), ["iteration_cap"]),
+    "revalidate": (lambda: solve_in_ball(_ILL, _ILL.sum(axis=1), rho=1e3, eps=1e-12,
+                                         max_iters=700), ["iteration_cap"]),
+}
+
+
+def _record(loop, runs):
+    def recording(*args, **kwargs):
+        run = loop(*args, **kwargs)
+        runs.append((run.status, run.iterations, run.x.tobytes(), run.b_prime.tobytes(),
+                     run.rho, run.bound, run.detail))
+        return run
+    return recording
+
+
+def _trace_rows(trace):
+    keep = [c for c in trace.columns if c != "wall_ns"]
+    return list(zip(*[trace.column(c) for c in keep]))
+
+
+@pytest.mark.parametrize("name", sorted(_LOOP_CASES))
+def test_lean_loop_matches_the_plain_loop(name, monkeypatch):
+    solve, statuses = _LOOP_CASES[name]
+    # the reference inlines its moves, so only the lean loop's land here:
+    # one flag per pivot, True for a move to the cone's apex
+    apex = []
+    move = triangle.move_to_pivot
+
+    def spying_move(b_prime, x, v, *rest):
+        apex.append(isinstance(v, float))
+        return move(b_prime, x, v, *rest)
+
+    monkeypatch.setattr(triangle, "move_to_pivot", spying_move)
+    outcomes = []
+    for loop in (triangle._pivot_loop, _reference_loop):
+        runs = []
+        recording = _record(loop, runs)
+        monkeypatch.setattr(triangle, "_pivot_loop", recording)
+        monkeypatch.setattr(feasibility, "_pivot_loop", recording)
+        outcomes.append((runs, _trace_rows(solve().trace)))
+    assert outcomes[0] == outcomes[1]
+    statuses_seen = [run[0] for run in outcomes[0][0]]
+    if statuses is None:
+        assert len(statuses_seen) > 3
+        assert {"approx_solution", "witness"} <= set(statuses_seen)
+    else:
+        assert statuses_seen == statuses
+    assert any(apex) == (name == "apex-pivot")
+    if name == "revalidate":
+        assert len(apex) > 512

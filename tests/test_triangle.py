@@ -367,17 +367,16 @@ def test_bad_tolerance_names_the_argument(solve, name):
 
 # --- the lean iteration gives the bits of the plain one ----------------------
 
-def _operators(rng):
+@pytest.mark.parametrize("operator", [
+    prepare,
+    lambda a: prepare(sparse.csr_array(a)),
+    lambda a: GramProduct(sparse.csr_array(a)),
+], ids=["dense", "csr", "gram"])
+def test_passed_norm_and_gap_give_the_same_bytes(operator):
+    rng = np.random.default_rng(11)
     a = rng.standard_normal((5, 8))
     a[np.abs(a) < 0.6] = 0.0
-    return {"dense": prepare(a), "csr": prepare(sparse.csr_array(a)),
-            "gram": GramProduct(sparse.csr_array(a))}
-
-
-@pytest.mark.parametrize("kind", ["dense", "csr", "gram"])
-def test_passed_norm_and_gap_give_the_same_bytes(kind):
-    rng = np.random.default_rng(11)
-    op = _operators(rng)[kind]
+    op = operator(a)
     m, n = op.shape
     c = rng.standard_normal(n)
     b, b_prime, x = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(n)

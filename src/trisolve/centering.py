@@ -63,13 +63,6 @@ _MONOTONE_SLACK = 1e-13
 # Recompute r = b - A x this often and fail on drift beyond the budget.
 _RECHECK_EVERY = 250
 
-# With ``accelerate``: after this many consecutive steps that shrink the
-# residual norm by less than this ratio (slow zig-zag), blend the last two
-# iterates with the contraction-ratio weight, which on a critical line lands
-# the orbit on an eigenvector.
-_ACCEL_RATIO = 0.95
-_ACCEL_PATIENCE = 3
-
 
 class NormalEquationReached(Exception):
     """Raised by the step when ``H r = 0``: the current iterate already
@@ -173,9 +166,6 @@ class CenteringOptions:
     is known consistent the residual clause alone suffices, and on matrices
     with small singular values the normal-equation certificate would
     otherwise arrive first.
-
-    ``accelerate`` blends the last two iterates when the residual norm
-    stalls in a slow zig-zag (see ``_ACCEL_RATIO``).
     """
 
     epsilon: float = 1e-15
@@ -183,7 +173,6 @@ class CenteringOptions:
     max_iters: int = 100_000
     h_mode: str = H_MODE_GRAM
     known_solvable: bool = False
-    accelerate: bool = False
 
     def validated(self, m: int) -> "CenteringOptions":
         if not 0.0 < self.epsilon < 1.0:
@@ -236,9 +225,6 @@ def _step_arrays(x, r, t, h, r_norm=None):
 
 
 def _order_schedule(t_max: int):
-    if t_max == 1:
-        while True:
-            yield 1
     cycle = list(range(1, t_max + 1)) + list(range(t_max - 1, 1, -1))
     while True:
         yield from cycle
@@ -269,7 +255,6 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     status = ITERATION_CAP
     detail = ""
     iterations = 0
-    slow_steps = 0
 
     while iterations < opts.max_iters:
         r_norm = norm2(r)
@@ -298,15 +283,6 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             status = NORMAL_EQ_SOLUTION
             detail = f"certified ||A^T A x - A^T b|| <= {eps_abs:.3e}"
             break
-        if opts.accelerate:
-            ratio = norm2(r_new) / r_norm if r_norm > 0 else 0.0
-            slow_steps = slow_steps + 1 if ratio > _ACCEL_RATIO else 0
-            if slow_steps >= _ACCEL_PATIENCE:
-                # contraction-ratio blend of the pre- and post-step iterates
-                w = ratio / (1.0 + ratio)
-                x_new = w * x + (1.0 - w) * x_new
-                r_new = w * r + (1.0 - w) * r_new
-                slow_steps = 0
         x, r = x_new, r_new
         iterations += 1
         if iterations % _RECHECK_EVERY == 0:

@@ -197,17 +197,15 @@ def _run_algorithm(matrix, b, args):
         return solve_adaptive(matrix, b, eps=eps * scale, eps_prime=eps_prime * scale,
                               max_iters=args.max_iters)
     if algo == "hybrid":
-        result = hybrid_solve(matrix, b, HybridOptions(
+        return hybrid_solve(matrix, b, HybridOptions(
             eps_cta=eps_prime, eps_ta=eps, want_min_norm=args.min_norm,
             t_max=args.t_max, h_mode=args.h_mode,
             max_iters_stage1=args.max_iters, max_iters_stage2=args.max_iters,
         ))
-        return result
-    if algo == "lpfeas":
-        return nonnegative_feasibility(matrix, b, eps=eps * norm2(b),
-                                       rho_max=args.rho_max,
-                                       max_iters=args.max_iters)
-    raise _UsageError(f"unknown algorithm {algo!r}")
+    # "lpfeas", the last of the --algo choices
+    return nonnegative_feasibility(matrix, b, eps=eps * norm2(b),
+                                   rho_max=args.rho_max,
+                                   max_iters=args.max_iters)
 
 
 def _summary_dict(result, matrix, family, wall_ms, b_norm):
@@ -273,17 +271,14 @@ def _cmd_dynamics(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"solve": _cmd_solve, "generate": _cmd_generate, "dynamics": _cmd_dynamics}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "dynamics":
-            return _cmd_dynamics(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -171,6 +171,15 @@ def prepare(a, transpose: bool = True):
     return a
 
 
+def as_vector(name: str, v, length: int) -> np.ndarray:
+    """``v`` as a float64 vector of the given length; raises ``ValueError``
+    naming the argument for any other shape."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({length},)")
+    return v
+
+
 def prepare_system(a, b, transpose: bool = True):
     """The entry of every driver: ``(prepare(a, transpose), b, ||b||)`` with
     ``b`` as a float64 vector of the operator's row count.  Raises
@@ -178,10 +187,7 @@ def prepare_system(a, b, transpose: bool = True):
     underflows to 0, which the drivers would read as ``b = 0``.  NaN, Inf or
     an overflowing norm pass; the drivers end in ``numerical_failure``."""
     op = prepare(a, transpose)
-    b = np.asarray(b, dtype=np.float64)
-    m = op.shape[0]
-    if b.shape != (m,):
-        raise ValueError(f"b has shape {b.shape}, expected ({m},)")
+    b = as_vector("b", b, op.shape[0])
     b_norm = norm2(b)
     if b_norm == 0.0 and b.any():
         raise ValueError("b is nonzero but its norm underflows to 0; scale b up")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import check_positive, norm2, prepare, prepare_system, quiet_floating_point
+from .linalg import as_vector, check_positive, norm2, prepare, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -177,35 +177,33 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
 
 
 @quiet_floating_point
-def solve_in_ball(a, b, rho, eps, eps_prime=None, max_iters=100_000,
-                  x0=None) -> SolveResult:
-    """Membership test at fixed radius: an approximate solution with
-    ``||x|| <= rho``, an approximate normal-equation solution, or a witness
-    that ``b`` lies outside ``E_rho``.  Tolerances are absolute.  A warm
-    start ``x0`` is used only when it already lies inside the ball.  ``b = 0``
-    is answered before any check: ``x = 0`` at iteration 0, with ``rho``."""
+def solve_in_ball(a, b, rho, eps, max_iters=100_000) -> SolveResult:
+    """Membership test at fixed radius from ``x = 0``: an approximate
+    solution with ``||x|| <= rho``, an approximate normal-equation solution
+    (``||A^T(b - Ax)|| <= eps``), or a witness that ``b`` lies outside
+    ``E_rho``.  Tolerances are absolute.  ``b = 0`` is answered before any
+    check: ``x = 0`` at iteration 0, with ``rho``."""
     op, b, b_norm = prepare_system(a, b)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
     if b_norm == 0.0:
         return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=rho)
-    eps_prime = eps if eps_prime is None else eps_prime
-    check_positive(rho=rho, eps=eps, eps_prime=eps_prime)
-    run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns())
+    check_positive(rho=rho, eps=eps)
+    run = _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace, time.perf_counter_ns())
     return finish(run.status, op, b, run.x, run.iterations, trace,
                   rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
 
 
 @quiet_floating_point
-def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
-                   x0=None) -> SolveResult:
+def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> SolveResult:
     """Solve ``Ax = b`` or its normal equation by growing the search radius.
 
     Starts from ``rho = 0`` (or the norm of the warm start ``x0``); whenever
     the strict-pivot test fails, the radius jumps to
     ``max(2 rho, (b - b')^T b / ||c||)``, which eventually clears the norm of
     the minimum-norm solution.  ``c = 0`` certifies an exact normal-equation
-    solution immediately.  Tolerances are absolute; only a passed
-    ``rho_cap`` is checked, not the default ``4 ||b||^2 / eps_prime``.
+    solution immediately.  Tolerances are absolute; ``eps_prime`` defaults
+    to ``eps``.  A radius past ``4 ||b||^2 / eps_prime`` ends the run at the
+    iteration cap.
     """
     op, b, b_norm = prepare_system(a, b)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
@@ -213,13 +211,12 @@ def solve_adaptive(a, b, eps, eps_prime=None, rho_cap=None, max_iters=100_000,
         return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=0.0)
     eps_prime = eps if eps_prime is None else eps_prime
     check_positive(eps=eps, eps_prime=eps_prime)
-    if rho_cap is None:
-        rho_cap = 4.0 * b_norm ** 2 / eps_prime
-    else:
-        check_positive(rho_cap=rho_cap)
-    rho = 0.0 if x0 is None else norm2(np.asarray(x0, dtype=np.float64))
+    rho = 0.0
+    if x0 is not None:
+        x0 = as_vector("x0", x0, op.shape[1])
+        rho = norm2(x0)
     run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
-                      rho_cap=rho_cap)
+                      rho_cap=4.0 * b_norm ** 2 / eps_prime)
     return finish(run.status, op, b, run.x, run.iterations, trace,
                   rho=run.rho, detail=run.detail)
 
@@ -246,7 +243,7 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         return zero_rhs(MIN_NORM_SOLUTION, op.shape[1], trace, rho=0.0,
                         rho_interval=(0.0, 0.0))
     check_positive(eps=eps)
-    x_eps = np.asarray(x_eps, dtype=np.float64)
+    x_eps = as_vector("x_eps", x_eps, op.shape[1])
     start_gap = norm2(b - op.matvec(x_eps))
     if not math.isfinite(start_gap):
         return finish(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,

@@ -329,6 +329,17 @@ def test_entry_point_names_a_bad_rhs(name, b):
         _ENTRY_POINTS[name](np.eye(2), b)
 
 
+@pytest.mark.parametrize("name, solve", [
+    ("x0", lambda v: solve_adaptive(np.eye(3), np.ones(3), eps=1e-8, x0=v)),
+    ("x_eps", lambda v: min_norm_solve(np.eye(3), np.ones(3), eps=1e-8, x_eps=v)),
+], ids=["solve_adaptive", "min_norm_solve"])
+@pytest.mark.parametrize("start", [np.ones(2), np.ones((3, 1)), 1.0],
+                         ids=["short", "column", "scalar"])
+def test_warm_start_of_wrong_shape_names_its_argument(name, solve, start):
+    with pytest.raises(ValueError, match=rf"^{name} has shape .*, expected \(3,\)$"):
+        solve(start)
+
+
 # Runs every entry point on a consistent system made non-finite three ways
 # (one NaN entry, one Inf entry, A scaled by 2^300 so that the moments
 # overflow) and prints one status line per solve.

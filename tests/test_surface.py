@@ -1,0 +1,60 @@
+"""The stable surfaces, pinned: the public names, the ``solve`` flags, the
+option fields and the driver parameters.  A new knob or a removed name shows
+up here as a one-line diff."""
+
+import argparse
+import dataclasses
+import inspect
+
+import trisolve
+from trisolve import cli
+
+
+def test_public_names():
+    assert trisolve.__all__ == [
+        "APPROX_SOLUTION", "FEASIBLE", "INCONCLUSIVE", "ITERATION_CAP",
+        "MIN_NORM_SOLUTION", "NORMAL_EQ_SOLUTION", "NUMERICAL_FAILURE", "WITNESS",
+        "SolveResult", "Trace", "HOperator", "GramProduct", "matvec",
+        "matvec_transpose", "norm2", "CenteringOptions", "centering_solve",
+        "solve_in_ball", "solve_adaptive", "min_norm_solve",
+        "nonnegative_feasibility", "HybridOptions", "hybrid_solve", "dynamics",
+        "gallery", "mmio",
+    ]
+
+
+def test_solve_flags():
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == ["solve", "generate", "dynamics"]
+    flags = [flag for action in commands["solve"]._actions for flag in action.option_strings]
+    assert flags == [
+        "-h", "--help", "--mtx", "--gen", "--algo", "--eps", "--eps-prime",
+        "--t-max", "--max-iters", "--h-mode", "--seed", "--rho-max", "--min-norm",
+        "--known-solvable", "--trace", "--summary", "--dump-x",
+    ]
+
+
+def test_option_fields():
+    def names(options):
+        return [field.name for field in dataclasses.fields(options)]
+
+    assert names(trisolve.CenteringOptions) == [
+        "epsilon", "t_max", "max_iters", "h_mode", "known_solvable"]
+    assert names(trisolve.HybridOptions) == [
+        "eps_cta", "eps_ta", "want_min_norm", "t_max", "h_mode",
+        "max_iters_stage1", "max_iters_stage2", "min_norm_inner_cap"]
+
+
+def test_driver_parameters():
+    parameters = {name: list(inspect.signature(getattr(trisolve, name)).parameters)
+                  for name in ("centering_solve", "solve_in_ball", "solve_adaptive",
+                               "min_norm_solve", "nonnegative_feasibility", "hybrid_solve")}
+    assert parameters == {
+        "centering_solve": ["a", "b", "options"],
+        "solve_in_ball": ["a", "b", "rho", "eps", "max_iters"],
+        "solve_adaptive": ["a", "b", "eps", "eps_prime", "max_iters", "x0"],
+        "min_norm_solve": ["a", "b", "eps", "x_eps", "inner_cap", "max_iters"],
+        "nonnegative_feasibility": ["a", "b", "eps", "rho_max", "max_iters"],
+        "hybrid_solve": ["a", "b", "options"],
+    }

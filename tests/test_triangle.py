@@ -346,12 +346,11 @@ _BAD_TOLERANCES = [
 # "value <= 0" lets it through
 _SOLVE_WITH = {
     "rho": lambda v: solve_in_ball(np.eye(2), _B, rho=v, eps=1e-8),
-    "rho_cap": lambda v: solve_adaptive(np.eye(2), _B, eps=1e-8, rho_cap=v),
     "rho_max": lambda v: nonnegative_feasibility(np.eye(2), _B, eps=1e-8, rho_max=v),
     "eps_cta": lambda v: hybrid_solve(np.eye(2), _B, HybridOptions(eps_cta=v)),
     "eps_ta": lambda v: hybrid_solve(np.eye(2), _B, HybridOptions(eps_ta=v)),
 }
-_BAD_VALUES = {"rho": (np.nan, np.inf, 0.0, -1.0), "rho_cap": (np.nan, -1.0),
+_BAD_VALUES = {"rho": (np.nan, np.inf, 0.0, -1.0),
                "rho_max": (np.nan, np.inf, -1.0), "eps_cta": (0.0, np.nan),
                "eps_ta": (0.0, np.nan)}
 _BAD_TOLERANCES += [(f"{name}-{value}", functools.partial(_SOLVE_WITH[name], value), name)

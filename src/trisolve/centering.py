@@ -214,7 +214,6 @@ def _step_arrays(x, r, t, h, r_norm=None):
         if best is None or cand_norm < best[0]:
             best = (cand_norm, order, alpha, r_new)
         if cand_norm <= r_norm * (1.0 + _MONOTONE_SLACK):
-            best = (cand_norm, order, alpha, r_new)
             break
     _, order, alpha, r_new = best
     directions = mom.transposed if mom.transposed is not None else mom.krylov
@@ -291,7 +290,6 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             scale = b_norm + a_fro * norm2(x)
             if drift > drift_budget * scale:
                 status, detail = NUMERICAL_FAILURE, "residual drift exceeded budget"
-                r = fresh
                 break
             r = fresh
 

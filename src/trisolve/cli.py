@@ -84,13 +84,9 @@ SUMMARY_SCHEMA = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 @functools.cache
@@ -144,41 +140,34 @@ def _build_parser() -> _Parser:
 def _parse_gen_spec(spec: str):
     parts = spec.split(":")
     if len(parts) < 2:
-        raise _UsageError(f"generator spec {spec!r} must look like FAMILY:N[:PARAMS]")
+        raise ValueError(f"generator spec {spec!r} must look like FAMILY:N[:PARAMS]")
     family = parts[0]
     try:
         n = int(parts[1])
     except ValueError:
-        raise _UsageError(f"generator spec {spec!r}: N must be an integer") from None
+        raise ValueError(f"generator spec {spec!r}: N must be an integer") from None
     params = []
     if len(parts) > 2:
         try:
             params = [float(tok) for tok in parts[2].split(",") if tok]
         except ValueError:
-            raise _UsageError(f"generator spec {spec!r}: bad parameter list") from None
+            raise ValueError(f"generator spec {spec!r}: bad parameter list") from None
     return family, n, params
 
 
 def _load_matrix(args):
-    if getattr(args, "mtx", None):
+    if args.mtx:
         if not os.path.exists(args.mtx):
-            raise _UsageError(f"matrix file not found: {args.mtx}")
+            raise ValueError(f"matrix file not found: {args.mtx}")
         try:
             matrix = mmio.read_matrix_market(args.mtx)
         except mmio.MatrixMarketError as exc:
-            raise _UsageError(f"{args.mtx}: {exc}") from None
+            raise ValueError(f"{args.mtx}: {exc}") from None
         return matrix, None
-    specs = args.gen
-    if isinstance(specs, list):
-        if len(specs) != 1:
-            raise _UsageError("solve takes exactly one --gen spec")
-        specs = specs[0]
-    family, n, params = _parse_gen_spec(specs)
-    try:
-        matrix = gallery.make(family, n, params, args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    return matrix, family
+    if len(args.gen) != 1:
+        raise ValueError("solve takes exactly one --gen spec")
+    family, n, params = _parse_gen_spec(args.gen[0])
+    return gallery.make(family, n, params, args.seed), family
 
 
 def _run_algorithm(matrix, b, args):
@@ -247,10 +236,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_generate(args) -> int:
     family, n, params = _parse_gen_spec(args.gen)
-    try:
-        matrix = gallery.make(family, n, params, args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    matrix = gallery.make(family, n, params, args.seed)
     mmio.write_matrix_market(matrix, args.out)
     m, n_cols = shape_of(matrix)
     print(f"wrote {family} ({m} x {n_cols}, nnz={nnz_of(matrix)}) to {args.out}")
@@ -261,9 +247,9 @@ def _cmd_dynamics(args) -> int:
     try:
         eigs = [float(tok) for tok in args.eigenvalues.split(",")]
     except ValueError:
-        raise _UsageError(f"bad eigenvalue list {args.eigenvalues!r}") from None
+        raise ValueError(f"bad eigenvalue list {args.eigenvalues!r}") from None
     if len(eigs) != 2 or min(eigs) <= 0:
-        raise _UsageError("--lambda needs two positive eigenvalues, e.g. 1,3")
+        raise ValueError("--lambda needs two positive eigenvalues, e.g. 1,3")
     h2 = np.diag(eigs)
     write_phase_portrait(h2, args.svg, args.trace, num_starts=args.starts,
                          steps=args.steps)
@@ -279,9 +265,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else EXIT_USAGE
     except (OSError, ValueError) as exc:

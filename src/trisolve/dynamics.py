@@ -29,12 +29,14 @@ def _as_operator(h) -> HOperator:
 
 
 def first_order_image(h, r: np.ndarray) -> np.ndarray:
-    """One application of the first-order map; ``r`` unchanged if ``H r = 0``."""
+    """One application of the first-order map, as a new float64 array: a
+    copy of ``r`` when ``H r = 0``, where the map leaves ``r`` unchanged."""
     op = _as_operator(h)
-    hr = op.apply(np.asarray(r, dtype=np.float64))
+    r = np.asarray(r, dtype=np.float64)
+    hr = op.apply(r)
     phi2 = float(np.dot(hr, hr))
     if phi2 == 0.0:
-        return np.zeros_like(hr)
+        return r.copy()
     return r - (float(np.dot(r, hr)) / phi2) * hr
 
 

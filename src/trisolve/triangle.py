@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_vector, check_positive, norm2, prepare, prepare_system, quiet_floating_point
+from .linalg import as_vector, check_positive, norm2, prepare_system, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -47,35 +47,18 @@ _REVALIDATE_EVERY = 512
 _INNER_EPS_FACTOR = 0.25
 
 
-def pivot_point(a, c, rho, c_norm=None):
-    """Maximizer of ``c^T x`` over ``E_rho`` plus its preimage:
-    ``v = rho A c / ||c||`` attained at ``x = rho c / ||c||``.  ``a`` is a
-    matrix or a prepared operator; ``c_norm`` is ``||c||`` when the caller
-    already has it."""
-    if c_norm is None:
-        c_norm = norm2(c)
-    if c_norm == 0.0:
-        raise ValueError("pivot direction is zero; caller must branch to the witness case")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    preimage = (rho / c_norm) * np.asarray(c, dtype=np.float64)
-    return prepare(a, transpose=False).matvec(preimage), preimage
-
-
-def move_to_pivot(b_prime, x_prime, v, preimage, b, gap=None):
+def move_to_pivot(b_prime, x_prime, v, preimage, gap):
     """Advance to the point of segment ``[b', v]`` nearest to ``b``.
 
-    ``b_prime`` is a float64 array; ``gap`` is ``b - b'`` when the caller
-    already has it.  Returns ``(b'', x'', alpha)`` with the step ``alpha``
-    clamped to [0, 1] so the new iterate stays a convex combination inside
-    the ellipsoid.
+    ``b_prime`` is a float64 array and ``gap`` is ``b - b'``; ``v`` and
+    ``preimage`` are ``0.0`` for a move to the cone's apex.  Returns
+    ``(b'', x'', alpha)`` with the step ``alpha`` clamped to [0, 1] so the
+    new iterate stays a convex combination inside the ellipsoid.
     """
     d = v - b_prime
     denom = float(d.dot(d))
     if denom == 0.0:
         raise ValueError("degenerate pivot: v coincides with the iterate")
-    if gap is None:
-        gap = b - b_prime
     alpha = float(gap.dot(d)) / denom
     alpha = min(1.0, max(0.0, alpha))
     return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
@@ -102,13 +85,14 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
     radius becomes ``max(2 rho, (b - b')^T b / ||c||)`` and stops once it
     passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
     when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
+    The run starts from the float64 vector ``x0``, or from the origin when
+    it is None; a fixed-radius caller passes an ``x0`` inside the ball.
     """
     m, n = op.shape
-    # a fixed-radius run must start inside its ball
-    if x0 is None or (rho_cap is None and not norm2(x0) <= rho * (1.0 + 1e-9)):
+    if x0 is None:
         x, b_prime = np.zeros(n), np.zeros(m)
     else:
-        x = np.asarray(x0, dtype=np.float64).copy()
+        x = x0.copy()
         b_prime = op.matvec(x)
     bound = None
     iterations = 0
@@ -141,11 +125,12 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
             detail = "no ascent direction in the nonnegative cone section"
             bound = gap_dot_b / c_norm if c_norm > 0.0 else math.inf
         elif d_norm == 0.0:
-            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, b, gap)
+            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, gap)
             event = "pivot"
         elif rho > 0.0 and rho * d_norm >= gap_dot_b:
-            v, preimage = pivot_point(op, d, rho, d_norm)
-            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, b, gap)
+            # v = rho A d / ||d||, the maximizer of d^T x over E_rho
+            preimage = (rho / d_norm) * d
+            b_prime, x, _ = move_to_pivot(b_prime, x, op.matvec(preimage), preimage, gap)
             event = "pivot"
         elif rho_cap is None:
             event, stop, detail = "witness", WITNESS, ""
@@ -231,11 +216,13 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     through its certified lower bound.  Stops once
     ``rho_hi - rho_lo <= eps``; the returned result carries the bracket in
     ``rho_interval``.  Each test warm-starts from the most recent iterate
-    that still fits inside the new ball.  A vanishing pivot direction ends
-    the search with an exact normal-equation solution instead.  Non-finite
-    ``A x_eps`` (from NaN or Inf in ``A`` or ``x_eps``) is a numerical
-    failure at iteration 0.  ``b = 0`` is answered before any check: ``x = 0``
-    at iteration 0, with ``rho = 0`` and ``rho_interval = (0, 0)``.
+    when its norm is at most ``rho (1 + 1e-9)``, and from the origin
+    otherwise.  A vanishing pivot direction ends the search with an exact
+    normal-equation solution instead.  Non-finite ``A x_eps`` (from NaN or
+    Inf in ``A`` or ``x_eps``) or an overflowing ``||x_eps||`` is a
+    numerical failure at iteration 0.  ``b = 0`` is answered before any
+    check: ``x = 0`` at iteration 0, with ``rho = 0`` and
+    ``rho_interval = (0, 0)``.
     """
     op, b, b_norm = prepare_system(a, b)
     trace = Trace(TRIANGLE_TRACE_COLUMNS)
@@ -248,6 +235,10 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     if not math.isfinite(start_gap):
         return finish(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
                       detail="non-finite start residual")
+    rho_hi = norm2(x_eps)
+    if not math.isfinite(rho_hi):
+        return finish(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
+                      detail="||x_eps|| overflows")
     if start_gap > eps * (1.0 + 1e-9):
         raise ValueError(
             f"x_eps is not an eps-approximate solution: ||Ax-b|| = {start_gap:.3e} > {eps:.3e}"
@@ -255,7 +246,6 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     # Floating-point floor standing in for an exact "||c|| > 0" guard.
     zero_floor = 1e-14 * op.frobenius_norm() * b_norm
 
-    rho_hi = norm2(x_eps)
     rho_lo = 0.0
     best_x = x_eps.copy()
     warm = None
@@ -264,13 +254,16 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     status = MIN_NORM_SOLUTION
     detail = ""
 
-    outer_budget = max(8, int(math.ceil(math.log2(max(rho_hi / eps, 2.0)))) + 8)
+    # log2(rho_hi / eps) bisection steps, in logs so that the ratio cannot overflow
+    outer_budget = max(1, math.ceil(math.log2(max(rho_hi, eps)) - math.log2(eps))) + 8
     for _ in range(outer_budget):
         if rho_hi - rho_lo <= eps or iterations >= max_iters:
             break
         rho = 0.5 * (rho_hi + rho_lo)
         if rho <= 0.0:
             break
+        if warm is not None and not norm2(warm) <= rho * (1.0 + 1e-9):
+            warm = None   # a fixed-radius run must start inside its ball
         run = _pivot_loop(op, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
                           min(inner_cap, max_iters - iterations), trace, t0, offset=iterations)
         iterations += run.iterations

@@ -92,6 +92,15 @@ class TestAccelerate:
         r_bar = accelerate(h, r_k, r_k1)
         assert norm2(r_bar) <= 1e-14
 
+    def test_null_direction_is_a_fixed_point(self):
+        # H r = 0: the map leaves r unchanged, and the blend cannot reach a
+        # residual whose null component differs from r's
+        h = np.diag([1.0, 0.0])
+        image = first_order_image(h, [0, 1])
+        assert image.dtype == np.float64 and np.array_equal(image, [0.0, 1.0])
+        assert np.array_equal(accelerate(h, np.array([1.0, 1.0]), np.array([0.0, 1.0])),
+                              [0.0, 1.0])
+
     def test_generic_blend_no_worse_than_endpoints(self):
         rng = np.random.default_rng(3)
         for _ in range(30):

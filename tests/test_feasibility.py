@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from scipy.optimize import linprog
 
 from trisolve.feasibility import default_rho_max, nonnegative_feasibility
 from trisolve.linalg import GramProduct, norm2
-from trisolve.triangle import pivot_point, solve_adaptive
+from trisolve.triangle import solve_adaptive
 
 
 def lp_oracle_feasible(a, b):
@@ -39,27 +38,6 @@ class TestNonnegativePart:
         assert np.array_equal(cone.x, free.x)
         cols = ("rho", "residual_norm", "normal_residual_norm", "event")
         assert [cone.trace.column(k) for k in cols] == [free.trace.column(k) for k in cols]
-
-
-class TestConePivot:
-    def test_identity_projected_direction(self):
-        v, pre = pivot_point(np.eye(2), np.maximum(np.array([1.0, -1.0]), 0.0), 1.0)
-        assert np.allclose(v, [1.0, 0.0])
-        assert np.allclose(pre, [1.0, 0.0])
-
-    def test_preimage_nonnegative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            c = rng.standard_normal(8)
-            cp = np.maximum(c, 0.0)
-            if norm2(cp) == 0.0:
-                continue
-            _, pre = pivot_point(rng.standard_normal((4, 8)), cp, 2.0)
-            assert np.all(pre >= 0.0)
-
-    def test_all_negative_direction_stalls(self):
-        with pytest.raises(ValueError):
-            pivot_point(np.eye(2), np.maximum(np.array([-1.0, -2.0]), 0.0), 1.0)
 
 
 class TestFeasibilitySolver:

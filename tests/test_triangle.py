@@ -10,12 +10,11 @@ from conftest import check_witness
 from trisolve import feasibility, triangle
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import GramProduct, norm2, prepare
+from trisolve.linalg import GramProduct, norm2
 from trisolve.triangle import (
     _Run,
     min_norm_solve,
     move_to_pivot,
-    pivot_point,
     solve_adaptive,
     solve_in_ball,
 )
@@ -44,32 +43,6 @@ class TestPivotDirection:
         assert res.detail == "pivot direction vanished"
 
 
-class TestPivotPoint:
-    def test_normalization(self):
-        v, pre = pivot_point(np.eye(2), np.array([3.0, 4.0]), 1.0)
-        assert np.allclose(v, [0.6, 0.8])
-        assert np.allclose(pre, [0.6, 0.8])
-
-    def test_diagonal_scaling(self):
-        v, pre = pivot_point(np.diag([2.0, 1.0]), np.array([1.0, 0.0]), 2.0)
-        assert np.allclose(v, [4.0, 0.0])
-        assert np.allclose(pre, [2.0, 0.0])
-
-    def test_attains_the_linear_maximum(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.standard_normal((4, 6))
-            c = rng.standard_normal(6)
-            rho = float(rng.uniform(0.1, 5.0))
-            _, pre = pivot_point(a, c, rho)
-            assert np.isclose(float(np.dot(c, pre)), rho * norm2(c), rtol=1e-12)
-            assert norm2(pre) <= rho * (1 + 1e-12)
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            pivot_point(np.eye(2), np.zeros(2), 1.0)
-
-
 class TestStrictPivotTest:
     """``rho ||c|| >= (b - b')^T b``, read off the first event of a
     fixed-radius run from the origin."""
@@ -89,20 +62,23 @@ class TestMoveToPivot:
         b_prime = np.zeros(2)
         v = np.array([2.0, 0.0])
         b = np.array([1.0, 0.0])
-        b2, x2, alpha = move_to_pivot(b_prime, np.zeros(2), v, v.copy(), b)
+        b2, x2, alpha = move_to_pivot(b_prime, np.zeros(2), v, v.copy(), b - b_prime)
         assert np.allclose(b2, b) and alpha == 0.5
 
     def test_pivot_equals_target(self):
         b = np.array([1.0, 1.0])
-        b2, _, alpha = move_to_pivot(np.zeros(2), np.zeros(2), b.copy(), b.copy(), b)
+        b2, _, alpha = move_to_pivot(np.zeros(2), np.zeros(2), b.copy(), b.copy(), b.copy())
         assert alpha == 1.0 and np.array_equal(b2, b)
 
     def test_identity_one_step(self):
-        b = np.array([1.0, 0.0])
-        v, pre = pivot_point(np.eye(2), b.copy(), 1.0)
-        b2, x2, alpha = move_to_pivot(np.zeros(2), np.zeros(2), v, pre, b)
-        assert alpha == 1.0
-        assert np.allclose(x2, [1.0, 0.0])
+        # A = diag(2, 1), b = (2, 0), rho = 1: from the origin the gap is b,
+        # c = A^T b = (4, 0), and the pivot v = rho A c / ||c|| = b is
+        # attained at x = (1, 0)
+        b = np.array([2.0, 0.0])
+        b2, x2, alpha = move_to_pivot(np.zeros(2), np.zeros(2), b.copy(),
+                                      np.array([1.0, 0.0]), b.copy())
+        assert alpha == 1.0 and np.array_equal(b2, b)
+        assert np.array_equal(x2, [1.0, 0.0])
 
     def test_monotone_improvement(self):
         rng = np.random.default_rng(1)
@@ -115,13 +91,13 @@ class TestMoveToPivot:
             c = a.T @ (b - b_prime)
             if norm2(c) < 1e-12 or rho * norm2(c) < float(np.dot(b - b_prime, b)):
                 continue
-            v, pre = pivot_point(a, c, rho)
-            b2, _, _ = move_to_pivot(b_prime, x_prime, v, pre, b)
+            pre = (rho / norm2(c)) * c
+            b2, _, _ = move_to_pivot(b_prime, x_prime, a @ pre, pre, b - b_prime)
             assert norm2(b - b2) <= norm2(b - b_prime) + 1e-12
 
     def test_degenerate_pivot_rejected(self):
         with pytest.raises(ValueError):
-            move_to_pivot(np.ones(2), np.ones(2), np.ones(2), np.ones(2), np.zeros(2))
+            move_to_pivot(np.ones(2), np.ones(2), np.ones(2), np.ones(2), -np.ones(2))
 
 
 class TestSolveInBall:
@@ -329,6 +305,23 @@ def test_min_norm_non_finite_start_fails_at_once(where):
     assert res.rho_interval is None
 
 
+@pytest.mark.parametrize("x_eps, eps, status", [
+    ([1e155, -1e155, 1.0], 1e-6, "numerical_failure"),   # ||x_eps|| overflows
+    ([1e10, -1e10, 1.0], 1e-300, "min_norm_solution"),   # rho_hi / eps overflows
+    ([1.0, 0.0, 0.0], 1e-310, "min_norm_solution"),      # and with a subnormal eps
+], ids=["norm-overflow", "ratio-overflow", "subnormal-eps"])
+def test_min_norm_extreme_scales_end_in_a_status(x_eps, eps, status):
+    res = min_norm_solve(np.ones((1, 3)), np.ones(1), eps=eps, x_eps=np.array(x_eps))
+    assert res.status == status
+    if status == "numerical_failure":
+        assert res.iterations == 0 and res.rho_interval is None
+    else:
+        # ||x*|| = 1/sqrt(3); an eps below its ulp leaves a rounding-level bracket
+        lo, hi = res.rho_interval
+        assert hi - lo <= eps
+        assert math.isclose(lo, 3 ** -0.5, rel_tol=1e-15) and math.isclose(hi, lo, rel_tol=1e-15)
+
+
 _B = np.array([1.0, 2.0])
 _BAD_TOLERANCES = [
     ("adaptive-zero", lambda: solve_adaptive(np.eye(2), _B, eps=0.0), "eps"),
@@ -366,35 +359,14 @@ def test_bad_tolerance_names_the_argument(solve, name):
 
 # --- the lean iteration gives the bits of the plain one ----------------------
 
-@pytest.mark.parametrize("operator", [
-    prepare,
-    lambda a: prepare(sparse.csr_array(a)),
-    lambda a: GramProduct(sparse.csr_array(a)),
-], ids=["dense", "csr", "gram"])
-def test_passed_norm_and_gap_give_the_same_bytes(operator):
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 8))
-    a[np.abs(a) < 0.6] = 0.0
-    op = operator(a)
-    m, n = op.shape
-    c = rng.standard_normal(n)
-    b, b_prime, x = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(n)
-    v, pre = pivot_point(op, c, 1.7)
-    v2, pre2 = pivot_point(op, c, 1.7, norm2(c))
-    assert (v.tobytes(), pre.tobytes()) == (v2.tobytes(), pre2.tobytes())
-    plain = move_to_pivot(b_prime, x, v, pre, b)
-    lean = move_to_pivot(b_prime, x, v, pre, b, gap=b - b_prime)
-    assert (plain[0].tobytes(), plain[1].tobytes(), plain[2]) == \
-        (lean[0].tobytes(), lean[1].tobytes(), lean[2])
-
-
 def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
                     cone=False, offset=0):
-    """The pivot loop written out plainly: ``pivot_point`` and
-    ``move_to_pivot`` inlined as their formulas state them, each recomputing
-    ``||c||`` and ``b - b'``, every product through ``np.dot``."""
+    """The pivot loop written out plainly: the pivot point and
+    ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
+    ``b - b'``, every product through ``np.dot``.  Like the lean loop it
+    starts from ``x0`` whenever one is given."""
     m, n = op.shape
-    if x0 is None or (rho_cap is None and not norm2(x0) <= rho * (1.0 + 1e-9)):
+    if x0 is None:
         x, b_prime = np.zeros(n), np.zeros(m)
     else:
         x = np.asarray(x0, dtype=np.float64).copy()

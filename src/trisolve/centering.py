@@ -29,8 +29,8 @@ from numpy.linalg import _umath_linalg
 
 from .linalg import (
     H_MODE_GRAM,
-    H_MODE_SYMMETRIC,
     HOperator,
+    check_count,
     matvec,  # noqa: F401  re-exported as trisolve.centering.matvec
     norm2,
     prepare_system,
@@ -175,12 +175,11 @@ class CenteringOptions:
     known_solvable: bool = False
 
     def validated(self, m: int) -> "CenteringOptions":
-        if not 0.0 < self.epsilon < 1.0:
+        if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         if not isinstance(self.t_max, numbers.Integral) or self.t_max < 1:
             raise ValueError(f"t_max must be an integer of at least 1, got {self.t_max!r}")
-        if self.h_mode not in (H_MODE_SYMMETRIC, H_MODE_GRAM):
-            raise ValueError(f"unknown h_mode {self.h_mode!r}")
+        check_count(max_iters=self.max_iters)
         out = self
         if self.t_max > m:
             out = replace(out, t_max=m)

@@ -24,34 +24,14 @@ from .centering import CenteringOptions, centering_solve
 from .dynamics import write_phase_portrait
 from .feasibility import nonnegative_feasibility
 from .hybrid import HybridOptions, hybrid_solve
-from .linalg import nnz_of, norm2, shape_of
-from .results import (
-    APPROX_SOLUTION,
-    FEASIBLE,
-    INCONCLUSIVE,
-    ITERATION_CAP,
-    MIN_NORM_SOLUTION,
-    NORMAL_EQ_SOLUTION,
-    NUMERICAL_FAILURE,
-    WITNESS,
-)
+from .linalg import H_MODE_GRAM, H_MODE_SYMMETRIC, nnz_of, norm2, shape_of
+from .results import INCONCLUSIVE, WITNESS
 from .triangle import solve_adaptive
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNRESOLVED = 2
 EXIT_FAILED = 3
-
-_EXIT_BY_STATUS = {
-    APPROX_SOLUTION: EXIT_OK,
-    NORMAL_EQ_SOLUTION: EXIT_OK,
-    MIN_NORM_SOLUTION: EXIT_OK,
-    FEASIBLE: EXIT_OK,
-    WITNESS: EXIT_UNRESOLVED,
-    INCONCLUSIVE: EXIT_UNRESOLVED,
-    ITERATION_CAP: EXIT_FAILED,
-    NUMERICAL_FAILURE: EXIT_FAILED,
-}
 
 SUMMARY_SCHEMA = {
     "type": "object",
@@ -109,9 +89,10 @@ def _build_parser() -> _Parser:
     solve.add_argument("--algo", choices=["cta", "ta", "hybrid", "lpfeas"], default="cta")
     solve.add_argument("--eps", type=float, default=1e-10)
     solve.add_argument("--eps-prime", type=float, default=None)
-    solve.add_argument("--t-max", type=int, default=5)
-    solve.add_argument("--max-iters", type=int, default=100_000)
-    solve.add_argument("--h-mode", choices=["a", "aat"], default="aat")
+    solve.add_argument("--t-max", type=int, default=CenteringOptions.t_max)
+    solve.add_argument("--max-iters", type=int, default=CenteringOptions.max_iters)
+    solve.add_argument("--h-mode", choices=(H_MODE_SYMMETRIC, H_MODE_GRAM),
+                       default=CenteringOptions.h_mode)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--rho-max", type=float, default=None)
     solve.add_argument("--min-norm", action="store_true",
@@ -231,7 +212,9 @@ def _cmd_solve(args) -> int:
         with open(args.summary, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return _EXIT_BY_STATUS.get(result.status, EXIT_FAILED)
+    if result.success:
+        return EXIT_OK
+    return EXIT_UNRESOLVED if result.status in (WITNESS, INCONCLUSIVE) else EXIT_FAILED
 
 
 def _cmd_generate(args) -> int:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import time
 
-from .linalg import check_positive, norm2, prepare, prepare_system, quiet_floating_point
+from .linalg import (check_count, check_positive, norm2, prepare, prepare_system,
+                     quiet_floating_point)
 from .results import (
     APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
@@ -59,6 +60,7 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     if b_norm == 0.0:
         return zero_rhs(FEASIBLE, op.shape[1], trace, rho=0.0, min_x_entry=0.0)
     check_positive(eps=eps)
+    check_count(max_iters=max_iters)
     if rho_max is None:
         rho_max = default_rho_max(op, b)
     else:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .centering import CenteringOptions, centering_solve
-from .linalg import GramProduct, check_positive, norm2, prepare_system, quiet_floating_point
+from .linalg import (GramProduct, check_count, check_positive, norm2, prepare_system,
+                     quiet_floating_point)
 from .results import (
     APPROX_SOLUTION,
     NORMAL_EQ_SOLUTION,
@@ -35,9 +36,9 @@ class HybridOptions:
     eps_cta: float = 1e-8
     eps_ta: float = 1e-15
     want_min_norm: bool = False
-    t_max: int = 5
-    h_mode: str = "aat"
-    max_iters_stage1: int = 100_000
+    t_max: int = CenteringOptions.t_max
+    h_mode: str = CenteringOptions.h_mode
+    max_iters_stage1: int = CenteringOptions.max_iters
     max_iters_stage2: int = 400_000
     min_norm_inner_cap: int = 250_000
 
@@ -74,6 +75,8 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     if b_norm == 0.0:
         return zero_rhs(APPROX_SOLUTION, op.shape[1], Trace(HYBRID_TRACE_COLUMNS))
     check_positive(eps_cta=opts.eps_cta, eps_ta=opts.eps_ta)
+    check_count(max_iters_stage1=opts.max_iters_stage1, max_iters_stage2=opts.max_iters_stage2,
+                min_norm_inner_cap=opts.min_norm_inner_cap)
 
     stage1 = centering_solve(op, b, CenteringOptions(
         epsilon=opts.eps_cta, t_max=opts.t_max, h_mode=opts.h_mode,

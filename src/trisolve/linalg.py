@@ -7,8 +7,9 @@ such as nested lists become float64 arrays.  Every solver prepares its matrix
 once, at entry, into an :class:`Operator`.  For sparse storage the operator
 of a solve that applies ``A^T`` in its loop also holds a CSR copy of ``A^T``,
 which about doubles the matrix storage; dense ``A`` keeps BLAS ``a.T @ v``.
-Objects that already are operators, with ``matvec``, ``rmatvec``, ``shape``
-and ``frobenius_norm`` (e.g. :class:`GramProduct`), are used as they are.
+Objects with all four of ``matvec``, ``rmatvec``, ``shape`` and
+``frobenius_norm`` (e.g. :class:`GramProduct`) are used as they are; anything
+else that is not a 2-D real matrix raises ``ValueError`` naming ``A``.
 ``H`` is either the matrix itself, for symmetric positive semidefinite
 input, or the Gram operator ``A A^T`` applied as ``A (A^T r)`` without ever
 forming the ``m x m`` product.
@@ -22,14 +23,14 @@ through scipy's and numpy's own ``@``.
 Sparse kernels accumulate left-to-right within each row and are
 single-threaded; dense products go through BLAS and stay deterministic for a
 fixed thread count.  All objects here are immutable after construction
-(apart from :attr:`HOperator.apply_count`) and safe to share across
-concurrent solves.
+and safe to share across concurrent solves.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 import scipy.sparse as sparse
@@ -42,6 +43,10 @@ H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
 H_MODE_GRAM = "aat"      # H = A A^T, applied implicitly
 
 _CSR_TYPES = (sparse.csr_array, sparse.csr_matrix)
+
+_OPERATOR_MEMBERS = ("matvec", "rmatvec", "shape", "frobenius_norm")
+_NOT_AN_OPERATOR = ("A must be a 2-D real matrix or an operator with matvec, rmatvec, "
+                    "shape and frobenius_norm")
 
 
 def quiet_floating_point(solve):
@@ -89,24 +94,19 @@ def matvec(a, v: np.ndarray) -> np.ndarray:
 
 
 def matvec_transpose(a, v: np.ndarray, a_t=None) -> np.ndarray:
-    """``A.T @ v`` for a stored matrix.
-
-    ``a_t`` is the CSR copy of ``A^T`` that an :class:`Operator` keeps for
-    sparse ``a``; the product is then scipy's compiled CSR kernel on
-    ``a_t``, called directly.  Without it a sparse product is ``v @ a``:
-    scipy wraps ``a``'s storage in a transposed view on every call and runs
-    the matching kernel on it.  For CSR or CSC ``a`` both accumulate the same
-    terms in the same order and give the same bits.
+    """``A.T @ v`` for a stored matrix: the product :func:`_product` makes on
+    ``a_t``, the CSR copy of ``A^T`` that an :class:`Operator` keeps for
+    sparse ``a``, or else on the transposed view ``a.T``.  A CSC ``a`` has a
+    CSR view, which goes straight to the kernel; other sparse views run
+    scipy's ``@``, and dense ``a`` BLAS ``a.T @ v``.  For CSR or CSC ``a``
+    the stored copy and the view accumulate the same terms in the same order
+    and give the bits of ``v @ a``.
     """
     v = np.asarray(v, dtype=np.float64)
     m, n = a.shape
     if v.shape != (m,):
         raise ValueError(f"matvec_transpose: vector has length {v.shape}, matrix has {m} rows")
-    if a_t is not None:
-        return _product(a_t, v, n, m)
-    if type(a) is not np.ndarray and sparse.issparse(a):
-        return np.asarray(v @ a)
-    return a.T @ v
+    return _product(a.T if a_t is None else a_t, v, n, m)
 
 
 def norm2(v: np.ndarray) -> float:
@@ -116,12 +116,6 @@ def norm2(v: np.ndarray) -> float:
     if x.ndim != 1:
         x = x.ravel(order="K")
     return math.sqrt(x.dot(x))
-
-
-def frobenius_norm(a) -> float:
-    if sparse.issparse(a):
-        return float(np.sqrt((a.multiply(a)).sum()))
-    return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
 def nnz_of(a) -> int:
@@ -134,17 +128,20 @@ def nnz_of(a) -> int:
 class Operator:
     """The matrix of one solve: ``A`` as float64 storage and, when
     ``transpose`` is set and ``A`` is sparse, a CSR copy of ``A^T`` that
-    :meth:`rmatvec` applies.  An operator built without it applies ``A^T``
-    as ``v @ A``, which suits a solve that does so once."""
+    :meth:`rmatvec` applies.  An operator built without it applies the view
+    ``A.T``, which suits a solve that does so once."""
 
     def __init__(self, a, transpose: bool = True):
         if sparse.issparse(a):
             if a.dtype != np.float64:
                 a = a.astype(np.float64)
         else:
-            a = np.asarray(a, dtype=np.float64)
+            try:
+                a = np.asarray(a, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"{_NOT_AN_OPERATOR}, got {type(a).__name__}") from None
         if a.ndim != 2:
-            raise ValueError(f"A must be a 2-D matrix, got shape {a.shape}")
+            raise ValueError(f"{_NOT_AN_OPERATOR}, got shape {a.shape}")
         self.matrix = a
         self.shape = shape_of(a)
         self.transposed = a.T.tocsr() if transpose and sparse.issparse(a) else None
@@ -156,19 +153,21 @@ class Operator:
         return matvec_transpose(self.matrix, v, self.transposed)
 
     def frobenius_norm(self) -> float:
-        return frobenius_norm(self.matrix)
+        a = self.matrix
+        if sparse.issparse(a):
+            return float(np.sqrt((a.multiply(a)).sum()))
+        return float(np.linalg.norm(a, "fro"))
 
 
 def prepare(a, transpose: bool = True):
-    """The operator a solve applies: ``a`` itself when it already is one (an
-    :class:`Operator`, a :class:`GramProduct`, or any object with
-    ``matvec``, ``rmatvec``, ``shape`` and ``frobenius_norm``), otherwise an
-    :class:`Operator` over ``a``, storing ``A^T`` when ``transpose`` is set."""
-    if isinstance(a, Operator):
+    """The operator a solve applies: ``a`` itself when it has all of
+    ``_OPERATOR_MEMBERS`` (an :class:`Operator`, a :class:`GramProduct`),
+    otherwise an :class:`Operator` over ``a``, storing ``A^T`` when
+    ``transpose`` is set; that raises ``ValueError`` naming ``A`` for anything
+    but a 2-D real matrix, such as a scipy ``LinearOperator``."""
+    if all(hasattr(a, member) for member in _OPERATOR_MEMBERS):
         return a
-    if isinstance(a, np.ndarray) or sparse.issparse(a) or not hasattr(a, "rmatvec"):
-        return Operator(a, transpose)
-    return a
+    return Operator(a, transpose)
 
 
 def as_vector(name: str, v, length: int) -> np.ndarray:
@@ -198,8 +197,16 @@ def check_positive(**named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not a
     finite positive number."""
     for name, value in named.items():
-        if not 0.0 < value < math.inf:
+        if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_count(**named) -> None:
+    """Raise ``ValueError`` naming the first keyword argument that is not an
+    integer of at least 0, such as an iteration cap."""
+    for name, value in named.items():
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise ValueError(f"{name} must be an integer of at least 0, got {value!r}")
 
 
 class GramProduct:
@@ -235,14 +242,13 @@ class HOperator:
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
         if mode not in (H_MODE_SYMMETRIC, H_MODE_GRAM):
-            raise ValueError(f"unknown H mode {mode!r}")
+            raise ValueError(f"unknown h_mode {mode!r}")
         self.operator = prepare(a, transpose=mode == H_MODE_GRAM)
         m, n = self.operator.shape
         if mode == H_MODE_SYMMETRIC and m != n:
             raise ValueError("symmetric mode requires a square matrix")
         self.mode = mode
         self.dim = m  # H acts on residuals of length m
-        self.apply_count = 0
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """``H r``."""
@@ -251,7 +257,6 @@ class HOperator:
     def apply_with_transpose(self, r: np.ndarray):
         """``(H r, A^T r)``; the transpose product is the intermediate of the
         Gram mode and comes for free there, ``None`` in symmetric mode."""
-        self.apply_count += 1
         op = self.operator
         if self.mode == H_MODE_SYMMETRIC:
             return op.matvec(r), None

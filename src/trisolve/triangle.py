@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_vector, check_positive, norm2, prepare_system, quiet_floating_point
+from .linalg import (as_vector, check_count, check_positive, norm2, prepare_system,
+                     quiet_floating_point)
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -173,6 +174,7 @@ def solve_in_ball(a, b, rho, eps, max_iters=100_000) -> SolveResult:
     if b_norm == 0.0:
         return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=rho)
     check_positive(rho=rho, eps=eps)
+    check_count(max_iters=max_iters)
     run = _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace, time.perf_counter_ns())
     return finish(run.status, op, b, run.x, run.iterations, trace,
                   rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
@@ -196,6 +198,7 @@ def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> Sol
         return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=0.0)
     eps_prime = eps if eps_prime is None else eps_prime
     check_positive(eps=eps, eps_prime=eps_prime)
+    check_count(max_iters=max_iters)
     rho = 0.0
     if x0 is not None:
         x0 = as_vector("x0", x0, op.shape[1])
@@ -230,6 +233,7 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         return zero_rhs(MIN_NORM_SOLUTION, op.shape[1], trace, rho=0.0,
                         rho_interval=(0.0, 0.0))
     check_positive(eps=eps)
+    check_count(inner_cap=inner_cap, max_iters=max_iters)
     x_eps = as_vector("x_eps", x_eps, op.shape[1])
     start_gap = norm2(b - op.matvec(x_eps))
     if not math.isfinite(start_gap):
@@ -260,8 +264,6 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         if rho_hi - rho_lo <= eps or iterations >= max_iters:
             break
         rho = 0.5 * (rho_hi + rho_lo)
-        if rho <= 0.0:
-            break
         if warm is not None and not norm2(warm) <= rho * (1.0 + 1e-9):
             warm = None   # a fixed-radius run must start inside its ball
         run = _pivot_loop(op, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
@@ -271,7 +273,8 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         wall = time.perf_counter_ns() - t0
         if run.status == APPROX_SOLUTION:
             best_x = run.x
-            rho_hi = min(rho, norm2(run.x))
+            # an approximate solution may undershoot ||x*||: keep the bracket ordered
+            rho_hi = max(rho_lo, min(rho, norm2(run.x)))
             trace.append(iterations, rho_hi, norm2(b - run.b_prime), 0.0, "shrink", wall)
         elif run.status == WITNESS:
             # Clamping to rho_hi keeps the bracket ordered; a smaller lower

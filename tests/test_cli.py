@@ -5,8 +5,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from trisolve import mmio
+import trisolve
+from trisolve import cli, mmio
+from trisolve.centering import CenteringOptions
 from trisolve.cli import SUMMARY_SCHEMA, main
+from trisolve.hybrid import HybridOptions
+from trisolve.results import SolveResult, Trace
 
 
 def run(args):
@@ -98,6 +102,25 @@ class TestSolve:
         assert run(["solve", "--gen", "diag-pd"]) == 1
         assert run(["solve", "--gen", "diag-pd:5", "--algo", "ta", "--eps", "0"]) == 1
         assert "eps must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("status, code", [
+        (trisolve.APPROX_SOLUTION, 0), (trisolve.NORMAL_EQ_SOLUTION, 0),
+        (trisolve.MIN_NORM_SOLUTION, 0), (trisolve.FEASIBLE, 0), (trisolve.WITNESS, 2),
+        (trisolve.INCONCLUSIVE, 2), (trisolve.ITERATION_CAP, 3),
+        (trisolve.NUMERICAL_FAILURE, 3)])
+    def test_exit_code_by_status(self, status, code, monkeypatch):
+        result = SolveResult(status, np.zeros(3), 0.0, 0.0, 0, Trace(("iter",)))
+        monkeypatch.setattr(cli, "_run_algorithm", lambda matrix, b, args: result)
+        assert run(["solve", "--gen", "diag-pd:3"]) == code
+
+    def test_centering_defaults_come_from_centering_options(self):
+        args = cli._build_parser().parse_args(["solve", "--gen", "diag-pd:3"])
+        hybrid = HybridOptions()
+        owner = CenteringOptions()
+        assert (args.t_max, args.h_mode, args.max_iters) == (
+            owner.t_max, owner.h_mode, owner.max_iters)
+        assert (hybrid.t_max, hybrid.h_mode, hybrid.max_iters_stage1) == (
+            owner.t_max, owner.h_mode, owner.max_iters)
 
     @pytest.mark.parametrize("algo", ["cta", "ta", "hybrid", "lpfeas"])
     def test_zero_rhs_writes_every_artifact(self, tmp_path, algo):

@@ -6,17 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.sparse.linalg import aslinearoperator
 
 import trisolve
 from conftest import random_sparse
 from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
-from trisolve.hybrid import hybrid_solve
+from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import (
     GramProduct,
     HOperator,
     Operator,
-    frobenius_norm,
     matvec,
     matvec_transpose,
     norm2,
@@ -101,12 +101,6 @@ class TestHOperator:
             h = HOperator(a, "aat")
             hr = h.apply(r)
             assert float(np.dot(r, hr)) >= -1e-12
-
-    def test_apply_count_increments(self):
-        h = HOperator(np.eye(3), "aat")
-        h.apply(np.ones(3))
-        h.apply(np.ones(3))
-        assert h.apply_count == 2
 
     def test_gram_never_materializes_product(self):
         # a 1 x n matrix: the Gram product would be n x n, but only O(n)
@@ -225,7 +219,12 @@ class TestStoredTranspose:
         rng = np.random.default_rng(20)
         base = sparse.random(7, 5, density=0.4, random_state=rng, format="csr")
         others = [cls(base) for cls in (sparse.csc_array, sparse.csc_matrix,
-                                        sparse.coo_array, sparse.coo_matrix)]
+                                        sparse.coo_array, sparse.coo_matrix,
+                                        sparse.lil_array, sparse.bsr_array)]
+        # COO with duplicate coordinates, which products sum
+        others.append(sparse.coo_array((rng.standard_normal(6), ([0, 0, 3, 6, 3, 0],
+                                                                 [1, 1, 4, 0, 4, 1])),
+                                       shape=(7, 5)))
         others += [sparse.csr_array(base, dtype=np.float32),
                    sparse.csr_array(np.round(10 * base.toarray()).astype(np.int64)),
                    sparse.csr_array(base * (1.0 + 2.0j))]
@@ -320,6 +319,52 @@ def test_entry_point_solves_a_nested_list(name):
     res = _ENTRY_POINTS[name]([[2.0, 0.0], [0.0, 1.0]], [2.0, 1.0])
     assert res.success
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("a", [aslinearoperator(np.eye(2)), object(), "abc"],
+                         ids=["LinearOperator", "object", "str"])
+def test_entry_point_names_a_bad_matrix(name, a):
+    # neither a 2-D real matrix nor an object with all four operator members
+    with pytest.raises(ValueError, match="^A must be a 2-D real matrix or an operator"):
+        _ENTRY_POINTS[name](a, np.array([2.0, 1.0]))
+
+
+# (the cap's name, a solve of a nonzero system given the cap's value)
+_CAPS = {
+    "centering_solve": ("max_iters", lambda v: centering_solve(
+        np.eye(2), [2.0, 1.0], CenteringOptions(max_iters=v))),
+    "solve_in_ball": ("max_iters", lambda v: solve_in_ball(
+        np.eye(2), [2.0, 1.0], rho=10.0, eps=1e-10, max_iters=v)),
+    "solve_adaptive": ("max_iters", lambda v: solve_adaptive(
+        np.eye(2), [2.0, 1.0], eps=1e-10, max_iters=v)),
+    "min_norm_solve-inner_cap": ("inner_cap", lambda v: min_norm_solve(
+        np.eye(2), [2.0, 1.0], eps=1e-6, x_eps=[2.0, 1.0], inner_cap=v)),
+    "min_norm_solve-max_iters": ("max_iters", lambda v: min_norm_solve(
+        np.eye(2), [2.0, 1.0], eps=1e-6, x_eps=[2.0, 1.0], max_iters=v)),
+    "nonnegative_feasibility": ("max_iters", lambda v: nonnegative_feasibility(
+        np.eye(2), [2.0, 1.0], eps=1e-10, max_iters=v)),
+    "hybrid_solve-stage1": ("max_iters_stage1", lambda v: hybrid_solve(
+        np.eye(2), [2.0, 1.0], HybridOptions(max_iters_stage1=v))),
+    "hybrid_solve-stage2": ("max_iters_stage2", lambda v: hybrid_solve(
+        np.eye(2), [2.0, 1.0], HybridOptions(max_iters_stage2=v))),
+    "hybrid_solve-inner_cap": ("min_norm_inner_cap", lambda v: hybrid_solve(
+        np.eye(2), [2.0, 1.0], HybridOptions(min_norm_inner_cap=v))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CAPS))
+@pytest.mark.parametrize("value", [None, -1, "5", 2.5])
+def test_bad_cap_names_the_argument(case, value):
+    name, solve = _CAPS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 0, got"):
+        solve(value)
+
+
+@pytest.mark.parametrize("case", sorted(_CAPS))
+def test_cap_of_zero_is_valid(case):
+    # numpy integers count as integers
+    assert isinstance(_CAPS[case][1](np.int64(0)), trisolve.SolveResult)
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
@@ -418,4 +463,4 @@ class TestGramProduct:
 def test_frobenius_norm_sparse_matches_dense():
     rng = np.random.default_rng(2)
     sp = random_sparse(rng, max_mn=20)
-    assert np.isclose(frobenius_norm(sp), np.linalg.norm(sp.toarray(), "fro"))
+    assert np.isclose(Operator(sp).frobenius_norm(), np.linalg.norm(sp.toarray(), "fro"))

@@ -316,9 +316,10 @@ def test_min_norm_extreme_scales_end_in_a_status(x_eps, eps, status):
     if status == "numerical_failure":
         assert res.iterations == 0 and res.rho_interval is None
     else:
-        # ||x*|| = 1/sqrt(3); an eps below its ulp leaves a rounding-level bracket
+        # ||x*|| = 1/sqrt(3); an eps below its ulp leaves a rounding-level
+        # bracket, which must still be ordered
         lo, hi = res.rho_interval
-        assert hi - lo <= eps
+        assert 0.0 <= hi - lo <= eps
         assert math.isclose(lo, 3 ** -0.5, rel_tol=1e-15) and math.isclose(hi, lo, rel_tol=1e-15)
 
 
@@ -326,6 +327,7 @@ _B = np.array([1.0, 2.0])
 _BAD_TOLERANCES = [
     ("adaptive-zero", lambda: solve_adaptive(np.eye(2), _B, eps=0.0), "eps"),
     ("adaptive-negative", lambda: solve_adaptive(np.eye(2), _B, eps=-1.0), "eps"),
+    ("adaptive-string", lambda: solve_adaptive(np.eye(2), _B, eps="a"), "eps"),
     ("adaptive-eps-prime-nan",
      lambda: solve_adaptive(np.eye(2), _B, eps=1e-8, eps_prime=np.nan), "eps_prime"),
     ("ball-negative",

@@ -12,9 +12,8 @@ Every generator is bit-deterministic for a fixed argument tuple.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .linalg import matvec
+from .linalg import matvec, scipy_sparse
 
 DIAG_PD = "pd"
 DIAG_PSD = "psd"
@@ -48,6 +47,7 @@ def gen_diag(kind: str, n: int, seed: int = 0):
         vals[neg_pos] = -rng.uniform(1.0, hi)
     else:
         raise ValueError(f"unknown diagonal kind {kind!r}")
+    sparse = scipy_sparse().module
     return sparse.csr_array(sparse.diags_array(vals))
 
 
@@ -67,6 +67,7 @@ def gen_clement(n: int):
         raise ValueError("n must be at least 2")
     k = np.arange(1, n, dtype=np.float64)
     off = np.sqrt(k * (n - k))
+    sparse = scipy_sparse().module
     return sparse.csr_array(sparse.diags_array([off, off], offsets=[-1, 1]))
 
 
@@ -89,6 +90,7 @@ def gen_dorr(n: int, theta: float = 0.01):
     sup[~lo] = -term
     sub[~lo] = -term + (0.5 - i[~lo] * h) / h
     diag = -(sub + sup)
+    sparse = scipy_sparse().module
     return sparse.csr_array(
         sparse.diags_array([sub[1:], diag, sup[:-1]], offsets=[-1, 0, 1])
     )
@@ -128,6 +130,7 @@ def _five_point(grid: int, center, west, east, south, north):
         rows.append(k[mask])
         cols.append(k[mask] + step)
         vals.append(np.full(len(rows[-1]), coeff, dtype=np.float64))
+    sparse = scipy_sparse().module
     coo = sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     return sparse.csr_array(coo)

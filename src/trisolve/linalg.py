@@ -20,6 +20,12 @@ compiled ``csr_matvec`` kernel directly, skipping the per-call dispatch of
 Other sparse formats, CSR storage of another dtype and dense matrices go
 through scipy's and numpy's own ``@``.
 
+This is the one module of the package that reaches ``scipy.sparse``, and it
+imports it on first use (:func:`scipy_sparse`): that import is about half
+of ``import trisolve``'s start-up, which a caller with dense input never
+needs.  No sparse object can exist before ``scipy.sparse`` is loaded, so
+:func:`issparse` answers ``False`` without importing it.
+
 Sparse kernels accumulate left-to-right within each row and are
 single-threaded; dense products go through BLAS and stay deterministic for a
 fixed thread count.  All objects here are immutable after construction
@@ -31,18 +37,38 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
-# A private scipy module: the compiled kernel behind ``csr @ v``.  Calling it
-# directly saves about 4 us of dispatch per product, most of the cost of a
-# product on small systems; tests/test_linalg.py pins its bits to ``a @ v``.
-from scipy.sparse import _sparsetools
 
 H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
 H_MODE_GRAM = "aat"      # H = A A^T, applied implicitly
 
-_CSR_TYPES = (sparse.csr_array, sparse.csr_matrix)
+
+class ScipySparse(NamedTuple):
+    module: object       # scipy.sparse
+    csr_types: tuple     # (csr_array, csr_matrix)
+    csr_matvec: object   # the compiled kernel behind ``csr @ v``
+
+
+@functools.cache
+def scipy_sparse() -> ScipySparse:
+    """``scipy.sparse`` and the handles the products use, imported on the
+    first call.  ``csr_matvec`` comes from a private scipy module: calling it
+    directly saves about 4 us of dispatch per product, most of the cost of a
+    product on small systems; tests/test_linalg.py pins its bits to ``a @ v``."""
+    import scipy.sparse as sparse
+    from scipy.sparse import _sparsetools
+
+    return ScipySparse(sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec)
+
+
+def issparse(a) -> bool:
+    """``scipy.sparse.issparse(a)``, without importing scipy when no sparse
+    object can exist yet."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
 
 _OPERATOR_MEMBERS = ("matvec", "rmatvec", "shape", "frobenius_norm")
 _NOT_AN_OPERATOR = ("A must be a 2-D real matrix or an operator with matvec, rmatvec, "
@@ -71,16 +97,19 @@ def shape_of(a) -> tuple[int, int]:
 
 
 def _product(a, v: np.ndarray, m: int, n: int) -> np.ndarray:
-    """``a @ v`` for an ``m x n`` matrix ``a`` and a float64 vector ``v`` of
-    length ``n``; float64 CSR storage goes straight to the kernel, with the
-    output buffer that ``a @ v`` would allocate."""
+    """``a @ v`` as a vector of length ``m``, for an ``m x n`` matrix ``a``
+    and a float64 vector ``v`` of length ``n``; float64 CSR storage goes
+    straight to the kernel, with the output buffer that ``a @ v`` would
+    allocate.  Other storage keeps its own ``@``, whose result for one row
+    of n-d COO storage is a numpy scalar, hence the reshape."""
     if type(a) is np.ndarray:
         return a @ v
-    if isinstance(a, _CSR_TYPES) and a.dtype == np.float64:
+    _, csr_types, csr_matvec = scipy_sparse()
+    if isinstance(a, csr_types) and a.dtype == np.float64:
         out = np.zeros(m)
-        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
+        csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
         return out
-    return a @ v
+    return np.asarray(a @ v).reshape(m)
 
 
 def matvec(a, v: np.ndarray) -> np.ndarray:
@@ -119,7 +148,7 @@ def norm2(v: np.ndarray) -> float:
 
 
 def nnz_of(a) -> int:
-    if sparse.issparse(a):
+    if issparse(a):
         return int(a.nnz)
     arr = np.asarray(a)
     return int(np.count_nonzero(arr))
@@ -132,19 +161,19 @@ class Operator:
     ``A.T``, which suits a solve that does so once."""
 
     def __init__(self, a, transpose: bool = True):
-        if sparse.issparse(a):
-            if a.dtype != np.float64:
-                a = a.astype(np.float64)
-        else:
-            try:
-                a = np.asarray(a, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError(f"{_NOT_AN_OPERATOR}, got {type(a).__name__}") from None
-        if a.ndim != 2:
-            raise ValueError(f"{_NOT_AN_OPERATOR}, got shape {a.shape}")
-        self.matrix = a
-        self.shape = shape_of(a)
-        self.transposed = a.T.tocsr() if transpose and sparse.issparse(a) else None
+        is_sparse = issparse(a)
+        try:
+            matrix = a if is_sparse else np.asarray(a)
+            if matrix.dtype != np.float64 and not np.iscomplexobj(matrix):
+                matrix = matrix.astype(np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{_NOT_AN_OPERATOR}, got {type(a).__name__}") from None
+        _check_real("A", matrix)
+        if matrix.ndim != 2:
+            raise ValueError(f"{_NOT_AN_OPERATOR}, got shape {matrix.shape}")
+        self.matrix = matrix
+        self.shape = shape_of(matrix)
+        self.transposed = matrix.T.tocsr() if transpose and is_sparse else None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return matvec(self.matrix, v)
@@ -154,7 +183,7 @@ class Operator:
 
     def frobenius_norm(self) -> float:
         a = self.matrix
-        if sparse.issparse(a):
+        if issparse(a):
             return float(np.sqrt((a.multiply(a)).sum()))
         return float(np.linalg.norm(a, "fro"))
 
@@ -170,9 +199,17 @@ def prepare(a, transpose: bool = True):
     return Operator(a, transpose)
 
 
+def _check_real(name: str, v) -> None:
+    # before any float64 cast, which would drop the imaginary part and warn
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real, got dtype {v.dtype}")
+
+
 def as_vector(name: str, v, length: int) -> np.ndarray:
     """``v`` as a float64 vector of the given length; raises ``ValueError``
-    naming the argument for any other shape."""
+    naming the argument for complex values or any other shape."""
+    v = np.asarray(v)
+    _check_real(name, v)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (length,):
         raise ValueError(f"{name} has shape {v.shape}, expected ({length},)")

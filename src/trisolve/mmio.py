@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sparse
+
+from .linalg import issparse, scipy_sparse
 
 BANNER = "%%MatrixMarket"
 
@@ -217,6 +218,7 @@ def _coordinate_matrix(data, m, n, symmetry):
         rows, cols = (np.column_stack(pair).ravel()[keep] for pair in ((rows, cols), (cols, rows)))
         vals = np.column_stack((vals, mirror)).ravel()[keep]
     # The CSR conversion sums duplicate coordinates in entry order.
+    sparse = scipy_sparse().module
     csr = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(m, n)))
     return csr, len(vals) - csr.nnz
 
@@ -245,8 +247,8 @@ def write_matrix_market(a, target) -> None:
 def _write(a, fh) -> None:
     # repr() of a Python float is the shortest decimal string that parses
     # back to the same float64, which is what makes round-trips bit-exact.
-    if sparse.issparse(a):
-        coo = sparse.coo_array(a)
+    if issparse(a):
+        coo = scipy_sparse().module.coo_array(a)
         m, n = coo.shape
         order = np.lexsort((coo.coords[1], coo.coords[0]))
         rows, cols = ((c[order] + 1).tolist() for c in coo.coords)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,55 @@ def test_entry_point_names_a_bad_matrix(name, a):
     # neither a 2-D real matrix nor an object with all four operator members
     with pytest.raises(ValueError, match="^A must be a 2-D real matrix or an operator"):
         _ENTRY_POINTS[name](a, np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("arg, a, b", [
+    ("A", np.array([[2.0 + 1.0j, 0.0], [0.0, 1.0]]), [2.0, 1.0]),
+    ("A", sparse.csr_array(np.array([[2.0 + 1.0j, 0.0], [0.0, 1.0]])), [2.0, 1.0]),
+    ("A", [[2.0, 0.0], [0.0, 1.0 + 0.0j]], [2.0, 1.0]),
+    ("b", np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0 + 1.0j])),
+], ids=["dense-A", "sparse-A", "nested-list-A", "b"])
+def test_entry_point_refuses_complex_input(name, arg, a, b):
+    # a float64 cast would solve the real part and print a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{arg} must be real, got dtype complex128$"):
+            _ENTRY_POINTS[name](a, b)
+
+
+@pytest.mark.parametrize("name, solve", [
+    ("x0", lambda v: solve_adaptive(np.eye(2), np.ones(2), eps=1e-8, x0=v)),
+    ("x_eps", lambda v: min_norm_solve(np.eye(2), np.ones(2), eps=1e-8, x_eps=v)),
+], ids=["solve_adaptive", "min_norm_solve"])
+def test_complex_start_names_its_argument(name, solve):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+            solve(np.array([1.0, 1.0j]))
+
+
+def _solve_with_start(name, a, b, x):
+    """The entry point ``name`` on ``(a, b)``; ``x`` solves the system and
+    serves as ``min_norm_solve``'s ``x_eps``."""
+    if name == "min_norm_solve":
+        return min_norm_solve(a, b, eps=1e-6, x_eps=x)
+    return _ENTRY_POINTS[name](a, b)
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("cls", [sparse.coo_array, sparse.coo_matrix])
+@pytest.mark.parametrize("dense, x", [
+    (np.array([[1.0, 1.0, 1.0]]), np.array([1.0, 0.0, 0.0])),
+    (np.array([[1.0], [2.0], [3.0]]), np.array([1.0])),
+], ids=["one-row", "one-column"])
+def test_one_row_or_column_coo_solves_as_csr(name, cls, dense, x):
+    # (1 x n) @ v on scipy's n-d COO is a numpy scalar, not a vector
+    b = dense @ x
+    res = _solve_with_start(name, cls(dense), b, x)
+    ref = _solve_with_start(name, sparse.csr_array(dense), b, x)
+    assert (res.status, res.iterations) == (ref.status, ref.iterations)
+    assert res.x.shape == (dense.shape[1],)
 
 
 # (the cap's name, a solve of a nonzero system given the cap's value)

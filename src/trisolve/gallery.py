@@ -20,6 +20,13 @@ DIAG_PSD = "psd"
 DIAG_INDEFINITE = "indefinite"
 
 
+def _csr_diagonals(diagonals, offsets=0):
+    """Sparse CSR matrix with ``diagonals`` at ``offsets``, as
+    ``scipy.sparse.diags_array`` places them."""
+    sparse = scipy_sparse()[0]
+    return sparse.csr_array(sparse.diags_array(diagonals, offsets=offsets))
+
+
 def gen_diag(kind: str, n: int, seed: int = 0):
     """Random diagonal matrix (sparse CSR).
 
@@ -47,8 +54,7 @@ def gen_diag(kind: str, n: int, seed: int = 0):
         vals[neg_pos] = -rng.uniform(1.0, hi)
     else:
         raise ValueError(f"unknown diagonal kind {kind!r}")
-    sparse = scipy_sparse().module
-    return sparse.csr_array(sparse.diags_array(vals))
+    return _csr_diagonals(vals)
 
 
 def gen_gram_psd(n: int, seed: int = 0) -> np.ndarray:
@@ -67,8 +73,7 @@ def gen_clement(n: int):
         raise ValueError("n must be at least 2")
     k = np.arange(1, n, dtype=np.float64)
     off = np.sqrt(k * (n - k))
-    sparse = scipy_sparse().module
-    return sparse.csr_array(sparse.diags_array([off, off], offsets=[-1, 1]))
+    return _csr_diagonals([off, off], [-1, 1])
 
 
 def gen_dorr(n: int, theta: float = 0.01):
@@ -90,10 +95,7 @@ def gen_dorr(n: int, theta: float = 0.01):
     sup[~lo] = -term
     sub[~lo] = -term + (0.5 - i[~lo] * h) / h
     diag = -(sub + sup)
-    sparse = scipy_sparse().module
-    return sparse.csr_array(
-        sparse.diags_array([sub[1:], diag, sup[:-1]], offsets=[-1, 0, 1])
-    )
+    return _csr_diagonals([sub[1:], diag, sup[:-1]], [-1, 0, 1])
 
 
 def gen_lotkin(n: int) -> np.ndarray:
@@ -130,7 +132,7 @@ def _five_point(grid: int, center, west, east, south, north):
         rows.append(k[mask])
         cols.append(k[mask] + step)
         vals.append(np.full(len(rows[-1]), coeff, dtype=np.float64))
-    sparse = scipy_sparse().module
+    sparse = scipy_sparse()[0]
     coo = sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     return sparse.csr_array(coo)

@@ -38,7 +38,6 @@ import functools
 import math
 import numbers
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,22 +45,18 @@ H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
 H_MODE_GRAM = "aat"      # H = A A^T, applied implicitly
 
 
-class ScipySparse(NamedTuple):
-    module: object       # scipy.sparse
-    csr_types: tuple     # (csr_array, csr_matrix)
-    csr_matvec: object   # the compiled kernel behind ``csr @ v``
-
-
 @functools.cache
-def scipy_sparse() -> ScipySparse:
-    """``scipy.sparse`` and the handles the products use, imported on the
-    first call.  ``csr_matvec`` comes from a private scipy module: calling it
-    directly saves about 4 us of dispatch per product, most of the cost of a
-    product on small systems; tests/test_linalg.py pins its bits to ``a @ v``."""
+def scipy_sparse() -> tuple:
+    """``(scipy.sparse, (csr_array, csr_matrix), csr_matvec)``, imported on
+    the first call.  A plain tuple, because every sparse product unpacks it.
+    ``csr_matvec`` is the compiled kernel behind ``csr @ v``, from a private
+    scipy module: calling it directly saves about 4 us of dispatch per
+    product, most of the cost of a product on small systems;
+    tests/test_linalg.py pins its bits to ``a @ v``."""
     import scipy.sparse as sparse
     from scipy.sparse import _sparsetools
 
-    return ScipySparse(sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec)
+    return sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec
 
 
 def issparse(a) -> bool:

@@ -218,7 +218,7 @@ def _coordinate_matrix(data, m, n, symmetry):
         rows, cols = (np.column_stack(pair).ravel()[keep] for pair in ((rows, cols), (cols, rows)))
         vals = np.column_stack((vals, mirror)).ravel()[keep]
     # The CSR conversion sums duplicate coordinates in entry order.
-    sparse = scipy_sparse().module
+    sparse = scipy_sparse()[0]
     csr = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(m, n)))
     return csr, len(vals) - csr.nnz
 
@@ -248,7 +248,7 @@ def _write(a, fh) -> None:
     # repr() of a Python float is the shortest decimal string that parses
     # back to the same float64, which is what makes round-trips bit-exact.
     if issparse(a):
-        coo = scipy_sparse().module.coo_array(a)
+        coo = scipy_sparse()[0].coo_array(a)
         m, n = coo.shape
         order = np.lexsort((coo.coords[1], coo.coords[0]))
         rows, cols = ((c[order] + 1).tolist() for c in coo.coords)

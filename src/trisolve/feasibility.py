@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 from .linalg import (check_count, check_positive, norm2, prepare, prepare_system,
                      quiet_floating_point)
@@ -27,7 +28,6 @@ from .results import (
     ITERATION_CAP,
     SolveResult,
     Trace,
-    finish,
     zero_rhs,
 )
 from .triangle import _pivot_loop
@@ -75,6 +75,5 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
         status = INCONCLUSIVE
         detail = (f"radius budget {rho_max:.3e} exhausted" if detail
                   else "iteration budget exhausted")
-    return finish(status, op, b, run.x, run.iterations, trace, rho=run.rho,
-                  lower_bound=run.bound, min_x_entry=float(run.x.min()) if run.x.size else 0.0,
-                  detail=detail)
+    return replace(run, status=status, detail=detail,
+                   min_x_entry=float(run.x.min()) if run.x.size else 0.0)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import issparse, scipy_sparse
+from .linalg import _check_real, issparse, scipy_sparse
 
 BANNER = "%%MatrixMarket"
 
@@ -236,7 +236,11 @@ def _array_matrix(values, m, n, symmetry):
 
 def write_matrix_market(a, target) -> None:
     """Write ``a`` as coordinate/general (sparse input) or array/general
-    (dense input)."""
+    (dense input).  Complex ``a`` raises ``ValueError`` before anything is
+    written."""
+    if not issparse(a):
+        a = np.asarray(a)
+    _check_real("a", a)
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
             _write(a, fh)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,18 +65,8 @@ def move_to_pivot(b_prime, x_prime, v, preimage, gap):
     return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
 
 
-class _Run(NamedTuple):
-    status: str
-    iterations: int
-    x: np.ndarray
-    b_prime: np.ndarray
-    rho: float
-    bound: float | None   # certified lower bound on ||x*|| of a witness
-    detail: str
-
-
 def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
-                cone=False, offset=0) -> _Run:
+                cone=False, offset=0) -> SolveResult:
     """The Triangle Algorithm iteration shared by every driver.
 
     Each step takes the gap ``b - b'`` and the direction ``c = A^T(b - b')``,
@@ -87,7 +77,9 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
     passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
     when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
     The run starts from the float64 vector ``x0``, or from the origin when
-    it is None; a fixed-radius caller passes an ``x0`` inside the ball.
+    it is None; a fixed-radius caller passes an ``x0`` inside the ball.  The
+    result carries the run's final ``rho``, ``b_prime``, the witness bound
+    as ``lower_bound`` and ``detail``.
     """
     m, n = op.shape
     if x0 is None:
@@ -95,26 +87,28 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
     else:
         x = x0.copy()
         b_prime = op.matvec(x)
-    bound = None
+    status, detail, bound = ITERATION_CAP, "", None
     iterations = 0
     since_revalidate = 0
     while iterations < max_iters:
         gap = b - b_prime
         gap_norm = norm2(gap)
         if not math.isfinite(gap_norm):
-            return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
-                        "non-finite iterate")
+            status, detail = NUMERICAL_FAILURE, "non-finite iterate"
+            break
         if gap_norm <= eps:
-            return _Run(APPROX_SOLUTION, iterations, x, b_prime, rho, None, "")
+            status = APPROX_SOLUTION
+            break
         c = op.rmatvec(gap)
         c_norm = norm2(c)
         if not math.isfinite(c_norm):
-            return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
-                        "non-finite pivot direction")
+            status, detail = NUMERICAL_FAILURE, "non-finite pivot direction"
+            break
         if c_norm <= eps_prime:
-            return _Run(NORMAL_EQ_SOLUTION, iterations, x, b_prime, rho, None,
-                        "pivot direction vanished" if c_norm == 0.0
-                        else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
+            status = NORMAL_EQ_SOLUTION
+            detail = ("pivot direction vanished" if c_norm == 0.0
+                      else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
+            break
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(gap.dot(b))
@@ -134,7 +128,7 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
             b_prime, x, _ = move_to_pivot(b_prime, x, op.matvec(preimage), preimage, gap)
             event = "pivot"
         elif rho_cap is None:
-            event, stop, detail = "witness", WITNESS, ""
+            event, stop = "witness", WITNESS
             bound = gap_dot_b / c_norm
         else:
             rho = max(2.0 * rho, gap_dot_b / d_norm)
@@ -146,20 +140,22 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
             if x_min < -1e-12:
                 # convex combinations of nonnegative vectors cannot go
                 # negative; a violation means the state is corrupt
-                return _Run(NUMERICAL_FAILURE, iterations, x, b_prime, rho, None,
-                            "iterate left the nonnegative cone")
+                status, detail = NUMERICAL_FAILURE, "iterate left the nonnegative cone"
+                break
             trace.append(offset + iterations, rho, gap_norm, c_norm, event, x_min, wall)
         else:
             trace.append(offset + iterations, rho, gap_norm, c_norm, event, wall)
         iterations += 1
         if stop is not None:
-            return _Run(stop, iterations, x, b_prime, rho, bound, detail)
+            status = stop
+            break
         if event == "pivot":
             since_revalidate += 1
             if since_revalidate >= _REVALIDATE_EVERY:
                 b_prime = op.matvec(x)
                 since_revalidate = 0
-    return _Run(ITERATION_CAP, iterations, x, b_prime, rho, None, "")
+    return finish(status, op, b, x, iterations, trace, rho=rho, b_prime=b_prime,
+                  lower_bound=bound, detail=detail)
 
 
 @quiet_floating_point
@@ -175,9 +171,7 @@ def solve_in_ball(a, b, rho, eps, max_iters=100_000) -> SolveResult:
         return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=rho)
     check_positive(rho=rho, eps=eps)
     check_count(max_iters=max_iters)
-    run = _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace, time.perf_counter_ns())
-    return finish(run.status, op, b, run.x, run.iterations, trace,
-                  rho=rho, b_prime=run.b_prime, lower_bound=run.bound)
+    return _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace, time.perf_counter_ns())
 
 
 @quiet_floating_point
@@ -203,10 +197,8 @@ def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> Sol
     if x0 is not None:
         x0 = as_vector("x0", x0, op.shape[1])
         rho = norm2(x0)
-    run = _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
-                      rho_cap=4.0 * b_norm ** 2 / eps_prime)
-    return finish(run.status, op, b, run.x, run.iterations, trace,
-                  rho=run.rho, detail=run.detail)
+    return _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
+                       rho_cap=4.0 * b_norm ** 2 / eps_prime)
 
 
 @quiet_floating_point
@@ -280,13 +272,12 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
             # Clamping to rho_hi keeps the bracket ordered; a smaller lower
             # bound is weaker but stays certified (no exact solution lies
             # strictly inside any radius below the witness bound).
-            rho_lo = min(max(rho_lo, run.bound), rho_hi)
+            rho_lo = min(max(rho_lo, run.lower_bound), rho_hi)
             trace.append(iterations, rho_lo, norm2(b - run.b_prime), 0.0, "expand", wall)
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
-            return finish(NORMAL_EQ_SOLUTION, op, b, run.x, iterations, trace,
-                          rho=rho, rho_interval=(rho_lo, rho_hi),
-                          detail="pivot direction vanished during bisection")
+            return replace(run, iterations=iterations, rho_interval=(rho_lo, rho_hi),
+                           detail="pivot direction vanished during bisection")
         else:
             status = run.status
             detail = (run.detail if status == NUMERICAL_FAILURE

@@ -102,6 +102,14 @@ class TestSolve:
         assert run(["solve", "--gen", "diag-pd"]) == 1
         assert run(["solve", "--gen", "diag-pd:5", "--algo", "ta", "--eps", "0"]) == 1
         assert "eps must be finite and positive" in capsys.readouterr().err
+        for argv, message in [
+            (["solve", "--gen", "clement:x"], "'clement:x': N must be an integer"),
+            (["solve", "--gen", "dorr:10:a"], "'dorr:10:a': bad parameter list"),
+            (["solve", "--gen", "diag-pd:5", "--gen", "diag-pd:6"],
+             "solve takes exactly one --gen spec"),
+        ]:
+            assert run(argv) == 1
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("status, code", [
         (trisolve.APPROX_SOLUTION, 0), (trisolve.NORMAL_EQ_SOLUTION, 0),
@@ -209,6 +217,9 @@ class TestDynamicsCommand:
     def test_bad_lambda(self, capsys):
         assert run(["dynamics", "--lambda", "1"]) == 1
         assert run(["dynamics", "--lambda", "0,3"]) == 1
+        assert "needs two positive eigenvalues" in capsys.readouterr().err
+        assert run(["dynamics", "--lambda", "a,b"]) == 1
+        assert "bad eigenvalue list 'a,b'" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         texts = []

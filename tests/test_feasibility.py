@@ -147,3 +147,16 @@ class TestFeasibilitySolver:
         assert res.status == "witness"
         assert res.lower_bound == np.inf
         assert res.x.shape == (0,) and res.residual_norm == norm2(b)
+
+    def test_farkas_witness_is_checked_from_the_result_alone(self):
+        # y = b - b' must satisfy A^T y <= 0 < y^T b, with the reported
+        # bound y^T b / ||A^T y||
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((3, 4))
+        b = rng.standard_normal(3)
+        res = nonnegative_feasibility(a, b, eps=1e-6, max_iters=300)
+        assert res.status == "witness"
+        y = b - res.b_prime
+        assert (a.T @ y).max() <= 0.0
+        assert y @ b > 0.0
+        assert np.isclose(res.lower_bound, (y @ b) / norm2(a.T @ y), rtol=1e-9)

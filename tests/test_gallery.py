@@ -34,6 +34,10 @@ class TestDiagonal:
             gallery.gen_diag("pd", 0)
         with pytest.raises(ValueError):
             gallery.gen_diag("indefinite", 2)
+        with pytest.raises(ValueError, match="unknown diagonal kind 'nosuch'"):
+            gallery.gen_diag("nosuch", 5)
+        with pytest.raises(ValueError, match="n must be positive"):
+            gallery.gen_gram_psd(0)
 
     def test_gram_psd_alternative(self):
         a = gallery.gen_gram_psd(10, seed=3)
@@ -62,6 +66,10 @@ class TestClement:
             a = dense(gallery.gen_clement(n))
             assert np.linalg.matrix_rank(a) == n - 1
 
+    def test_rejects_degenerate_size(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            gallery.gen_clement(1)
+
 
 class TestDorr:
     def test_m_matrix_sign_pattern(self):
@@ -82,6 +90,8 @@ class TestDorr:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             gallery.gen_dorr(5, 0.0)
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            gallery.gen_dorr(2)
 
 
 class TestLotkin:
@@ -93,6 +103,10 @@ class TestLotkin:
 
     def test_corner_entry(self):
         assert gallery.gen_lotkin(3)[2, 2] == 1.0 / 5.0
+
+    def test_rejects_degenerate_size(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            gallery.gen_lotkin(1)
 
 
 class TestPoisson:
@@ -127,6 +141,12 @@ class TestPoisson:
                 else:
                     assert np.isclose(a[k, k], off_sums[k])
 
+    def test_rejects_bad_grid_and_boundary(self):
+        with pytest.raises(ValueError, match="grid must be at least 2"):
+            gallery.gen_poisson2d(1)
+        with pytest.raises(ValueError, match="unknown boundary condition 'robin'"):
+            gallery.gen_poisson2d(4, "robin")
+
 
 class TestConvDiff:
     def test_degenerates_to_poisson(self):
@@ -150,6 +170,8 @@ class TestConvDiff:
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
             gallery.gen_convdiff(3, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="grid must be at least 2"):
+            gallery.gen_convdiff(1, 1, 1, 1)
 
 
 def _loop_five_point(grid, stencil):
@@ -239,6 +261,10 @@ class TestOdeMvm:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             gallery.gen_ode_mvm(4, 1.5, 0.1)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            gallery.gen_ode_mvm(1, 0.5, 0.1)
+        with pytest.raises(ValueError, match="h must be positive"):
+            gallery.gen_ode_mvm(4, 0.5, 0.0)
 
 
 class TestRowSumRhs:

@@ -175,6 +175,18 @@ class TestWriter:
             assert back.shape == a.shape
             assert (back != a).nnz == 0  # exact equality of stored values
 
+    @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array])
+    def test_complex_input_rejected_before_writing(self, storage, tmp_path):
+        a = storage(np.array([[1 + 2j, 3]]))
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"^a must be real, got dtype complex128$"):
+            mmio.write_matrix_market(a, buf)
+        assert buf.getvalue() == ""
+        path = tmp_path / "c.mtx"
+        with pytest.raises(ValueError, match="must be real"):
+            mmio.write_matrix_market(a, path)
+        assert not path.exists()
+
 
 class TestScipyOracle:
     """Independent reader cross-check against scipy.io.mmread."""

@@ -11,8 +11,8 @@ from trisolve import feasibility, triangle
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, norm2
+from trisolve.results import finish
 from trisolve.triangle import (
-    _Run,
     min_norm_solve,
     move_to_pivot,
     solve_adaptive,
@@ -150,6 +150,11 @@ class TestSolveInBall:
                 assert res.lower_bound <= norm2(x_star) * (1 + 1e-9)
         assert seen >= 30  # half-radius balls almost always exclude b
 
+    def test_non_finite_iterate_names_its_cause(self):
+        res = solve_in_ball(np.eye(2), [np.nan, 1.0], rho=1.0, eps=1e-8)
+        assert res.status == "numerical_failure"
+        assert res.detail == "non-finite iterate"
+
 
 class TestSolveAdaptive:
     def test_first_pass_radius_jump(self):
@@ -165,6 +170,8 @@ class TestSolveAdaptive:
         res = solve_adaptive(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), eps=1e-10)
         assert res.status == "approx_solution"
         assert np.abs(res.x - 1.0).max() <= 1e-9
+        # the final ellipsoid iterate b' = Ax comes back with the run
+        assert np.allclose(res.b_prime, np.diag([1.0, 2.0]) @ res.x, rtol=0, atol=1e-12)
 
     def test_inconsistent_reaches_normal_equation(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -267,6 +274,18 @@ class TestMinNorm:
         if res.status == "normal_eq_solution":
             assert res.normal_residual_norm <= 1e-10
 
+    def test_pivot_direction_vanishing_ends_the_bisection(self):
+        # the first radius, ||x_eps|| / 2, reaches x = (1, 0), where
+        # A^T(b - Ax) = 0 exactly
+        a = np.array([[1.0, 0.0], [0.0, 0.0]])
+        res = min_norm_solve(a, np.array([1.0, 1.0]), eps=2.0, x_eps=np.array([1.0, 5.0]))
+        assert res.status == "normal_eq_solution"
+        assert res.detail == "pivot direction vanished during bisection"
+        assert res.iterations == 1
+        assert res.rho == pytest.approx(math.sqrt(26.0) / 2, rel=1e-15)
+        assert res.rho_interval == pytest.approx((0.0, math.sqrt(26.0)), rel=1e-15)
+        assert res.normal_residual_norm == 0.0
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("solve", [
@@ -366,7 +385,7 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_ca
     """The pivot loop written out plainly: the pivot point and
     ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
     ``b - b'``, every product through ``np.dot``.  Like the lean loop it
-    starts from ``x0`` whenever one is given."""
+    starts from ``x0`` whenever one is given, and returns through ``finish``."""
     m, n = op.shape
     if x0 is None:
         x, b_prime = np.zeros(n), np.zeros(m)
@@ -380,24 +399,25 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_ca
         alpha = min(1.0, max(0.0, alpha))
         return b_prime + alpha * d, (1.0 - alpha) * x + alpha * preimage
 
+    def done(status, detail="", bound=None):
+        return finish(status, op, b, x, iterations, trace, rho=rho, b_prime=b_prime,
+                      lower_bound=bound, detail=detail)
+
     bound = None
     iterations = since_revalidate = 0
     while iterations < max_iters:
         gap = b - b_prime
         gap_norm = norm2(gap)
         if not math.isfinite(gap_norm):
-            return _Run("numerical_failure", iterations, x, b_prime, rho, None,
-                        "non-finite iterate")
+            return done("numerical_failure", "non-finite iterate")
         if gap_norm <= eps:
-            return _Run("approx_solution", iterations, x, b_prime, rho, None, "")
+            return done("approx_solution")
         c = op.rmatvec(gap)
         c_norm = norm2(c)
         if not math.isfinite(c_norm):
-            return _Run("numerical_failure", iterations, x, b_prime, rho, None,
-                        "non-finite pivot direction")
+            return done("numerical_failure", "non-finite pivot direction")
         if c_norm <= eps_prime:
-            return _Run("normal_eq_solution", iterations, x, b_prime, rho, None,
-                        "pivot direction vanished" if c_norm == 0.0
+            return done("normal_eq_solution", "pivot direction vanished" if c_norm == 0.0
                         else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
@@ -426,20 +446,19 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_ca
         if cone:
             x_min = float(x.min()) if n else 0.0
             if x_min < -1e-12:
-                return _Run("numerical_failure", iterations, x, b_prime, rho, None,
-                            "iterate left the nonnegative cone")
+                return done("numerical_failure", "iterate left the nonnegative cone")
             trace.append(offset + iterations, rho, gap_norm, c_norm, event, x_min, wall)
         else:
             trace.append(offset + iterations, rho, gap_norm, c_norm, event, wall)
         iterations += 1
         if stop is not None:
-            return _Run(stop, iterations, x, b_prime, rho, bound, detail)
+            return done(stop, detail, bound)
         if event == "pivot":
             since_revalidate += 1
             if since_revalidate >= 512:
                 b_prime = op.matvec(x)
                 since_revalidate = 0
-    return _Run("iteration_cap", iterations, x, b_prime, rho, None, "")
+    return done("iteration_cap")
 
 
 def _system(seed, m, n, cols=None):
@@ -455,7 +474,7 @@ def _lp(seed):
 
 _A, _Bc = _system(21, 12, 18, cols=5)
 _ILL = np.diag(np.geomspace(1.0, 1e-3, 10)) @ np.random.default_rng(5).standard_normal((10, 14))
-# name: (driver call, the _Run statuses it must produce)
+# name: (driver call, the statuses its pivot runs must produce)
 _LOOP_CASES = {
     "fixed-radius-witness": (lambda: solve_in_ball(_A, _Bc, rho=0.5, eps=1e-9), ["witness"]),
     "adaptive-warm-start": (lambda: solve_adaptive(sparse.csr_array(_A), _Bc, eps=1e-9,
@@ -483,7 +502,8 @@ def _record(loop, runs):
     def recording(*args, **kwargs):
         run = loop(*args, **kwargs)
         runs.append((run.status, run.iterations, run.x.tobytes(), run.b_prime.tobytes(),
-                     run.rho, run.bound, run.detail))
+                     run.rho, run.lower_bound, run.detail, run.residual_norm,
+                     run.normal_residual_norm))
         return run
     return recording
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -76,16 +77,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="trisolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_matrix_source(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--mtx", metavar="PATH", help="Matrix Market file")
-        group.add_argument(
-            "--gen", metavar="FAMILY:N[:PARAMS]", action="append",
-            help="generator spec, e.g. diag-pd:1000 or dorr:100:0.01",
-        )
+    def add_gen(p, **kwargs):
+        # "append", so that a second spec is refused rather than kept
+        p.add_argument("--gen", metavar="FAMILY:N[:PARAMS]", action="append",
+                       help="generator spec, e.g. diag-pd:1000 or dorr:100:0.01", **kwargs)
 
     solve = sub.add_parser("solve", help="solve one system with b = row sums")
-    add_matrix_source(solve)
+    source = solve.add_mutually_exclusive_group(required=True)
+    source.add_argument("--mtx", metavar="PATH", help="Matrix Market file")
+    add_gen(source)
     solve.add_argument("--algo", choices=["cta", "ta", "hybrid", "lpfeas"], default="cta")
     solve.add_argument("--eps", type=float, default=1e-10)
     solve.add_argument("--eps-prime", type=float, default=None)
@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--dump-x", metavar="PATH", help="write x in Matrix Market array format")
 
     gen = sub.add_parser("generate", help="write a generator family to Matrix Market")
-    gen.add_argument("--gen", metavar="FAMILY:N[:PARAMS]", required=True)
+    add_gen(gen, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", metavar="PATH", required=True)
 
@@ -118,37 +118,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_gen_spec(spec: str):
+def _generate(args):
+    """The matrix of the one ``--gen`` spec in ``args``, and its family."""
+    if len(args.gen) != 1:
+        raise ValueError(f"{args.command} takes exactly one --gen spec")
+    spec = args.gen[0]
     parts = spec.split(":")
-    if len(parts) < 2:
+    if not 2 <= len(parts) <= 3:
         raise ValueError(f"generator spec {spec!r} must look like FAMILY:N[:PARAMS]")
     family = parts[0]
     try:
         n = int(parts[1])
     except ValueError:
         raise ValueError(f"generator spec {spec!r}: N must be an integer") from None
-    params = []
-    if len(parts) > 2:
-        try:
-            params = [float(tok) for tok in parts[2].split(",") if tok]
-        except ValueError:
-            raise ValueError(f"generator spec {spec!r}: bad parameter list") from None
-    return family, n, params
+    try:
+        params = [float(tok) for tok in parts[2].split(",") if tok] if len(parts) == 3 else []
+    except ValueError:
+        raise ValueError(f"generator spec {spec!r}: bad parameter list") from None
+    return gallery.make(family, n, params, args.seed), family
 
 
 def _load_matrix(args):
-    if args.mtx:
-        if not os.path.exists(args.mtx):
-            raise ValueError(f"matrix file not found: {args.mtx}")
-        try:
-            matrix = mmio.read_matrix_market(args.mtx)
-        except mmio.MatrixMarketError as exc:
-            raise ValueError(f"{args.mtx}: {exc}") from None
-        return matrix, None
-    if len(args.gen) != 1:
-        raise ValueError("solve takes exactly one --gen spec")
-    family, n, params = _parse_gen_spec(args.gen[0])
-    return gallery.make(family, n, params, args.seed), family
+    if args.gen:
+        return _generate(args)
+    if not os.path.exists(args.mtx):
+        raise ValueError(f"matrix file not found: {args.mtx}")
+    try:
+        return mmio.read_matrix_market(args.mtx), None
+    except mmio.MatrixMarketError as exc:
+        raise ValueError(f"{args.mtx}: {exc}") from None
 
 
 def _run_algorithm(matrix, b, args):
@@ -218,8 +216,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    family, n, params = _parse_gen_spec(args.gen)
-    matrix = gallery.make(family, n, params, args.seed)
+    matrix, family = _generate(args)
     mmio.write_matrix_market(matrix, args.out)
     m, n_cols = shape_of(matrix)
     print(f"wrote {family} ({m} x {n_cols}, nnz={nnz_of(matrix)}) to {args.out}")
@@ -231,7 +228,7 @@ def _cmd_dynamics(args) -> int:
         eigs = [float(tok) for tok in args.eigenvalues.split(",")]
     except ValueError:
         raise ValueError(f"bad eigenvalue list {args.eigenvalues!r}") from None
-    if len(eigs) != 2 or min(eigs) <= 0:
+    if len(eigs) != 2 or not all(0.0 < e < math.inf for e in eigs):
         raise ValueError("--lambda needs two positive eigenvalues, e.g. 1,3")
     h2 = np.diag(eigs)
     write_phase_portrait(h2, args.svg, args.trace, num_starts=args.starts,

@@ -172,7 +172,7 @@ def phase_portrait(h2: np.ndarray, num_starts: int = 24, steps: int = 12):
     if h2.shape != (2, 2):
         raise ValueError("phase portraits are drawn for 2x2 operators")
     lam, u = np.linalg.eigh(h2)
-    if lam[0] <= 0.0:
+    if not lam[0] > 0.0:   # NaN fails this test too
         raise ValueError("H must be positive definite")
     rows = []
     orbits = []

@@ -11,9 +11,11 @@ Every generator is bit-deterministic for a fixed argument tuple.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .linalg import matvec, scipy_sparse
+from .linalg import check_positive, matvec, scipy_sparse
 
 DIAG_PD = "pd"
 DIAG_PSD = "psd"
@@ -81,8 +83,7 @@ def gen_dorr(n: int, theta: float = 0.01):
     ill-conditioned as ``theta`` shrinks."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    check_positive(theta=theta)
     h = 1.0 / (n + 1)
     term = theta / h**2
     sub = np.zeros(n)    # sub[i] multiplies y_{i-1} in row i
@@ -153,24 +154,23 @@ def gen_poisson2d(grid: int, bc: str = POISSON_DIRICHLET):
     return _five_point(grid, 4.0 if bc == POISSON_DIRICHLET else None, -1.0, -1.0, -1.0, -1.0)
 
 
-def gen_convdiff(grid: int, p1: float, p2: float, p3: float):
+def gen_convdiff(grid: int, p1: float = 1.0, p2: float = 1.0, p3: float = 1.0):
     """Convection-diffusion operator ``-Lap(u) + 2 p1 u_x + 2 p2 u_y - p3 u``
     on the unit square, central differences on the 5-point stencil, scaled by
     ``h^2`` (sparse CSR, ``grid^2 x grid^2``).  Nonsymmetric whenever ``p1``
     or ``p2`` is nonzero."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if p1 <= 0 or p2 <= 0 or p3 <= 0:
-        raise ValueError("p1, p2, p3 must be positive")
+    check_positive(p1=p1, p2=p2, p3=p3)
     h = 1.0 / (grid + 1)
     return _five_point(grid, 4.0 - p3 * h * h, -1.0 - p1 * h, -1.0 + p1 * h,
                        -1.0 - p2 * h, -1.0 + p2 * h)
 
 
-def gen_ode_mvm(n: int, gamma: float, h: float) -> np.ndarray:
+def gen_ode_mvm(n: int, gamma: float = 0.5, h: float | None = None) -> np.ndarray:
     """``M = A^{-1} B`` for the finite-difference operator ``A`` of
     ``y'' = -mu^2 y`` with ``y(0) = 0`` and ``y'(0) + gamma y'(1) = 0``,
-    and ``B = h^2 diag(1, ..., 1, 0)``.
+    and ``B = h^2 diag(1, ..., 1, 0)``; ``h`` defaults to ``1 / (n + 1)``.
 
     ``A`` is the second-difference matrix whose last row carries the mixed
     boundary condition (eliminating the ghost node adds a ``-1/gamma`` corner
@@ -186,8 +186,9 @@ def gen_ode_mvm(n: int, gamma: float, h: float) -> np.ndarray:
         raise ValueError("n must be at least 2")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if h is None:
+        h = 1.0 / (n + 1)
+    check_positive(h=h)
     # Banded part T: rows 0..n-2 are (1, -2, 1); the last row is (1, -1).
     ab = np.zeros((3, n))
     ab[0, 1:] = 1.0                      # superdiagonal
@@ -214,66 +215,32 @@ def row_sum_rhs(a) -> np.ndarray:
     return matvec(a, np.ones(a.shape[1]))
 
 
-# CLI-facing registry: family name -> (constructor from (n, params, seed), notes)
-def _make_diag(kind):
-    def make(n, params, seed):
-        return gen_diag(kind, n, seed)
-    return make
-
-
-def _make_clement(n, params, seed):
-    return gen_clement(n)
-
-
-def _make_dorr(n, params, seed):
-    theta = params[0] if params else 0.01
-    return gen_dorr(n, theta)
-
-
-def _make_lotkin(n, params, seed):
-    return gen_lotkin(n)
-
-
-def _make_poisson(bc):
-    def make(n, params, seed):
-        return gen_poisson2d(n, bc)
-    return make
-
-
-def _make_convdiff(n, params, seed):
-    p1, p2, p3 = (params + [1.0, 1.0, 1.0])[:3]
-    return gen_convdiff(n, p1, p2, p3)
-
-
-def _make_ode(n, params, seed):
-    gamma = params[0] if params else 0.5
-    h = params[1] if len(params) > 1 else 1.0 / (n + 1)
-    return gen_ode_mvm(n, gamma, h)
-
-
-def _make_gram(n, params, seed):
-    return gen_gram_psd(n, seed)
-
-
+# family name -> (generator, number of parameters it takes after n, takes
+# seed); the generator's own defaults fill the parameters a spec leaves out
 FAMILIES = {
-    "diag-pd": _make_diag(DIAG_PD),
-    "diag-psd": _make_diag(DIAG_PSD),
-    "diag-indef": _make_diag(DIAG_INDEFINITE),
-    "gram-psd": _make_gram,
-    "clement": _make_clement,
-    "dorr": _make_dorr,
-    "lotkin": _make_lotkin,
-    "poisson-d": _make_poisson(POISSON_DIRICHLET),
-    "poisson-n": _make_poisson(POISSON_NEUMANN),
-    "convdiff": _make_convdiff,
-    "ode": _make_ode,
+    "diag-pd": (functools.partial(gen_diag, DIAG_PD), 0, True),
+    "diag-psd": (functools.partial(gen_diag, DIAG_PSD), 0, True),
+    "diag-indef": (functools.partial(gen_diag, DIAG_INDEFINITE), 0, True),
+    "gram-psd": (gen_gram_psd, 0, True),
+    "clement": (gen_clement, 0, False),
+    "dorr": (gen_dorr, 1, False),
+    "lotkin": (gen_lotkin, 0, False),
+    "poisson-d": (functools.partial(gen_poisson2d, bc=POISSON_DIRICHLET), 0, False),
+    "poisson-n": (functools.partial(gen_poisson2d, bc=POISSON_NEUMANN), 0, False),
+    "convdiff": (gen_convdiff, 3, False),
+    "ode": (gen_ode_mvm, 2, False),
 }
 
 
 def make(family: str, n: int, params: list[float] | None = None, seed: int = 0):
-    """Build a family member by name; ``n`` is the grid dimension for the
-    ``poisson-*`` and ``convdiff`` families (matrix order ``n^2``) and the
-    matrix order otherwise."""
+    """Build a family member by name, passing ``params`` positionally after
+    ``n`` and ``seed`` to the seeded families only; ``n`` is the grid
+    dimension for the ``poisson-*`` and ``convdiff`` families (matrix order
+    ``n^2``) and the matrix order otherwise."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[family](n, list(params or []), seed)
+    generator, num_params, seeded = FAMILIES[family]
+    params = list(params or [])
+    if len(params) > num_params:
+        raise ValueError(f"{family} takes at most {num_params} parameters, got {len(params)}")
+    return generator(n, *params, seed=seed) if seeded else generator(n, *params)

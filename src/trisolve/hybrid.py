@@ -111,8 +111,9 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
             return _stage_one_only(stage1, detail="stage two skipped: ||A^T b|| underflows to 0")
         stage2 = solve_adaptive(GramProduct(op), g, eps=opts.eps_ta * g_norm,
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
-        x = (stage2.x if stage2.normal_residual_norm <= stage1.normal_residual_norm
-             else stage1.x)
+        # stage two's residual is the pair's, A^T (b - A x): the same
+        # quantity as stage one's normal residual
+        x = stage2.x if stage2.residual_norm <= stage1.normal_residual_norm else stage1.x
         # An approximate solution of the pair is a normal-equation solution
         # of the original system.
         final_status = (NORMAL_EQ_SOLUTION if stage2.status == APPROX_SOLUTION

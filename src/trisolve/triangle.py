@@ -267,13 +267,15 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
             best_x = run.x
             # an approximate solution may undershoot ||x*||: keep the bracket ordered
             rho_hi = max(rho_lo, min(rho, norm2(run.x)))
-            trace.append(iterations, rho_hi, norm2(b - run.b_prime), 0.0, "shrink", wall)
+            trace.append(iterations, rho_hi, run.residual_norm, run.normal_residual_norm,
+                         "shrink", wall)
         elif run.status == WITNESS:
             # Clamping to rho_hi keeps the bracket ordered; a smaller lower
             # bound is weaker but stays certified (no exact solution lies
             # strictly inside any radius below the witness bound).
             rho_lo = min(max(rho_lo, run.lower_bound), rho_hi)
-            trace.append(iterations, rho_lo, norm2(b - run.b_prime), 0.0, "expand", wall)
+            trace.append(iterations, rho_lo, run.residual_norm, run.normal_residual_norm,
+                         "expand", wall)
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
             return replace(run, iterations=iterations, rho_interval=(rho_lo, rho_hi),

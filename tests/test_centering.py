@@ -15,6 +15,7 @@ from trisolve.centering import (
     _step_arrays,
 )
 from trisolve.linalg import HOperator, matvec, matvec_transpose, norm2, prepare_system
+from trisolve.results import Trace
 
 
 def _lstsq_reference(mom, t):
@@ -95,6 +96,8 @@ class TestMomentSystem:
         h = HOperator(np.array([[2.0]]), "a")
         mom = moments(h, np.array([1.0]), 1)
         assert np.allclose(min_norm_coefficients(mom), [0.5])
+        with pytest.raises(ValueError, match=r"order 2 outside 1\.\.1"):
+            min_norm_coefficients(mom, 2)
 
     def test_order_two_closed_form(self):
         rng = np.random.default_rng(2)
@@ -357,6 +360,8 @@ class TestDriver:
                                      "normal_residual_norm", "wall_ns")
         norms = res.trace.column("residual_norm")
         assert all(b2 <= a2 * (1 + 1e-10) for a2, b2 in zip(norms, norms[1:]))
+        with pytest.raises(ValueError, match="trace row has 1 fields, schema has 2"):
+            Trace(("a", "b")).append(1)
 
     def test_known_solvable_disables_normal_clause(self):
         # a small-singular-value consistent system: the normal-equation

@@ -107,6 +107,9 @@ class TestSolve:
             (["solve", "--gen", "dorr:10:a"], "'dorr:10:a': bad parameter list"),
             (["solve", "--gen", "diag-pd:5", "--gen", "diag-pd:6"],
              "solve takes exactly one --gen spec"),
+            (["solve", "--gen", "clement:5:3,4"], "clement takes at most 0 parameters, got 2"),
+            (["solve", "--gen", "dorr:10:0.1:5"], "must look like FAMILY:N[:PARAMS]"),
+            (["solve", "--gen", "dorr:10:nan"], "theta must be finite and positive"),
         ]:
             assert run(argv) == 1
             assert message in capsys.readouterr().err
@@ -202,6 +205,14 @@ class TestGenerate:
 
     def test_bad_spec(self, capsys):
         assert run(["generate", "--gen", "diag-pd", "--out", "x.mtx"]) == 1
+        capsys.readouterr()
+        for argv, message in [
+            (["--gen", "diag-pd:5", "--gen", "diag-pd:6"], "generate takes exactly one --gen spec"),
+            (["--gen", "dorr:10:nan"], "theta must be finite and positive, got nan"),
+            (["--gen", "ode:6:0.5,inf"], "h must be finite and positive, got inf"),
+        ]:
+            assert run(["generate", *argv, "--out", "x.mtx"]) == 1
+            assert message in capsys.readouterr().err
 
 
 class TestDynamicsCommand:
@@ -216,8 +227,9 @@ class TestDynamicsCommand:
 
     def test_bad_lambda(self, capsys):
         assert run(["dynamics", "--lambda", "1"]) == 1
-        assert run(["dynamics", "--lambda", "0,3"]) == 1
-        assert "needs two positive eigenvalues" in capsys.readouterr().err
+        for eigs in ("0,3", "nan,3", "3,inf"):
+            assert run(["dynamics", "--lambda", eigs]) == 1
+            assert "needs two positive eigenvalues" in capsys.readouterr().err
         assert run(["dynamics", "--lambda", "a,b"]) == 1
         assert "bad eigenvalue list 'a,b'" in capsys.readouterr().err
 

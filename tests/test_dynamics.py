@@ -170,6 +170,9 @@ class TestPhasePortrait:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             phase_portrait(np.diag([-1.0, 2.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="H must be positive definite"):
+                phase_portrait(np.diag([bad, 2.0]))
 
 
 class TestDynamicsInvariants:

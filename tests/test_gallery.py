@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from trisolve import gallery
+from trisolve import cli, gallery, mmio
 from trisolve.linalg import matvec
 
 
@@ -88,8 +89,9 @@ class TestDorr:
         assert conds[0] < conds[1] < conds[2]
 
     def test_rejects_bad_theta(self):
-        with pytest.raises(ValueError):
-            gallery.gen_dorr(5, 0.0)
+        for theta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta must be finite and positive"):
+                gallery.gen_dorr(5, theta)
         with pytest.raises(ValueError, match="n must be at least 3"):
             gallery.gen_dorr(2)
 
@@ -170,6 +172,10 @@ class TestConvDiff:
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
             gallery.gen_convdiff(3, 0.0, 1.0, 1.0)
+        for params, name in [((np.nan, 1, 1), "p1"), ((1, np.inf, 1), "p2"),
+                             ((1, 1, -np.inf), "p3")]:
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                gallery.gen_convdiff(3, *params)
         with pytest.raises(ValueError, match="grid must be at least 2"):
             gallery.gen_convdiff(1, 1, 1, 1)
 
@@ -263,8 +269,11 @@ class TestOdeMvm:
             gallery.gen_ode_mvm(4, 1.5, 0.1)
         with pytest.raises(ValueError, match="n must be at least 2"):
             gallery.gen_ode_mvm(1, 0.5, 0.1)
-        with pytest.raises(ValueError, match="h must be positive"):
-            gallery.gen_ode_mvm(4, 0.5, 0.0)
+        for h in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="h must be finite and positive"):
+                gallery.gen_ode_mvm(4, 0.5, h)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            gallery.gen_ode_mvm(4, np.nan)
 
 
 class TestRowSumRhs:
@@ -306,6 +315,26 @@ def test_determinism_and_row_sum_consistency(family, n, params, seed):
 def test_make_rejects_unknown_family():
     with pytest.raises(ValueError):
         gallery.make("hilbert", 5)
+    with pytest.raises(ValueError, match="clement takes at most 0 parameters, got 2"):
+        gallery.make("clement", 5, [3.0, 4.0])
+    with pytest.raises(ValueError, match="convdiff takes at most 3 parameters, got 4"):
+        gallery.make("convdiff", 3, [1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("family", sorted(gallery.FAMILIES))
+def test_family_row_matches_its_generator(family, tmp_path):
+    generator, num_params, seeded = gallery.FAMILIES[family]
+    parameters = inspect.signature(generator).parameters
+    positional = [name for name, p in parameters.items()
+                  if p.kind is p.POSITIONAL_OR_KEYWORD and name != "seed"]
+    assert num_params == len(positional) - 1   # the first is n
+    assert seeded == ("seed" in parameters)
+    # every family writes a file the reader takes back bit for bit
+    out = tmp_path / "a.mtx"
+    assert cli.main(["generate", "--gen", f"{family}:4", "--seed", "3", "--out", str(out)]) == 0
+    expected = dense(gallery.make(family, 4, seed=3))
+    got = dense(mmio.read_matrix_market(out))
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 _IMPORT_SCRIPT = """

@@ -65,6 +65,19 @@ class TestHybrid:
         best = min(stage1.normal_residual_norm, stage2.normal_residual_norm)
         assert res.normal_residual_norm <= best * (1 + 1e-9)
 
+    def test_normal_equation_branch_keeps_the_better_iterate(self):
+        # stage two solves (A^T A) x = A^T b: its residual_norm, not its
+        # normal_residual_norm, measures what stage one's ||A^T r|| does
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((60, 40))
+        b = rng.standard_normal(60)
+        res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-8, eps_ta=1e-10))
+        stage1, stage2 = res.stage_results
+        assert res.status == "normal_eq_solution"
+        assert stage2.residual_norm < stage1.normal_residual_norm
+        assert res.x.tobytes() == stage2.x.tobytes()
+        assert res.normal_residual_norm <= 1e-10 * norm2(a.T @ b)
+
     def test_underflowing_normal_rhs_returns_stage_one(self):
         # ||b|| is fine, but ||A^T b|| = 1.7e-170 underflows in norm2: stage
         # two could not measure its tolerance, and its entry would raise

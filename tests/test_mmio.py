@@ -72,11 +72,13 @@ class TestReader:
         assert a[0, 0] == 3.0 and info.duplicates == 1
 
     def test_comments_and_blank_lines_skipped(self):
-        a = read_str(
-            "%%MatrixMarket matrix coordinate real general\n"
-            "% a comment\n\n2 2 1\n% another\n1 1 9.0\n\n"
-        )
+        text = ("%%MatrixMarket matrix coordinate real general\n"
+                "% a comment\n\n2 2 1\n% another\n1 1 9.0\n\n")
+        a = read_str(text)
         assert a[0, 0] == 9.0
+        # a byte source may start with a byte-order mark
+        b = mmio.read_matrix_market(io.BytesIO(text.encode("utf-8-sig")))
+        assert b[0, 0] == 9.0
 
 
 class TestReaderErrors:
@@ -133,6 +135,15 @@ class TestReaderErrors:
     def test_bad_size_line(self):
         with pytest.raises(mmio.MatrixMarketError):
             read_str("%%MatrixMarket matrix coordinate real general\n2 2\n")
+        head = "%%MatrixMarket matrix coordinate real general\n"
+        for text, message in [
+            ("", "line 1: empty input"),
+            (head + "% only a comment\n", "line 1: missing size line"),
+            (head + "0 3 0\n", "line 2: matrix dimensions must be positive"),
+            (head + "3 x 5\n", "line 2: expected an integer, got 'x'"),
+        ]:
+            with pytest.raises(mmio.MatrixMarketError, match=message):
+                read_str(text)
 
 
 class TestWriter:

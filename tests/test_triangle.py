@@ -538,6 +538,10 @@ def test_lean_loop_matches_the_plain_loop(name, monkeypatch):
     if statuses is None:
         assert len(statuses_seen) > 3
         assert {"approx_solution", "witness"} <= set(statuses_seen)
+        # each bisection row reports its run's norms, measured from its x
+        bisection = [row for row in outcomes[0][1] if row[4] in ("shrink", "expand")]
+        assert {row[4] for row in bisection} == {"shrink", "expand"}
+        assert all(row[2] > 0.0 and row[3] > 0.0 for row in bisection)
     else:
         assert statuses_seen == statuses
     assert any(apex) == (name == "apex-pivot")

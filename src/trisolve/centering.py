@@ -177,8 +177,7 @@ class CenteringOptions:
     def validated(self, m: int) -> "CenteringOptions":
         if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not isinstance(self.t_max, numbers.Integral) or self.t_max < 1:
-            raise ValueError(f"t_max must be an integer of at least 1, got {self.t_max!r}")
+        check_count(at_least=1, t_max=self.t_max)
         check_count(max_iters=self.max_iters)
         out = self
         if self.t_max > m:

@@ -247,7 +247,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (MemoryError, OSError, ValueError) as exc:  # numpy's MemoryError gives the shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

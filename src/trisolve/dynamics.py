@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import H_MODE_SYMMETRIC, HOperator, norm2
+from .linalg import H_MODE_SYMMETRIC, HOperator, check_count, norm2
 
 
 def _as_operator(h) -> HOperator:
@@ -51,6 +51,7 @@ class Orbit:
 def first_order_orbit(h, r0: np.ndarray, steps: int) -> Orbit:
     """Iterate the first-order map ``steps`` times, stopping early on an
     exactly zero residual or an exactly zero ``H r``."""
+    check_count(steps=steps)
     op = _as_operator(h)
     r = np.asarray(r0, dtype=np.float64).copy()
     points = [r.copy()]
@@ -168,6 +169,7 @@ def phase_portrait(h2: np.ndarray, num_starts: int = 24, steps: int = 12):
     and a deterministic SVG drawing of the orbit polylines with the critical
     lines overlaid (omitted when the eigenvalues coincide).
     """
+    check_count(at_least=1, num_starts=num_starts)
     h2 = np.asarray(h2, dtype=np.float64)
     if h2.shape != (2, 2):
         raise ValueError("phase portraits are drawn for 2x2 operators")

@@ -12,10 +12,11 @@ Every generator is bit-deterministic for a fixed argument tuple.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from .linalg import check_positive, matvec, scipy_sparse
+from .linalg import check_count, check_positive, matvec, scipy_sparse
 
 DIAG_PD = "pd"
 DIAG_PSD = "psd"
@@ -37,8 +38,8 @@ def gen_diag(kind: str, n: int, seed: int = 0):
     with one forced zero, one forced positive and one forced negative entry,
     so class membership is testable rather than probabilistic.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(at_least=1, n=n)
+    check_count(seed=seed)
     rng = np.random.default_rng(seed)
     hi = 3.0 * n
     if kind == DIAG_PD:
@@ -62,8 +63,8 @@ def gen_diag(kind: str, n: int, seed: int = 0):
 def gen_gram_psd(n: int, seed: int = 0) -> np.ndarray:
     """Dense PSD matrix ``B^T B`` with ``B`` uniform on [0, 1); the seeded
     alternative to the diagonal PSD family."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(at_least=1, n=n)
+    check_count(seed=seed)
     b = np.random.default_rng(seed).random((n, n))
     return b.T @ b
 
@@ -71,8 +72,7 @@ def gen_gram_psd(n: int, seed: int = 0) -> np.ndarray:
 def gen_clement(n: int):
     """Symmetric tridiagonal with zero diagonal and off-diagonals
     ``sqrt(k (n - k))``; singular for odd ``n``."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_count(at_least=2, n=n)
     k = np.arange(1, n, dtype=np.float64)
     off = np.sqrt(k * (n - k))
     return _csr_diagonals([off, off], [-1, 1])
@@ -81,8 +81,7 @@ def gen_clement(n: int):
 def gen_dorr(n: int, theta: float = 0.01):
     """Dorr tridiagonal matrix: a row-diagonally-dominant M-matrix that grows
     ill-conditioned as ``theta`` shrinks."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
+    check_count(at_least=3, n=n)
     check_positive(theta=theta)
     h = 1.0 / (n + 1)
     term = theta / h**2
@@ -102,8 +101,7 @@ def gen_dorr(n: int, theta: float = 0.01):
 def gen_lotkin(n: int) -> np.ndarray:
     """Lotkin matrix: first row all ones, the rest the corresponding Hilbert
     rows.  Nonsymmetric and severely ill-conditioned."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_count(at_least=2, n=n)
     i = np.arange(n, dtype=np.float64)[:, None]
     j = np.arange(n, dtype=np.float64)[None, :]
     a = 1.0 / (i + j + 1.0)
@@ -147,8 +145,7 @@ def gen_poisson2d(grid: int, bc: str = POISSON_DIRICHLET):
     the boundary) give the singular PSD grid-graph Laplacian, whose nullspace
     contains the constant vector.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    check_count(at_least=2, grid=grid)
     if bc not in (POISSON_DIRICHLET, POISSON_NEUMANN):
         raise ValueError(f"unknown boundary condition {bc!r}")
     return _five_point(grid, 4.0 if bc == POISSON_DIRICHLET else None, -1.0, -1.0, -1.0, -1.0)
@@ -159,8 +156,7 @@ def gen_convdiff(grid: int, p1: float = 1.0, p2: float = 1.0, p3: float = 1.0):
     on the unit square, central differences on the 5-point stencil, scaled by
     ``h^2`` (sparse CSR, ``grid^2 x grid^2``).  Nonsymmetric whenever ``p1``
     or ``p2`` is nonzero."""
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+    check_count(at_least=2, grid=grid)
     check_positive(p1=p1, p2=p2, p3=p3)
     h = 1.0 / (grid + 1)
     return _five_point(grid, 4.0 - p3 * h * h, -1.0 - p1 * h, -1.0 + p1 * h,
@@ -182,13 +178,14 @@ def gen_ode_mvm(n: int, gamma: float = 0.5, h: float | None = None) -> np.ndarra
     # and no other code path needs it
     import scipy.linalg
 
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_count(at_least=2, n=n)
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if h is None:
         h = 1.0 / (n + 1)
     check_positive(h=h)
+    if not 0.0 < h * h < math.inf:
+        raise ValueError(f"h * h must be finite and positive, got h = {h!r}")
     # Banded part T: rows 0..n-2 are (1, -2, 1); the last row is (1, -1).
     ab = np.zeros((3, n))
     ab[0, 1:] = 1.0                      # superdiagonal

@@ -9,6 +9,7 @@ normal-equation pair ``(A^T A, A^T b)``, with the product applied implicitly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 from .centering import CenteringOptions, centering_solve
@@ -44,13 +45,16 @@ class HybridOptions:
 
 
 def _merged_trace(stages) -> Trace:
+    """One trace of ``(name, result, start_ns)`` stages; ``start_ns`` moves
+    a stage's ``wall_ns``, counted from the stage's own start, onto one
+    clock."""
     merged = Trace(HYBRID_TRACE_COLUMNS)
     row = 0
-    for name, result in stages:
+    for name, result, start_ns in stages:
         trace = result.trace
-        for values in zip(trace.column("residual_norm"), trace.column("normal_residual_norm"),
-                          trace.column("wall_ns")):
-            merged.append(row, name, *values)
+        for *norms, wall in zip(trace.column("residual_norm"),
+                                trace.column("normal_residual_norm"), trace.column("wall_ns")):
+            merged.append(row, name, *norms, start_ns + wall)
             row += 1
     return merged
 
@@ -58,7 +62,7 @@ def _merged_trace(stages) -> Trace:
 def _stage_one_only(stage1: SolveResult, **changes) -> SolveResult:
     """The solve's result when the second stage cannot run: stage one's
     status, iterate and norms, with the merged trace."""
-    return replace(stage1, trace=_merged_trace([("stage1", stage1)]),
+    return replace(stage1, trace=_merged_trace([("stage1", stage1, 0)]),
                    stage_results=[stage1], **changes)
 
 
@@ -78,6 +82,7 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     check_count(max_iters_stage1=opts.max_iters_stage1, max_iters_stage2=opts.max_iters_stage2,
                 min_norm_inner_cap=opts.min_norm_inner_cap)
 
+    t0 = time.perf_counter_ns()
     stage1 = centering_solve(op, b, CenteringOptions(
         epsilon=opts.eps_cta, t_max=opts.t_max, h_mode=opts.h_mode,
         max_iters=opts.max_iters_stage1,
@@ -85,6 +90,9 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
 
     if stage1.status == NUMERICAL_FAILURE:
         return _stage_one_only(stage1)
+    # stage one's rows count from its own start, after t0: shifted by this,
+    # stage two's rows come after them
+    stage2_start = time.perf_counter_ns() - t0
     if stage1.status == APPROX_SOLUTION and opts.want_min_norm:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.
@@ -120,7 +128,7 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
                         else stage2.status)
 
     return finish(final_status, op, b, x, stage1.iterations + stage2.iterations,
-                  _merged_trace([("stage1", stage1), ("stage2", stage2)]),
+                  _merged_trace([("stage1", stage1, 0), ("stage2", stage2, stage2_start)]),
                   rho=stage2.rho, rho_interval=stage2.rho_interval,
                   lower_bound=stage2.lower_bound, detail=stage2.detail,
                   stage_results=[stage1, stage2])

@@ -233,12 +233,13 @@ def check_positive(**named) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def check_count(**named) -> None:
+def check_count(at_least: int = 0, **named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not an
-    integer of at least 0, such as an iteration cap."""
+    integer of at least ``at_least``: an iteration cap, a size, a seed, an
+    order or a step count."""
     for name, value in named.items():
-        if not (isinstance(value, numbers.Integral) and value >= 0):
-            raise ValueError(f"{name} must be an integer of at least 0, got {value!r}")
+        if not (isinstance(value, numbers.Integral) and value >= at_least):
+            raise ValueError(f"{name} must be an integer of at least {at_least}, got {value!r}")
 
 
 class GramProduct:

@@ -210,6 +210,10 @@ class TestGenerate:
             (["--gen", "diag-pd:5", "--gen", "diag-pd:6"], "generate takes exactly one --gen spec"),
             (["--gen", "dorr:10:nan"], "theta must be finite and positive, got nan"),
             (["--gen", "ode:6:0.5,inf"], "h must be finite and positive, got inf"),
+            (["--gen", "ode:3:0.5,1e308"], "h * h must be finite and positive, got h = 1e+308"),
+            (["--gen", "diag-pd:5", "--seed", "-1"],
+             "seed must be an integer of at least 0, got -1"),
+            (["--gen", "clement:1"], "n must be an integer of at least 2, got 1"),
         ]:
             assert run(["generate", *argv, "--out", "x.mtx"]) == 1
             assert message in capsys.readouterr().err
@@ -233,6 +237,17 @@ class TestDynamicsCommand:
         assert run(["dynamics", "--lambda", "a,b"]) == 1
         assert "bad eigenvalue list 'a,b'" in capsys.readouterr().err
 
+    def test_bad_counts(self, tmp_path, capsys):
+        for argv, message in [
+            (["--steps", "-1"], "steps must be an integer of at least 0, got -1"),
+            (["--starts", "0"], "num_starts must be an integer of at least 1, got 0"),
+        ]:
+            svg = tmp_path / "p.svg"
+            assert run(["dynamics", *argv, "--svg", str(svg),
+                        "--trace", str(tmp_path / "p.csv")]) == 1
+            assert message in capsys.readouterr().err
+            assert not svg.exists()
+
     def test_deterministic_output(self, tmp_path):
         texts = []
         for tag in ("a", "b"):
@@ -242,6 +257,19 @@ class TestDynamicsCommand:
                         "--svg", str(svg), "--trace", str(trace)]) == 0
             texts.append((svg.read_text(), trace.read_text()))
         assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_memory_error_is_a_usage_error(command, monkeypatch, capsys):
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def make(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.gallery, "make", make)
+    out = ["--out", "x.mtx"] if command == "generate" else []
+    assert run([command, "--gen", "lotkin:100000", *out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_help_exits_zero(capsys):

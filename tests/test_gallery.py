@@ -37,7 +37,7 @@ class TestDiagonal:
             gallery.gen_diag("indefinite", 2)
         with pytest.raises(ValueError, match="unknown diagonal kind 'nosuch'"):
             gallery.gen_diag("nosuch", 5)
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 1, got 0$"):
             gallery.gen_gram_psd(0)
 
     def test_gram_psd_alternative(self):
@@ -68,7 +68,7 @@ class TestClement:
             assert np.linalg.matrix_rank(a) == n - 1
 
     def test_rejects_degenerate_size(self):
-        with pytest.raises(ValueError, match="n must be at least 2"):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 2, got 1$"):
             gallery.gen_clement(1)
 
 
@@ -92,7 +92,7 @@ class TestDorr:
         for theta in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="theta must be finite and positive"):
                 gallery.gen_dorr(5, theta)
-        with pytest.raises(ValueError, match="n must be at least 3"):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 3, got 2$"):
             gallery.gen_dorr(2)
 
 
@@ -107,7 +107,7 @@ class TestLotkin:
         assert gallery.gen_lotkin(3)[2, 2] == 1.0 / 5.0
 
     def test_rejects_degenerate_size(self):
-        with pytest.raises(ValueError, match="n must be at least 2"):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 2, got 1$"):
             gallery.gen_lotkin(1)
 
 
@@ -144,7 +144,7 @@ class TestPoisson:
                     assert np.isclose(a[k, k], off_sums[k])
 
     def test_rejects_bad_grid_and_boundary(self):
-        with pytest.raises(ValueError, match="grid must be at least 2"):
+        with pytest.raises(ValueError, match="^grid must be an integer of at least 2, got 1$"):
             gallery.gen_poisson2d(1)
         with pytest.raises(ValueError, match="unknown boundary condition 'robin'"):
             gallery.gen_poisson2d(4, "robin")
@@ -176,7 +176,7 @@ class TestConvDiff:
                              ((1, 1, -np.inf), "p3")]:
             with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
                 gallery.gen_convdiff(3, *params)
-        with pytest.raises(ValueError, match="grid must be at least 2"):
+        with pytest.raises(ValueError, match="^grid must be an integer of at least 2, got 1$"):
             gallery.gen_convdiff(1, 1, 1, 1)
 
 
@@ -267,9 +267,10 @@ class TestOdeMvm:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             gallery.gen_ode_mvm(4, 1.5, 0.1)
-        with pytest.raises(ValueError, match="n must be at least 2"):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 2, got 1$"):
             gallery.gen_ode_mvm(1, 0.5, 0.1)
-        for h in (0.0, np.nan, np.inf):
+        # 1e308 and 1e-200 are finite and positive, but h * h is not
+        for h in (0.0, np.nan, np.inf, 1e308, 1e-200):
             with pytest.raises(ValueError, match="h must be finite and positive"):
                 gallery.gen_ode_mvm(4, 0.5, h)
         with pytest.raises(ValueError, match="gamma must lie in"):

@@ -121,6 +121,25 @@ class TestHybrid:
         assert res.status == "normal_eq_solution"
 
 
+@pytest.mark.parametrize("shape, want_min_norm, branch", [
+    ((40, 60), True, "min_norm_solution"),
+    ((40, 60), False, "approx_solution"),
+    ((60, 40), False, "normal_eq_solution"),
+], ids=["min-norm", "adaptive", "normal-equation"])
+def test_merged_wall_clock_never_goes_back(shape, want_min_norm, branch):
+    # each stage times its rows from its own start; the merged trace puts
+    # stage two's after stage one's on one clock
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape[0])
+    res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-8, eps_ta=1e-10,
+                                           want_min_norm=want_min_norm))
+    assert res.status == branch
+    assert set(res.trace.column("stage")) == {"stage1", "stage2"}
+    wall = res.trace.column("wall_ns")
+    assert all(later >= earlier for earlier, later in zip(wall, wall[1:]))
+
+
 @pytest.mark.parametrize("want_min_norm", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("shape", [(6, 6), (4, 7), (7, 4)])

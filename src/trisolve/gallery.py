@@ -12,7 +12,6 @@ Every generator is bit-deterministic for a fixed argument tuple.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -184,8 +183,6 @@ def gen_ode_mvm(n: int, gamma: float = 0.5, h: float | None = None) -> np.ndarra
     if h is None:
         h = 1.0 / (n + 1)
     check_positive(h=h)
-    if not 0.0 < h * h < math.inf:
-        raise ValueError(f"h * h must be finite and positive, got h = {h!r}")
     # Banded part T: rows 0..n-2 are (1, -2, 1); the last row is (1, -1).
     ab = np.zeros((3, n))
     ab[0, 1:] = 1.0                      # superdiagonal
@@ -198,12 +195,18 @@ def gen_ode_mvm(n: int, gamma: float = 0.5, h: float | None = None) -> np.ndarra
     rhs[idx, idx] = h * h                # columns of B; last column stays zero
     u = np.zeros(n)
     u[n - 1] = 1.0
-    z = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    w = z[:, n]
-    tz = z[:, :n]
-    denom = 1.0 - w[0] / gamma
-    # Sherman-Morrison: A^{-1} y = T^{-1} y + w (T^{-1}y)[0] / (gamma * denom)
-    return tz + np.outer(w, tz[0, :] / (gamma * denom))
+    # T^{-1} has entries up to n in size, so M is about n h^2: a finite,
+    # positive h can still overflow M (or h * h itself) or underflow it to zero
+    with np.errstate(all="ignore"):
+        z = scipy.linalg.solve_banded((1, 1), ab, np.column_stack([rhs, u]), check_finite=False)
+        w = z[:, n]
+        tz = z[:, :n]
+        denom = 1.0 - w[0] / gamma
+        # Sherman-Morrison: A^{-1} y = T^{-1} y + w (T^{-1}y)[0] / (gamma * denom)
+        m = tz + np.outer(w, tz[0, :] / (gamma * denom))
+    if not (np.isfinite(m).all() and m.any()):
+        raise ValueError(f"h = {h!r} overflows or underflows the matrix")
+    return m
 
 
 def row_sum_rhs(a) -> np.ndarray:
@@ -233,9 +236,11 @@ def make(family: str, n: int, params: list[float] | None = None, seed: int = 0):
     """Build a family member by name, passing ``params`` positionally after
     ``n`` and ``seed`` to the seeded families only; ``n`` is the grid
     dimension for the ``poisson-*`` and ``convdiff`` families (matrix order
-    ``n^2``) and the matrix order otherwise."""
+    ``n^2``) and the matrix order otherwise.  Every family refuses a
+    ``seed`` that is not an integer of at least 0, seeded or not."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    check_count(seed=seed)
     generator, num_params, seeded = FAMILIES[family]
     params = list(params or [])
     if len(params) > num_params:

@@ -233,7 +233,7 @@ def check_positive(**named) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def check_count(at_least: int = 0, **named) -> None:
+def check_count(*, at_least: int = 0, **named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not an
     integer of at least ``at_least``: an iteration cap, a size, a seed, an
     order or a step count."""

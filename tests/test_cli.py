@@ -210,8 +210,11 @@ class TestGenerate:
             (["--gen", "diag-pd:5", "--gen", "diag-pd:6"], "generate takes exactly one --gen spec"),
             (["--gen", "dorr:10:nan"], "theta must be finite and positive, got nan"),
             (["--gen", "ode:6:0.5,inf"], "h must be finite and positive, got inf"),
-            (["--gen", "ode:3:0.5,1e308"], "h * h must be finite and positive, got h = 1e+308"),
+            (["--gen", "ode:3:0.5,1e308"], "h = 1e+308 overflows or underflows the matrix"),
+            (["--gen", "ode:3:0.5,1e154"], "h = 1e+154 overflows or underflows the matrix"),
             (["--gen", "diag-pd:5", "--seed", "-1"],
+             "seed must be an integer of at least 0, got -1"),
+            (["--gen", "clement:5", "--seed", "-1"],
              "seed must be an integer of at least 0, got -1"),
             (["--gen", "clement:1"], "n must be an integer of at least 2, got 1"),
         ]:

@@ -269,9 +269,13 @@ class TestOdeMvm:
             gallery.gen_ode_mvm(4, 1.5, 0.1)
         with pytest.raises(ValueError, match="^n must be an integer of at least 2, got 1$"):
             gallery.gen_ode_mvm(1, 0.5, 0.1)
-        # 1e308 and 1e-200 are finite and positive, but h * h is not
-        for h in (0.0, np.nan, np.inf, 1e308, 1e-200):
+        for h in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="h must be finite and positive"):
+                gallery.gen_ode_mvm(4, 0.5, h)
+        # finite and positive, but M, about n h^2 in size, overflows (h * h
+        # itself does at 1e308, not at 1e154) or underflows to zero
+        for h in (1e308, 1e154, 1e-200):
+            with pytest.raises(ValueError, match=r"^h = \S+ overflows or underflows the matrix$"):
                 gallery.gen_ode_mvm(4, 0.5, h)
         with pytest.raises(ValueError, match="gamma must lie in"):
             gallery.gen_ode_mvm(4, np.nan)

@@ -20,6 +20,7 @@ from trisolve.linalg import (
     GramProduct,
     HOperator,
     Operator,
+    check_count,
     matvec,
     matvec_transpose,
     norm2,
@@ -382,45 +383,47 @@ def test_one_row_or_column_coo_solves_as_csr(name, cls, dense, x):
     assert res.x.shape == (dense.shape[1],)
 
 
-# Every integer argument the package takes: (its name, its least value, a
-# call given the value).  The caps solve a nonzero system; the sizes go
+# Every integer argument the package takes: (its name, its least value, the
+# type a call returns, a call given the value).  The caps solve a nonzero system; the sizes go
 # through gallery.make, which reaches each generator's own check.
+_RESULT = trisolve.SolveResult
 _INTEGERS = {
-    "centering_solve": ("max_iters", 0, lambda v: centering_solve(
+    "centering_solve": ("max_iters", 0, _RESULT, lambda v: centering_solve(
         np.eye(2), [2.0, 1.0], CenteringOptions(max_iters=v))),
-    "solve_in_ball": ("max_iters", 0, lambda v: solve_in_ball(
+    "solve_in_ball": ("max_iters", 0, _RESULT, lambda v: solve_in_ball(
         np.eye(2), [2.0, 1.0], rho=10.0, eps=1e-10, max_iters=v)),
-    "solve_adaptive": ("max_iters", 0, lambda v: solve_adaptive(
+    "solve_adaptive": ("max_iters", 0, _RESULT, lambda v: solve_adaptive(
         np.eye(2), [2.0, 1.0], eps=1e-10, max_iters=v)),
-    "min_norm_solve-inner_cap": ("inner_cap", 0, lambda v: min_norm_solve(
+    "min_norm_solve-inner_cap": ("inner_cap", 0, _RESULT, lambda v: min_norm_solve(
         np.eye(2), [2.0, 1.0], eps=1e-6, x_eps=[2.0, 1.0], inner_cap=v)),
-    "min_norm_solve-max_iters": ("max_iters", 0, lambda v: min_norm_solve(
+    "min_norm_solve-max_iters": ("max_iters", 0, _RESULT, lambda v: min_norm_solve(
         np.eye(2), [2.0, 1.0], eps=1e-6, x_eps=[2.0, 1.0], max_iters=v)),
-    "nonnegative_feasibility": ("max_iters", 0, lambda v: nonnegative_feasibility(
+    "nonnegative_feasibility": ("max_iters", 0, _RESULT, lambda v: nonnegative_feasibility(
         np.eye(2), [2.0, 1.0], eps=1e-10, max_iters=v)),
-    "hybrid_solve-stage1": ("max_iters_stage1", 0, lambda v: hybrid_solve(
+    "hybrid_solve-stage1": ("max_iters_stage1", 0, _RESULT, lambda v: hybrid_solve(
         np.eye(2), [2.0, 1.0], HybridOptions(max_iters_stage1=v))),
-    "hybrid_solve-stage2": ("max_iters_stage2", 0, lambda v: hybrid_solve(
+    "hybrid_solve-stage2": ("max_iters_stage2", 0, _RESULT, lambda v: hybrid_solve(
         np.eye(2), [2.0, 1.0], HybridOptions(max_iters_stage2=v))),
-    "hybrid_solve-inner_cap": ("min_norm_inner_cap", 0, lambda v: hybrid_solve(
+    "hybrid_solve-inner_cap": ("min_norm_inner_cap", 0, _RESULT, lambda v: hybrid_solve(
         np.eye(2), [2.0, 1.0], HybridOptions(min_norm_inner_cap=v))),
-    "centering_solve-t_max": ("t_max", 1, lambda v: centering_solve(
+    "centering_solve-t_max": ("t_max", 1, _RESULT, lambda v: centering_solve(
         np.eye(2), [2.0, 1.0], CenteringOptions(t_max=v))),
-    "hybrid_solve-t_max": ("t_max", 1, lambda v: hybrid_solve(
+    "hybrid_solve-t_max": ("t_max", 1, _RESULT, lambda v: hybrid_solve(
         np.eye(2), [2.0, 1.0], HybridOptions(t_max=v))),
-    "diag-pd-n": ("n", 1, lambda v: gallery.make("diag-pd", v)),
-    "gram-psd-n": ("n", 1, lambda v: gallery.make("gram-psd", v)),
-    "clement-n": ("n", 2, lambda v: gallery.make("clement", v)),
-    "lotkin-n": ("n", 2, lambda v: gallery.make("lotkin", v)),
-    "ode-n": ("n", 2, lambda v: gallery.make("ode", v)),
-    "dorr-n": ("n", 3, lambda v: gallery.make("dorr", v)),
-    "poisson-d-grid": ("grid", 2, lambda v: gallery.make("poisson-d", v)),
-    "poisson-n-grid": ("grid", 2, lambda v: gallery.make("poisson-n", v)),
-    "convdiff-grid": ("grid", 2, lambda v: gallery.make("convdiff", v)),
-    "diag-pd-seed": ("seed", 0, lambda v: gallery.make("diag-pd", 3, seed=v)),
-    "gram-psd-seed": ("seed", 0, lambda v: gallery.make("gram-psd", 3, seed=v)),
-    "phase_portrait-steps": ("steps", 0, lambda v: phase_portrait(np.eye(2), steps=v)),
-    "phase_portrait-num_starts": ("num_starts", 1, lambda v: phase_portrait(
+    "diag-pd-n": ("n", 1, sparse.csr_array, lambda v: gallery.make("diag-pd", v)),
+    "gram-psd-n": ("n", 1, np.ndarray, lambda v: gallery.make("gram-psd", v)),
+    "clement-n": ("n", 2, sparse.csr_array, lambda v: gallery.make("clement", v)),
+    "lotkin-n": ("n", 2, np.ndarray, lambda v: gallery.make("lotkin", v)),
+    "ode-n": ("n", 2, np.ndarray, lambda v: gallery.make("ode", v)),
+    "dorr-n": ("n", 3, sparse.csr_array, lambda v: gallery.make("dorr", v)),
+    "poisson-d-grid": ("grid", 2, sparse.csr_array, lambda v: gallery.make("poisson-d", v)),
+    "poisson-n-grid": ("grid", 2, sparse.csr_array, lambda v: gallery.make("poisson-n", v)),
+    "convdiff-grid": ("grid", 2, sparse.csr_array, lambda v: gallery.make("convdiff", v)),
+    "diag-pd-seed": ("seed", 0, sparse.csr_array, lambda v: gallery.make("diag-pd", 3, seed=v)),
+    "gram-psd-seed": ("seed", 0, np.ndarray, lambda v: gallery.make("gram-psd", 3, seed=v)),
+    "clement-seed": ("seed", 0, sparse.csr_array, lambda v: gallery.make("clement", 3, seed=v)),
+    "phase_portrait-steps": ("steps", 0, tuple, lambda v: phase_portrait(np.eye(2), steps=v)),
+    "phase_portrait-num_starts": ("num_starts", 1, tuple, lambda v: phase_portrait(
         np.eye(2), num_starts=v)),
 }
 
@@ -428,18 +431,24 @@ _INTEGERS = {
 @pytest.mark.parametrize("case", sorted(_INTEGERS))
 @pytest.mark.parametrize("value", [None, -1, "5", 2.5])
 def test_bad_cap_names_the_argument(case, value):
-    name, at_least, call = _INTEGERS[case]
+    name, at_least, _, call = _INTEGERS[case]
     if isinstance(value, int):  # an integer counts from the row's least value
         value += at_least
     with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {at_least}, got"):
         call(value)
 
 
+def test_least_value_is_keyword_only():
+    # a positional bound would make check_count(n) check nothing
+    with pytest.raises(TypeError):
+        check_count(1)
+
+
 @pytest.mark.parametrize("case", sorted(_INTEGERS))
 def test_cap_of_zero_is_valid(case):
     # each row's least value is valid; numpy integers count as integers
-    _, at_least, call = _INTEGERS[case]
-    assert call(np.int64(at_least)) is not None
+    _, at_least, expected, call = _INTEGERS[case]
+    assert isinstance(call(np.int64(at_least)), expected)
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))

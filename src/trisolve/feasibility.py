@@ -15,7 +15,6 @@ inconclusive, never as "infeasible".
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import replace
 
 from .linalg import (check_count, check_positive, norm2, prepare, prepare_system,
@@ -67,7 +66,7 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
         check_positive(rho_max=rho_max)
     # eps_prime = -inf: the cone search has no normal-equation stop
     run = _pivot_loop(op, b, None, 0.0, eps, -math.inf, max_iters, trace,
-                      time.perf_counter_ns(), rho_cap=rho_max, cone=True)
+                      rho_cap=rho_max, cone=True)
     status, detail = run.status, run.detail
     if status == APPROX_SOLUTION:
         status = FEASIBLE

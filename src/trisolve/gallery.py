@@ -178,8 +178,7 @@ def gen_ode_mvm(n: int, gamma: float = 0.5, h: float | None = None) -> np.ndarra
     import scipy.linalg
 
     check_count(at_least=2, n=n)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
+    check_positive(below=1.0, gamma=gamma)
     if h is None:
         h = 1.0 / (n + 1)
     check_positive(h=h)

@@ -9,7 +9,6 @@ normal-equation pair ``(A^T A, A^T b)``, with the product applied implicitly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 from .centering import CenteringOptions, centering_solve
@@ -44,28 +43,6 @@ class HybridOptions:
     min_norm_inner_cap: int = 250_000
 
 
-def _merged_trace(stages) -> Trace:
-    """One trace of ``(name, result, start_ns)`` stages; ``start_ns`` moves
-    a stage's ``wall_ns``, counted from the stage's own start, onto one
-    clock."""
-    merged = Trace(HYBRID_TRACE_COLUMNS)
-    row = 0
-    for name, result, start_ns in stages:
-        trace = result.trace
-        for *norms, wall in zip(trace.column("residual_norm"),
-                                trace.column("normal_residual_norm"), trace.column("wall_ns")):
-            merged.append(row, name, *norms, start_ns + wall)
-            row += 1
-    return merged
-
-
-def _stage_one_only(stage1: SolveResult, **changes) -> SolveResult:
-    """The solve's result when the second stage cannot run: stage one's
-    status, iterate and norms, with the merged trace."""
-    return replace(stage1, trace=_merged_trace([("stage1", stage1, 0)]),
-                   stage_results=[stage1], **changes)
-
-
 @quiet_floating_point
 def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     """Run the centering stage, then the triangle stage, warm-started.  Both
@@ -76,23 +53,23 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     then carries stage one's status and a detail naming the underflow."""
     opts = options or HybridOptions()
     op, b, b_norm = prepare_system(a, b)
+    # both stages' rows, on this trace's clock
+    trace = Trace(HYBRID_TRACE_COLUMNS)
     if b_norm == 0.0:
-        return zero_rhs(APPROX_SOLUTION, op.shape[1], Trace(HYBRID_TRACE_COLUMNS))
-    check_positive(eps_cta=opts.eps_cta, eps_ta=opts.eps_ta)
+        return zero_rhs(APPROX_SOLUTION, op.shape[1], trace)
+    check_positive(below=1.0, eps_cta=opts.eps_cta)
+    check_positive(eps_ta=opts.eps_ta)
     check_count(max_iters_stage1=opts.max_iters_stage1, max_iters_stage2=opts.max_iters_stage2,
                 min_norm_inner_cap=opts.min_norm_inner_cap)
 
-    t0 = time.perf_counter_ns()
     stage1 = centering_solve(op, b, CenteringOptions(
         epsilon=opts.eps_cta, t_max=opts.t_max, h_mode=opts.h_mode,
         max_iters=opts.max_iters_stage1,
     ))
+    trace.extend(stage1.trace, stage="stage1")
 
     if stage1.status == NUMERICAL_FAILURE:
-        return _stage_one_only(stage1)
-    # stage one's rows count from its own start, after t0: shifted by this,
-    # stage two's rows come after them
-    stage2_start = time.perf_counter_ns() - t0
+        return replace(stage1, trace=trace, stage_results=[stage1])
     if stage1.status == APPROX_SOLUTION and opts.want_min_norm:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.
@@ -116,7 +93,8 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
             # the pair's right side is nonzero, but its norm underflows:
             # stage two's entry refuses such a right side, and its
             # tolerance, relative to that norm, would be 0
-            return _stage_one_only(stage1, detail="stage two skipped: ||A^T b|| underflows to 0")
+            return replace(stage1, trace=trace, stage_results=[stage1],
+                           detail="stage two skipped: ||A^T b|| underflows to 0")
         stage2 = solve_adaptive(GramProduct(op), g, eps=opts.eps_ta * g_norm,
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
         # stage two's residual is the pair's, A^T (b - A x): the same
@@ -127,8 +105,8 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         final_status = (NORMAL_EQ_SOLUTION if stage2.status == APPROX_SOLUTION
                         else stage2.status)
 
-    return finish(final_status, op, b, x, stage1.iterations + stage2.iterations,
-                  _merged_trace([("stage1", stage1, 0), ("stage2", stage2, stage2_start)]),
+    trace.extend(stage2.trace, stage="stage2")
+    return finish(final_status, op, b, x, stage1.iterations + stage2.iterations, trace,
                   rho=stage2.rho, rho_interval=stage2.rho_interval,
                   lower_bound=stage2.lower_bound, detail=stage2.detail,
                   stage_results=[stage1, stage2])

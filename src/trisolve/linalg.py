@@ -225,12 +225,15 @@ def prepare_system(a, b, transpose: bool = True):
     return op, b, b_norm
 
 
-def check_positive(**named) -> None:
+def check_positive(*, below: float = math.inf, **named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not a
-    finite positive number."""
+    number in the open interval ``(0, below)``: by default a finite positive
+    number, with ``below=1`` a tolerance relative to ``||b||``."""
     for name, value in named.items():
-        if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (isinstance(value, numbers.Real) and 0.0 < value < below):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}"
+                             if below == math.inf else
+                             f"{name} must lie in (0, {below:g}), got {value!r}")
 
 
 def check_count(*, at_least: int = 0, **named) -> None:
@@ -279,7 +282,7 @@ class HOperator:
         self.operator = prepare(a, transpose=mode == H_MODE_GRAM)
         m, n = self.operator.shape
         if mode == H_MODE_SYMMETRIC and m != n:
-            raise ValueError("symmetric mode requires a square matrix")
+            raise ValueError(f"h_mode {mode!r} needs a square matrix, got {m} x {n}")
         self.mode = mode
         self.dim = m  # H acts on residuals of length m
 

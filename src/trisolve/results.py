@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,18 +24,38 @@ _SUCCESS = frozenset({APPROX_SOLUTION, NORMAL_EQ_SOLUTION, MIN_NORM_SOLUTION, FE
 
 
 class Trace:
-    """Per-iteration records with a fixed column schema, writable as CSV."""
+    """Per-iteration records with a fixed column schema, writable as CSV.
+
+    The first column is ``iter`` and the last ``wall_ns``; the trace stamps
+    both itself.  ``iter`` is the row's number, from 0, and ``wall_ns`` the
+    nanoseconds since the trace was created (``start_ns``), so it never
+    decreases down a trace.
+    """
 
     def __init__(self, columns: tuple[str, ...]):
         self.columns = tuple(columns)
         self.rows: list[tuple] = []
+        self.start_ns = time.perf_counter_ns()
 
-    def append(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(
-                f"trace row has {len(values)} fields, schema has {len(self.columns)}"
-            )
-        self.rows.append(values)
+    def append(self, *fields) -> None:
+        """Add a row from the fields between ``iter`` and ``wall_ns``."""
+        if len(fields) != len(self.columns) - 2:
+            raise ValueError(f"trace row has {len(fields)} fields between iter and wall_ns, "
+                             f"schema has {len(self.columns) - 2}")
+        rows = self.rows
+        rows.append((len(rows), *fields, time.perf_counter_ns() - self.start_ns))
+
+    def extend(self, other: Trace, **constants) -> None:
+        """Add ``other``'s rows, numbered on from this trace's last row and
+        moved onto this trace's clock.  Each field between ``iter`` and
+        ``wall_ns`` is the value in ``constants`` under its column's name, or
+        else ``other``'s column of that name."""
+        shift = other.start_ns - self.start_ns
+        fields = [[constants[name]] * len(other) if name in constants else other.column(name)
+                  for name in self.columns[1:-1]]
+        rows = self.rows
+        for *values, wall in zip(*fields, other.column("wall_ns")):
+            rows.append((len(rows), *values, shift + wall))
 
     def __len__(self) -> int:
         return len(self.rows)

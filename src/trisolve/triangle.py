@@ -17,7 +17,6 @@ approximate minimum-norm solution, and the nonnegative-cone search of
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -65,8 +64,8 @@ def move_to_pivot(b_prime, x_prime, v, preimage, gap):
     return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
 
 
-def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
-                cone=False, offset=0) -> SolveResult:
+def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
+                cone=False) -> SolveResult:
     """The Triangle Algorithm iteration shared by every driver.
 
     Each step takes the gap ``b - b'`` and the direction ``c = A^T(b - b')``,
@@ -79,7 +78,8 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
     The run starts from the float64 vector ``x0``, or from the origin when
     it is None; a fixed-radius caller passes an ``x0`` inside the ball.  The
     result carries the run's final ``rho``, ``b_prime``, the witness bound
-    as ``lower_bound`` and ``detail``.
+    as ``lower_bound`` and ``detail``.  Each iteration adds one row to
+    ``trace``, which numbers and times it.
     """
     m, n = op.shape
     if x0 is None:
@@ -112,7 +112,6 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(gap.dot(b))
-        wall = time.perf_counter_ns() - t0
         stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
             # Farkas: y = b - b' has A^T y <= 0 and y^T b > 0
@@ -142,9 +141,9 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=No
                 # negative; a violation means the state is corrupt
                 status, detail = NUMERICAL_FAILURE, "iterate left the nonnegative cone"
                 break
-            trace.append(offset + iterations, rho, gap_norm, c_norm, event, x_min, wall)
+            trace.append(rho, gap_norm, c_norm, event, x_min)
         else:
-            trace.append(offset + iterations, rho, gap_norm, c_norm, event, wall)
+            trace.append(rho, gap_norm, c_norm, event)
         iterations += 1
         if stop is not None:
             status = stop
@@ -171,7 +170,7 @@ def solve_in_ball(a, b, rho, eps, max_iters=100_000) -> SolveResult:
         return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=rho)
     check_positive(rho=rho, eps=eps)
     check_count(max_iters=max_iters)
-    return _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace, time.perf_counter_ns())
+    return _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace)
 
 
 @quiet_floating_point
@@ -197,7 +196,7 @@ def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> Sol
     if x0 is not None:
         x0 = as_vector("x0", x0, op.shape[1])
         rho = norm2(x0)
-    return _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, time.perf_counter_ns(),
+    return _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace,
                        rho_cap=4.0 * b_norm ** 2 / eps_prime)
 
 
@@ -245,7 +244,6 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     rho_lo = 0.0
     best_x = x_eps.copy()
     warm = None
-    t0 = time.perf_counter_ns()
     iterations = 0
     status = MIN_NORM_SOLUTION
     detail = ""
@@ -259,23 +257,20 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         if warm is not None and not norm2(warm) <= rho * (1.0 + 1e-9):
             warm = None   # a fixed-radius run must start inside its ball
         run = _pivot_loop(op, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
-                          min(inner_cap, max_iters - iterations), trace, t0, offset=iterations)
+                          min(inner_cap, max_iters - iterations), trace)
         iterations += run.iterations
         warm = run.x
-        wall = time.perf_counter_ns() - t0
         if run.status == APPROX_SOLUTION:
             best_x = run.x
             # an approximate solution may undershoot ||x*||: keep the bracket ordered
             rho_hi = max(rho_lo, min(rho, norm2(run.x)))
-            trace.append(iterations, rho_hi, run.residual_norm, run.normal_residual_norm,
-                         "shrink", wall)
+            trace.append(rho_hi, run.residual_norm, run.normal_residual_norm, "shrink")
         elif run.status == WITNESS:
             # Clamping to rho_hi keeps the bracket ordered; a smaller lower
             # bound is weaker but stays certified (no exact solution lies
             # strictly inside any radius below the witness bound).
             rho_lo = min(max(rho_lo, run.lower_bound), rho_hi)
-            trace.append(iterations, rho_lo, run.residual_norm, run.normal_residual_norm,
-                         "expand", wall)
+            trace.append(rho_lo, run.residual_norm, run.normal_residual_norm, "expand")
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
             return replace(run, iterations=iterations, rho_interval=(rho_lo, rho_hi),

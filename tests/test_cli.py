@@ -148,6 +148,13 @@ class TestSolve:
         assert paths["--trace"].exists()
         assert not mmio.read_matrix_market(paths["--dump-x"]).any()
 
+    @pytest.mark.parametrize("algo", ["cta", "hybrid"])
+    def test_symmetric_mode_needs_square_input(self, tmp_path, capsys, algo):
+        path = tmp_path / "rect.mtx"
+        mmio.write_matrix_market(np.arange(1.0, 7.0).reshape(3, 2), path)
+        assert run(["solve", "--mtx", str(path), "--algo", algo, "--h-mode", "a"]) == 1
+        assert "h_mode 'a' needs a square matrix, got 3 x 2" in capsys.readouterr().err
+
     def test_min_norm_flag(self, tmp_path):
         summary = tmp_path / "s.json"
         rc = run(["solve", "--gen", "diag-pd:30", "--algo", "hybrid",
@@ -217,6 +224,7 @@ class TestGenerate:
             (["--gen", "clement:5", "--seed", "-1"],
              "seed must be an integer of at least 0, got -1"),
             (["--gen", "clement:1"], "n must be an integer of at least 2, got 1"),
+            (["--gen", "ode:6:1.5"], "gamma must lie in (0, 1), got 1.5"),
         ]:
             assert run(["generate", *argv, "--out", "x.mtx"]) == 1
             assert message in capsys.readouterr().err

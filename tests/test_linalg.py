@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ from trisolve.linalg import (
     HOperator,
     Operator,
     check_count,
+    check_positive,
     matvec,
     matvec_transpose,
     norm2,
@@ -92,7 +94,7 @@ class TestHOperator:
         assert np.allclose(h.apply(r), r)
 
     def test_symmetric_mode_needs_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^h_mode 'a' needs a square matrix, got 2 x 3$"):
             HOperator(np.ones((2, 3)), "a")
 
     def test_gram_quadratic_form_nonnegative(self):
@@ -449,6 +451,35 @@ def test_cap_of_zero_is_valid(case):
     # each row's least value is valid; numpy integers count as integers
     _, at_least, expected, call = _INTEGERS[case]
     assert isinstance(call(np.int64(at_least)), expected)
+
+
+# the tolerances relative to ||b|| and the ode family's gamma lie in (0, 1)
+_INTERVALS = {
+    "epsilon": (_RESULT, lambda v: centering_solve(
+        np.eye(2), [2.0, 1.0], CenteringOptions(epsilon=v))),
+    "eps_cta": (_RESULT, lambda v: hybrid_solve(np.eye(2), [2.0, 1.0], HybridOptions(eps_cta=v))),
+    "gamma": (np.ndarray, lambda v: gallery.gen_ode_mvm(4, v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVALS))
+@pytest.mark.parametrize("value", [0.0, 1.0, 2.0, -0.5, np.nan, np.inf, "a", None])
+def test_open_interval_names_the_argument(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\), got "
+                                         rf"{re.escape(repr(value))}$"):
+        _INTERVALS[name][1](value)
+
+
+@pytest.mark.parametrize("name", sorted(_INTERVALS))
+def test_open_interval_admits_its_inside(name):
+    expected, call = _INTERVALS[name]
+    assert isinstance(call(np.float64(0.5)), expected)
+
+
+def test_bound_is_keyword_only():
+    # a positional bound would make check_positive(x) check nothing
+    with pytest.raises(TypeError):
+        check_positive(1.0)
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))

@@ -1,10 +1,13 @@
 """The stable surfaces, pinned: the public names, the ``solve`` flags, the
 option fields and the driver parameters.  A new knob or a removed name shows
-up here as a one-line diff."""
+up here as a one-line diff.  One rule of the layout is pinned too: which
+modules read the clock."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import trisolve
 from trisolve import cli
@@ -58,3 +61,19 @@ def test_driver_parameters():
         "nonnegative_feasibility": ["a", "b", "eps", "rho_max", "max_iters"],
         "hybrid_solve": ["a", "b", "options"],
     }
+
+
+def test_only_the_trace_and_the_cli_read_the_clock():
+    # results.Trace stamps every trace row; the CLI times the whole solve
+    importers = set()
+    for path in sorted(Path(trisolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "time" in modules:
+                importers.add(path.name)
+    assert importers == {"results.py", "cli.py"}

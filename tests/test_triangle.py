@@ -1,6 +1,5 @@
 import functools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import scipy.sparse as sparse
 
 from conftest import check_witness
 from trisolve import feasibility, triangle
+from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, norm2
@@ -374,14 +374,16 @@ _BAD_TOLERANCES += [(f"{name}-{value}", functools.partial(_SOLVE_WITH[name], val
 @pytest.mark.parametrize("solve, name", [case[1:] for case in _BAD_TOLERANCES],
                          ids=[case[0] for case in _BAD_TOLERANCES])
 def test_bad_tolerance_names_the_argument(solve, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+    # the first-stage tolerance is relative to ||b||, so it lies below 1 too
+    rule = r"lie in \(0, 1\)" if name == "eps_cta" else "be finite and positive"
+    with pytest.raises(ValueError, match=f"^{name} must {rule}, got "):
         solve()
 
 
 # --- the lean iteration gives the bits of the plain one ----------------------
 
-def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_cap=None,
-                    cone=False, offset=0):
+def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
+                    cone=False):
     """The pivot loop written out plainly: the pivot point and
     ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
     ``b - b'``, every product through ``np.dot``.  Like the lean loop it
@@ -422,7 +424,6 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_ca
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(np.dot(gap, b))
-        wall = time.perf_counter_ns() - t0
         stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
             event, stop = "witness", "witness"
@@ -447,9 +448,9 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, t0, rho_ca
             x_min = float(x.min()) if n else 0.0
             if x_min < -1e-12:
                 return done("numerical_failure", "iterate left the nonnegative cone")
-            trace.append(offset + iterations, rho, gap_norm, c_norm, event, x_min, wall)
+            trace.append(rho, gap_norm, c_norm, event, x_min)
         else:
-            trace.append(offset + iterations, rho, gap_norm, c_norm, event, wall)
+            trace.append(rho, gap_norm, c_norm, event)
         iterations += 1
         if stop is not None:
             return done(stop, detail, bound)
@@ -496,6 +497,27 @@ _LOOP_CASES = {
     "revalidate": (lambda: solve_in_ball(_ILL, _ILL.sum(axis=1), rho=1e3, eps=1e-12,
                                          max_iters=700), ["iteration_cap"]),
 }
+
+# one solve per driver; the min-norm case both shrinks and expands, so its
+# trace interleaves inner pivot rows with bisection rows
+_STAMPED = {
+    "centering_solve": lambda: centering_solve(_A, _Bc, CenteringOptions(epsilon=1e-9)),
+    "solve_in_ball": _LOOP_CASES["revalidate"][0],
+    "solve_adaptive": _LOOP_CASES["adaptive-warm-start"][0],
+    "min_norm_solve": _LOOP_CASES["min-norm-bisection"][0],
+    "nonnegative_feasibility": _LOOP_CASES["cone-feasible"][0],
+    "hybrid_solve": lambda: hybrid_solve(_A, _Bc, HybridOptions(eps_cta=1e-8, eps_ta=1e-10,
+                                                                want_min_norm=True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STAMPED))
+def test_trace_rows_are_numbered_and_timed_in_order(name):
+    trace = _STAMPED[name]().trace
+    assert len(trace) > 1
+    assert trace.column("iter") == list(range(len(trace)))
+    wall = trace.column("wall_ns")
+    assert all(later >= earlier for earlier, later in zip(wall, wall[1:]))
 
 
 def _record(loop, runs):

@@ -9,6 +9,9 @@ the order through a triangle wave ``1, 2, ..., t_max, t_max-1, ..., 1, ...``
 and stops when either the residual norm or the quadratic form ``r^T H r``
 falls under tolerance; the latter certifies an approximate normal-equation
 solution.
+
+In Gram mode on dense ``A`` with ``m <= n`` the driver forms ``G = A A^T``
+once and carries ``y`` with ``x = A^T y`` (see :class:`CenteringOptions`).
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ class NormalEquationReached(Exception):
 @dataclass
 class Moments:
     """Moments ``phi_1..phi_2t`` of ``r`` under ``H``, with the Krylov
-    vectors ``p_i = H^i r`` (and ``q_i = A^T p_{i-1}`` in Gram mode) that
-    produced them, kept for reuse in the residual and solution updates."""
+    vectors ``p_i = H^i r`` and, in Gram mode, the directions
+    ``q_i = A^T p_{i-1}`` (``p_{i-1}`` itself with ``H``'s ``gram`` formed)
+    that produced them, kept for reuse in the residual and solution
+    updates."""
 
     t: int
     phi: np.ndarray
@@ -161,6 +166,19 @@ class CenteringOptions:
     cap, and ``h_mode`` selects ``H = A`` (``"a"``, symmetric ``A``) or
     ``H = A A^T`` (``"aat"``).
 
+    In Gram mode on dense ``A`` (a ``numpy.ndarray`` or array-like, not a
+    caller's operator) with no more rows than columns, the driver forms
+    ``G = A A^T`` once and carries ``y`` with ``x = A^T y``: ``H`` is applied
+    as ``G p``, which reads ``m^2`` entries instead of ``2mn``, and ``A^T``
+    only at the drift rechecks.  The solve goes on with ``x = A^T y``, its
+    true residual and ``H`` as ``A (A^T p)`` once a clause would stop it,
+    once ``sqrt(phi_1)`` (``||A^T r||``, free with ``G``) falls to the
+    rounding of ``G``, or once ``y`` drifts beyond the recheck's budget; so
+    every status stands on ``x``'s true residual.  This changes the bits and
+    iteration counts of those solves, not what their statuses mean.  Sparse
+    or tall ``A``, symmetric mode and caller-supplied operators carry ``x``
+    throughout.
+
     ``known_solvable`` disables the normal-equation clause: when the system
     is known consistent the residual clause alone suffices, and on matrices
     with small singular values the normal-equation certificate would
@@ -185,10 +203,12 @@ class CenteringOptions:
 
 def _step_arrays(x, r, t, h, r_norm=None):
     """One order-``t`` step on raw arrays; ``r_norm`` is ``||r||`` when the
-    caller has it.
+    caller has it.  With ``h.gram`` formed, ``x`` is ``y`` of ``x = A^T y``.
 
     Returns ``(x_new, r_new, used_order, atr_norm)`` where ``atr_norm`` is
-    ``||A^T r||`` (``||A r||`` in symmetric mode) of the incoming residual.
+    ``||A^T r||`` (``||A r||`` in symmetric mode) of the incoming residual;
+    with ``h.gram`` formed it is ``sqrt(phi_1)``, whose ``phi_1`` carries
+    rounding of size ``u ||A||^2 ||r||^2``.
     If a step at order ``t`` fails to shrink the residual numerically, it is
     retried at lower orders on the same Krylov vectors; the best candidate
     wins.
@@ -196,7 +216,12 @@ def _step_arrays(x, r, t, h, r_norm=None):
     mom = moments(h, r, t)
     if mom.phi[1] == 0.0:  # phi_2 = ||H r||^2, so H r = 0 exactly
         raise NormalEquationReached
-    atr_norm = norm2(mom.transposed[0]) if mom.transposed is not None else norm2(mom.krylov[1])
+    if h.gram is not None:
+        atr_norm = math.sqrt(abs(mom.phi[0]))  # phi_1 = r^T A A^T r
+    elif mom.transposed is not None:
+        atr_norm = norm2(mom.transposed[0])
+    else:
+        atr_norm = norm2(mom.krylov[1])
 
     if r_norm is None:
         r_norm = norm2(r)
@@ -238,30 +263,48 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     opts = opts.validated(m)
 
     h = HOperator(op, opts.h_mode)
-    x = np.zeros(n)
+    h.form_gram()
+    x = np.zeros(n if h.gram is None else m)  # y of x = A^T y while G is formed
     r = b.copy()
 
     eps_abs = opts.epsilon * b_norm
     quad_threshold = eps_abs * eps_abs
     drift_budget = 1e-10
     a_fro = op.frobenius_norm()
+    # with G formed, sqrt(phi_1) is ||A^T r|| up to the rounding of forming
+    # and applying G, at most about sqrt((m + n) u) ||A||_F ||r||
+    gram_floor = math.sqrt((m + n) * np.finfo(np.float64).eps) * a_fro
     schedule = _order_schedule(opts.t_max)
     status = ITERATION_CAP
     detail = ""
     iterations = 0
 
+    def carry_x(y):
+        """``x = A^T y``, its true residual, and ``H`` applied as
+        ``A (A^T p)``: the solve goes on with ``x``."""
+        x = op.rmatvec(y)
+        return x, b - op.matvec(x), HOperator(op, opts.h_mode)
+
     while iterations < opts.max_iters:
+        carry_y = h.gram is not None
         r_norm = norm2(r)
         if not math.isfinite(r_norm):
             status, detail = NUMERICAL_FAILURE, "non-finite residual"
             break
         if r_norm <= eps_abs:
+            if carry_y:
+                # a claim made with y stands on the true residual of x = A^T y
+                x, r, h = carry_x(x)
+                continue
             status = APPROX_SOLUTION
             break
         t = next(schedule)
         try:
             x_new, r_new, _, atr_norm = _step_arrays(x, r, t, h, r_norm)
         except NormalEquationReached:
+            if carry_y:
+                x, r, h = carry_x(x)
+                continue
             status = NORMAL_EQ_SOLUTION
             break
         except FloatingPointError as exc:
@@ -270,8 +313,16 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         except np.linalg.LinAlgError as exc:
             status, detail = NUMERICAL_FAILURE, f"moment solve failed: {exc}"
             break
+        certified = not opts.known_solvable and atr_norm * atr_norm <= quad_threshold
+        if carry_y and (certified or atr_norm <= gram_floor * r_norm):
+            # sqrt(phi_1) passes the normal-equation clause, which its
+            # rounding alone could do, or is down to that rounding, where
+            # steps on y stall (rank-deficient A, b outside its range): the
+            # step is dropped and the next one measures ||A^T r|| itself
+            x, r, h = carry_x(x)
+            continue
         trace.append(t, r_norm, atr_norm)
-        if not opts.known_solvable and atr_norm * atr_norm <= quad_threshold:
+        if certified:
             # quadratic-form clause: r^T H r under tolerance (checked through
             # ||A^T r|| in Gram mode, ||A r|| in symmetric mode)
             status = NORMAL_EQ_SOLUTION
@@ -280,12 +331,17 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         x, r = x_new, r_new
         iterations += 1
         if iterations % _RECHECK_EVERY == 0:
-            fresh = b - op.matvec(x)
+            x_now = op.rmatvec(x) if carry_y else x
+            fresh = b - op.matvec(x_now)
             drift = norm2(fresh - r)
-            scale = b_norm + a_fro * norm2(x)
-            if drift > drift_budget * scale:
+            scale = b_norm + a_fro * norm2(x_now)
+            if drift > drift_budget * scale and carry_y:
+                # y drifts faster than x would, by up to the condition of A
+                x, h = x_now, HOperator(op, opts.h_mode)
+            elif drift > drift_budget * scale:
                 status, detail = NUMERICAL_FAILURE, "residual drift exceeded budget"
                 break
             r = fresh
 
-    return finish(status, op, b, x, iterations, trace, detail=detail)
+    return finish(status, op, b, x if h.gram is None else op.rmatvec(x), iterations, trace,
+                  detail=detail)

@@ -1,4 +1,4 @@
-"""Matrix storage, the prepared operator of a solve, and the implicit
+"""Matrix storage, the prepared operator of a solve, and the
 operator ``H`` used by all solvers.
 
 Matrices are plain ``numpy.ndarray`` (dense, row-major) or ``scipy.sparse``
@@ -11,8 +11,10 @@ Objects with all four of ``matvec``, ``rmatvec``, ``shape`` and
 ``frobenius_norm`` (e.g. :class:`GramProduct`) are used as they are; anything
 else that is not a 2-D real matrix raises ``ValueError`` naming ``A``.
 ``H`` is either the matrix itself, for symmetric positive semidefinite
-input, or the Gram operator ``A A^T`` applied as ``A (A^T r)`` without ever
-forming the ``m x m`` product.
+input, or the Gram operator ``A A^T``.  :class:`HOperator` applies the Gram
+operator as ``A (A^T r)``; on request (:meth:`HOperator.form_gram`, which
+``centering_solve`` makes) it forms the ``m x m`` product once for dense
+``A`` with ``m <= n`` and applies that instead.
 
 Products on CSR storage (``A`` itself, or the stored ``A^T``) call scipy's
 compiled ``csr_matvec`` kernel directly, skipping the per-call dispatch of
@@ -28,8 +30,9 @@ needs.  No sparse object can exist before ``scipy.sparse`` is loaded, so
 
 Sparse kernels accumulate left-to-right within each row and are
 single-threaded; dense products go through BLAS and stay deterministic for a
-fixed thread count.  All objects here are immutable after construction
-and safe to share across concurrent solves.
+fixed thread count.  All objects here are immutable after construction, but
+for the one :meth:`HOperator.form_gram` call a solve makes before its first
+product, and are safe to share across concurrent solves.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import sys
 import numpy as np
 
 H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
-H_MODE_GRAM = "aat"      # H = A A^T, applied implicitly
+H_MODE_GRAM = "aat"      # H = A A^T
 
 
 @functools.cache
@@ -228,9 +231,11 @@ def prepare_system(a, b, transpose: bool = True):
 def check_positive(*, below: float = math.inf, **named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not a
     number in the open interval ``(0, below)``: by default a finite positive
-    number, with ``below=1`` a tolerance relative to ``||b||``."""
+    number, with ``below=1`` a tolerance relative to ``||b||``.  A ``bool``
+    is not a number here, though Python counts it as one."""
     for name, value in named.items():
-        if not (isinstance(value, numbers.Real) and 0.0 < value < below):
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and 0.0 < value < below):
             raise ValueError(f"{name} must be finite and positive, got {value!r}"
                              if below == math.inf else
                              f"{name} must lie in (0, {below:g}), got {value!r}")
@@ -239,9 +244,11 @@ def check_positive(*, below: float = math.inf, **named) -> None:
 def check_count(*, at_least: int = 0, **named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not an
     integer of at least ``at_least``: an iteration cap, a size, a seed, an
-    order or a step count."""
+    order or a step count.  A ``bool`` is not an integer here, though Python
+    counts it as one."""
     for name, value in named.items():
-        if not (isinstance(value, numbers.Integral) and value >= at_least):
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= at_least):
             raise ValueError(f"{name} must be an integer of at least {at_least}, got {value!r}")
 
 
@@ -271,9 +278,10 @@ class GramProduct:
 
 class HOperator:
     """The solver-side operator ``H``: mode ``"a"`` applies the matrix itself
-    (caller asserts symmetry); mode ``"aat"`` applies ``A (A^T r)`` without
-    materializing ``A A^T``.  Only the Gram mode stores ``A^T`` of a sparse
-    matrix.
+    (caller asserts symmetry); mode ``"aat"`` applies ``A A^T`` as
+    ``A (A^T r)``, or as ``gram @ r`` once :meth:`form_gram` has formed
+    ``gram``.  The constructor never forms it: ``gram`` starts as ``None``.
+    Only the Gram mode stores ``A^T`` of a sparse matrix.
     """
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
@@ -285,14 +293,34 @@ class HOperator:
             raise ValueError(f"h_mode {mode!r} needs a square matrix, got {m} x {n}")
         self.mode = mode
         self.dim = m  # H acts on residuals of length m
+        self.gram = None
+
+    def form_gram(self) -> bool:
+        """Form ``gram = A A^T`` once, with BLAS-3, when the mode is Gram and
+        ``A`` is dense :class:`Operator` storage with ``m <= n``; return
+        whether ``H`` is now applied as ``gram @ r``.  Each application then
+        reads ``m^2`` entries instead of ``2mn``, for ``m^2`` more floats,
+        never more than ``A``'s own ``mn``.  Sparse ``A`` (whose product fills
+        in), tall ``A``, symmetric mode and caller-supplied operators keep
+        their products."""
+        op = self.operator
+        m, n = op.shape
+        if (self.mode == H_MODE_GRAM and isinstance(op, Operator)
+                and type(op.matrix) is np.ndarray and m <= n):
+            self.gram = op.matrix @ op.matrix.T
+        return self.gram is not None
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """``H r``."""
         return self.apply_with_transpose(r)[0]
 
     def apply_with_transpose(self, r: np.ndarray):
-        """``(H r, A^T r)``; the transpose product is the intermediate of the
-        Gram mode and comes for free there, ``None`` in symmetric mode."""
+        """``(H r, d)``, where ``d`` is what a solver adds to its iterate along
+        ``r``: ``A^T r``, the intermediate of the Gram mode, which comes for
+        free there; ``r`` itself with ``gram`` formed, where the solver
+        carries ``y`` with ``x = A^T y``; ``None`` in symmetric mode."""
+        if self.gram is not None:
+            return self.gram @ r, r
         op = self.operator
         if self.mode == H_MODE_SYMMETRIC:
             return op.matvec(r), None

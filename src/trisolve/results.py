@@ -29,11 +29,16 @@ class Trace:
     The first column is ``iter`` and the last ``wall_ns``; the trace stamps
     both itself.  ``iter`` is the row's number, from 0, and ``wall_ns`` the
     nanoseconds since the trace was created (``start_ns``), so it never
-    decreases down a trace.
+    decreases down a trace.  A schema that does not start with ``iter`` and
+    end with ``wall_ns`` raises ``ValueError``.
     """
 
     def __init__(self, columns: tuple[str, ...]):
-        self.columns = tuple(columns)
+        columns = tuple(columns)
+        if columns[:1] != ("iter",) or columns[-1:] != ("wall_ns",):
+            raise ValueError(f"trace schema must start with 'iter' and end with 'wall_ns', "
+                             f"got {columns!r}")
+        self.columns = columns
         self.rows: list[tuple] = []
         self.start_ns = time.perf_counter_ns()
 

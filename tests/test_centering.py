@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from conftest import krylov_degree, random_instance, spd_with_spectrum
 from trisolve import centering, gallery
@@ -14,7 +15,9 @@ from trisolve.centering import (
     _order_schedule,
     _step_arrays,
 )
-from trisolve.linalg import HOperator, matvec, matvec_transpose, norm2, prepare_system
+from trisolve.hybrid import HybridOptions, hybrid_solve
+from trisolve.linalg import (GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2,
+                             prepare_system)
 from trisolve.results import Trace
 
 
@@ -364,6 +367,14 @@ class TestDriver:
                                              "wall_ns, schema has 2$"):
             Trace(("iter", "a", "b", "wall_ns")).append(1)
 
+    @pytest.mark.parametrize("columns", [("a", "b", "c"), ("iter",), (), ("wall_ns", "iter"),
+                                         ("iter", "t", "residual_norm")])
+    def test_trace_schema_is_checked(self, columns):
+        # the trace stamps its first and last columns as iter and wall_ns
+        with pytest.raises(ValueError, match="^trace schema must start with 'iter' and end "
+                                             "with 'wall_ns', got "):
+            Trace(columns)
+
     def test_known_solvable_disables_normal_clause(self):
         # a small-singular-value consistent system: the normal-equation
         # certificate arrives first unless the caller says it is solvable
@@ -487,3 +498,135 @@ class TestInvariants:
             fresh = b - matvec(a, x)
             scale = norm2(b) + np.linalg.norm(a, "fro") * norm2(x)
             assert norm2(fresh - r) <= 1e-10 * scale
+
+
+def _dense_gallery(spec):
+    family, n = spec.split(":")
+    a = gallery.make(family, int(n))
+    return a.toarray() if sparse.issparse(a) else a
+
+
+def _wide_gaussian(rank=None):
+    """A seeded 60 x 90 Gaussian, of full rank or of the given rank, with a
+    Gaussian right-hand side: consistent at full rank, not below it."""
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((60, 90))
+    if rank is not None:
+        a = rng.standard_normal((60, rank)) @ rng.standard_normal((rank, 90))
+    return a, rng.standard_normal(60)
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """What each ``HOperator.form_gram`` call returned."""
+    calls = []
+    form = HOperator.form_gram
+
+    def recorded(self):
+        calls.append(form(self))
+        return calls[-1]
+
+    monkeypatch.setattr(HOperator, "form_gram", recorded)
+    return calls
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """One entry per ``Operator.rmatvec`` call."""
+    calls = []
+    rmatvec = Operator.rmatvec
+
+    def counted(self, v):
+        calls.append(len(v))
+        return rmatvec(self, v)
+
+    monkeypatch.setattr(Operator, "rmatvec", counted)
+    return calls
+
+
+class TestExplicitGram:
+    """Gram mode on dense A with m <= n forms G = A A^T and carries y with
+    x = A^T y."""
+
+    @pytest.mark.parametrize("spec, eps, status", [
+        ("ode:400", 1e-8, "normal_eq_solution"),
+        ("clement:301", 1e-9, "approx_solution"),
+        ("convdiff:12", 1e-8, "normal_eq_solution"),
+        ("gaussian", 1e-10, "approx_solution"),
+        # steps on y stall at the rounding of G: the solve goes on with x
+        ("gaussian-rank-40", 1e-10, "normal_eq_solution"),
+        ("gaussian-rank-40", 1e-12, "normal_eq_solution"),
+    ])
+    def test_status_is_true_of_the_returned_x(self, spec, eps, status, formed):
+        if spec.startswith("gaussian"):
+            a, b = _wide_gaussian(40 if spec.endswith("40") else None)
+        else:
+            a = _dense_gallery(spec)
+            b = gallery.row_sum_rhs(a)
+        res = centering_solve(a, b, CenteringOptions(epsilon=eps, max_iters=5_000))
+        assert formed == [True]
+        assert res.status == status
+        r = b - a @ res.x
+        measured = r if status == "approx_solution" else a.T @ r
+        assert np.linalg.norm(measured) <= eps * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("spec, eps", [("clement:301", 1e-9), ("convdiff:12", 1e-8)])
+    def test_transpose_products_counted(self, spec, eps, transposes):
+        # one per recheck, one for x = A^T y once a clause passes, one at the
+        # exit, and t for the step of order t that then measures ||A^T r||
+        # to certify a normal-equation solution
+        a = _dense_gallery(spec)
+        res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=eps))
+        assert res.iterations >= 500
+        certifying = res.trace.column("t")[-1] if res.status == "normal_eq_solution" else 0
+        assert len(transposes) == res.iterations // 250 + 2 + certifying
+
+    def test_false_certificate_is_refused(self, monkeypatch):
+        # a sqrt(phi_1) that passes while ||A^T r|| fails: the solve goes on
+        # with x = A^T y and measures ||A^T r|| itself
+        a, b = _wide_gaussian()
+        opts = CenteringOptions(epsilon=1e-10)
+        plain = centering_solve(a, b, opts)
+        step, lies = centering._step_arrays, []
+
+        def lying(x, r, t, h, r_norm=None):
+            x_new, r_new, order, atr_norm = step(x, r, t, h, r_norm)
+            if h.gram is not None and not lies:
+                lies.append(atr_norm)
+                atr_norm = 0.0
+            return x_new, r_new, order, atr_norm
+
+        monkeypatch.setattr(centering, "_step_arrays", lying)
+        faked = centering_solve(a, b, opts)
+        assert len(lies) == 1 and lies[0] > 1e-10 * norm2(b)
+        assert faked.status == plain.status == "approx_solution"
+        assert norm2(b - a @ faked.x) <= 1e-10 * norm2(b)
+        assert faked.trace.column("normal_residual_norm")[0] == norm2(a.T @ b)
+
+    def test_hybrid_stage_one_forms_gram(self, formed):
+        a, b = _wide_gaussian()
+        res = hybrid_solve(a, b, HybridOptions(want_min_norm=True, eps_ta=1e-4))
+        assert formed == [True]
+        assert res.stage_results[0].status == "approx_solution"
+
+    @pytest.mark.parametrize("case", ["sparse", "tall", "symmetric", "operator"])
+    def test_other_solves_keep_their_products(self, case, formed):
+        rng = np.random.default_rng(23)
+        if case == "sparse":
+            a = gallery.make("convdiff", 6)
+            b = gallery.row_sum_rhs(a)
+            opts = CenteringOptions(epsilon=1e-8)
+        elif case == "tall":
+            a, b = rng.standard_normal((30, 20)), rng.standard_normal(30)
+            opts = CenteringOptions(epsilon=1e-8)
+        elif case == "symmetric":
+            a = gallery.make("gram-psd", 20)
+            b = gallery.row_sum_rhs(a)
+            opts = CenteringOptions(epsilon=1e-8, h_mode="a")
+        else:
+            wide = rng.standard_normal((10, 15))
+            a, b = GramProduct(wide), wide.T @ rng.standard_normal(10)
+            opts = CenteringOptions(epsilon=1e-8)
+        res = centering_solve(a, b, opts)
+        assert formed == [False]
+        assert res.success

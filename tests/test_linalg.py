@@ -108,6 +108,30 @@ class TestHOperator:
             hr = h.apply(r)
             assert float(np.dot(r, hr)) >= -1e-12
 
+    @pytest.mark.parametrize("case, formed", [
+        ("wide", True), ("square", True), ("tall", False), ("sparse", False),
+        ("symmetric", False), ("operator", False)])
+    def test_form_gram_on_dense_storage_with_m_at_most_n(self, case, formed):
+        wide = np.random.default_rng(5).standard_normal((4, 6))
+        a, mode = {"wide": (wide, "aat"), "square": (wide[:, :4], "aat"),
+                   "tall": (wide.T, "aat"), "sparse": (sparse.csr_array(wide), "aat"),
+                   "symmetric": (wide @ wide.T, "a"), "operator": (GramProduct(wide), "aat")}[case]
+        h = HOperator(a, mode)
+        assert h.gram is None  # the constructor never forms it
+        assert h.form_gram() is formed
+        assert (h.gram is not None) is formed
+
+    def test_formed_gram_applies_the_product(self):
+        rng = np.random.default_rng(6)
+        a, r = rng.standard_normal((5, 8)), rng.standard_normal(5)
+        h = HOperator(a, "aat")
+        products = h.apply(r)
+        h.form_gram()
+        hr, direction = h.apply_with_transpose(r)
+        assert direction is r  # the solver's iterate is y, with x = A^T y
+        assert np.allclose(hr, products, rtol=1e-13, atol=0.0)
+        assert np.array_equal(h.gram, h.gram.T)
+
     def test_gram_never_materializes_product(self):
         # a 1 x n matrix: the Gram product would be n x n, but only O(n)
         # work and memory are needed
@@ -480,6 +504,19 @@ def test_bound_is_keyword_only():
     # a positional bound would make check_positive(x) check nothing
     with pytest.raises(TypeError):
         check_positive(1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: centering_solve(np.eye(2), [1.0, 2.0], CenteringOptions(max_iters=False)),
+     "max_iters must be an integer of at least 0, got False"),
+    (lambda: solve_adaptive(np.eye(2), [1.0, 2.0], eps=True),
+     "eps must be finite and positive, got True"),
+], ids=["check_count", "check_positive"])
+def test_gates_refuse_bool(call, message):
+    # Python counts a bool as an integer, so True would pass as a cap of 1
+    # or a tolerance of 1.0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))

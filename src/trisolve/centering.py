@@ -6,9 +6,11 @@ residual norm over all choices of ``alpha``; they solve a ``t x t`` Hankel
 system built from the moments ``phi_k = r^T H^k r``.  The solution iterate is
 updated alongside so that ``r = b - A x`` is preserved.  The driver cycles
 the order through a triangle wave ``1, 2, ..., t_max, t_max-1, ..., 1, ...``
-and stops when either the residual norm or the quadratic form ``r^T H r``
-falls under tolerance; the latter certifies an approximate normal-equation
-solution.
+and stops when ``||r||`` or, for an approximate normal-equation solution,
+``||A^T r||`` (``||A r||`` in symmetric mode) falls under tolerance, or when
+``H r = 0``.  A status is claimed only on the true residual ``b - A x`` of
+the returned ``x``: a clause that passes on the recurrence residual sends the
+driver to that true residual, where it is tested again.
 
 In Gram mode on dense ``A`` with ``m <= n`` the driver forms ``G = A A^T``
 once and carries ``y`` with ``x = A^T y`` (see :class:`CenteringOptions`).
@@ -159,8 +161,8 @@ class CenteringOptions:
 
     ``epsilon`` is relative to ``||b||``: the driver stops with an
     approximate solution once ``||r|| <= epsilon * ||b||`` and with a
-    normal-equation solution once ``|r^T H r| <= (epsilon * ||b||)^2``
-    (i.e., in Gram mode, once ``||A^T r|| <= epsilon * ||b||``).
+    normal-equation solution once ``||A^T r|| <= epsilon * ||b||``
+    (``||A r||`` in symmetric mode).
 
     ``t_max`` is the top of the order cycle, ``max_iters`` the iteration
     cap, and ``h_mode`` selects ``H = A`` (``"a"``, symmetric ``A``) or
@@ -170,14 +172,10 @@ class CenteringOptions:
     caller's operator) with no more rows than columns, the driver forms
     ``G = A A^T`` once and carries ``y`` with ``x = A^T y``: ``H`` is applied
     as ``G p``, which reads ``m^2`` entries instead of ``2mn``, and ``A^T``
-    only at the drift rechecks.  The solve goes on with ``x = A^T y``, its
-    true residual and ``H`` as ``A (A^T p)`` once a clause would stop it,
-    once ``sqrt(phi_1)`` (``||A^T r||``, free with ``G``) falls to the
-    rounding of ``G``, or once ``y`` drifts beyond the recheck's budget; so
-    every status stands on ``x``'s true residual.  This changes the bits and
-    iteration counts of those solves, not what their statuses mean.  Sparse
-    or tall ``A``, symmetric mode and caller-supplied operators carry ``x``
-    throughout.
+    only at the drift rechecks.  Steps on ``y`` claim nothing.  The solve
+    goes on with ``x = A^T y`` and ``H`` as ``A (A^T p)`` once a clause
+    passes, once ``sqrt(phi_1)`` (``||A^T r||``, free with ``G``) falls to
+    the rounding of ``G``, or once ``y`` drifts beyond the recheck's budget.
 
     ``known_solvable`` disables the normal-equation clause: when the system
     is known consistent the residual clause alone suffices, and on matrices
@@ -279,34 +277,36 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     detail = ""
     iterations = 0
 
-    def carry_x(y):
-        """``x = A^T y``, its true residual, and ``H`` applied as
-        ``A (A^T p)``: the solve goes on with ``x``."""
-        x = op.rmatvec(y)
-        return x, b - op.matvec(x), HOperator(op, opts.h_mode)
+    def true_residual(x, h):
+        """The returned ``x`` (``A^T y`` with ``G`` formed, which ``H``
+        then stops using) and its true residual ``b - A x``."""
+        if h.gram is not None:
+            x, h = op.rmatvec(x), HOperator(op, opts.h_mode)
+        return x, b - op.matvec(x), h
 
+    fresh = False  # r is b - A x of the returned x: set by true_residual
     while iterations < opts.max_iters:
-        carry_y = h.gram is not None
         r_norm = norm2(r)
         if not math.isfinite(r_norm):
             status, detail = NUMERICAL_FAILURE, "non-finite residual"
             break
         if r_norm <= eps_abs:
-            if carry_y:
-                # a claim made with y stands on the true residual of x = A^T y
-                x, r, h = carry_x(x)
-                continue
-            status = APPROX_SOLUTION
-            break
+            if fresh:
+                status = APPROX_SOLUTION
+                break
+            x, r, h = true_residual(x, h)
+            fresh = True
+            continue
         t = next(schedule)
         try:
             x_new, r_new, _, atr_norm = _step_arrays(x, r, t, h, r_norm)
         except NormalEquationReached:
-            if carry_y:
-                x, r, h = carry_x(x)
-                continue
-            status = NORMAL_EQ_SOLUTION
-            break
+            if fresh:
+                status = NORMAL_EQ_SOLUTION
+                break
+            x, r, h = true_residual(x, h)
+            fresh = True
+            continue
         except FloatingPointError as exc:
             status, detail = NUMERICAL_FAILURE, str(exc)
             break
@@ -314,34 +314,31 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             status, detail = NUMERICAL_FAILURE, f"moment solve failed: {exc}"
             break
         certified = not opts.known_solvable and atr_norm * atr_norm <= quad_threshold
-        if carry_y and (certified or atr_norm <= gram_floor * r_norm):
-            # sqrt(phi_1) passes the normal-equation clause, which its
-            # rounding alone could do, or is down to that rounding, where
-            # steps on y stall (rank-deficient A, b outside its range): the
-            # step is dropped and the next one measures ||A^T r|| itself
-            x, r, h = carry_x(x)
+        if (certified and not fresh) or (h.gram is not None and atr_norm <= gram_floor * r_norm):
+            # the clause passed on a residual the result would not have, or
+            # sqrt(phi_1) is down to the rounding of G, where steps on y
+            # stall (rank-deficient A, b outside its range): the step is
+            # dropped and the next one measures the true residual
+            x, r, h = true_residual(x, h)
+            fresh = True
             continue
         trace.append(t, r_norm, atr_norm)
         if certified:
-            # quadratic-form clause: r^T H r under tolerance (checked through
-            # ||A^T r|| in Gram mode, ||A r|| in symmetric mode)
             status = NORMAL_EQ_SOLUTION
             detail = f"certified ||A^T A x - A^T b|| <= {eps_abs:.3e}"
             break
         x, r = x_new, r_new
+        fresh = False
         iterations += 1
         if iterations % _RECHECK_EVERY == 0:
-            x_now = op.rmatvec(x) if carry_y else x
-            fresh = b - op.matvec(x_now)
-            drift = norm2(fresh - r)
-            scale = b_norm + a_fro * norm2(x_now)
-            if drift > drift_budget * scale and carry_y:
+            x_now, r_now, h_now = true_residual(x, h)
+            if norm2(r_now - r) > drift_budget * (b_norm + a_fro * norm2(x_now)):
+                if h.gram is None:
+                    status, detail = NUMERICAL_FAILURE, "residual drift exceeded budget"
+                    break
                 # y drifts faster than x would, by up to the condition of A
-                x, h = x_now, HOperator(op, opts.h_mode)
-            elif drift > drift_budget * scale:
-                status, detail = NUMERICAL_FAILURE, "residual drift exceeded budget"
-                break
-            r = fresh
+                x, h = x_now, h_now
+            r = r_now
 
     return finish(status, op, b, x if h.gram is None else op.rmatvec(x), iterations, trace,
                   detail=detail)

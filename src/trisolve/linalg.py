@@ -279,7 +279,7 @@ class GramProduct:
 class HOperator:
     """The solver-side operator ``H``: mode ``"a"`` applies the matrix itself
     (caller asserts symmetry); mode ``"aat"`` applies ``A A^T`` as
-    ``A (A^T r)``, or as ``gram @ r`` once :meth:`form_gram` has formed
+    ``A (A^T r)``, or as ``matvec(gram, r)`` once :meth:`form_gram` formed
     ``gram``.  The constructor never forms it: ``gram`` starts as ``None``.
     Only the Gram mode stores ``A^T`` of a sparse matrix.
     """
@@ -298,7 +298,7 @@ class HOperator:
     def form_gram(self) -> bool:
         """Form ``gram = A A^T`` once, with BLAS-3, when the mode is Gram and
         ``A`` is dense :class:`Operator` storage with ``m <= n``; return
-        whether ``H`` is now applied as ``gram @ r``.  Each application then
+        whether ``H`` is now applied as ``gram r``.  Each application then
         reads ``m^2`` entries instead of ``2mn``, for ``m^2`` more floats,
         never more than ``A``'s own ``mn``.  Sparse ``A`` (whose product fills
         in), tall ``A``, symmetric mode and caller-supplied operators keep
@@ -320,7 +320,7 @@ class HOperator:
         free there; ``r`` itself with ``gram`` formed, where the solver
         carries ``y`` with ``x = A^T y``; ``None`` in symmetric mode."""
         if self.gram is not None:
-            return self.gram @ r, r
+            return matvec(self.gram, r), r
         op = self.operator
         if self.mode == H_MODE_SYMMETRIC:
             return op.matvec(r), None

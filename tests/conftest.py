@@ -4,7 +4,7 @@ witness recheck used across suites."""
 import numpy as np
 import scipy.sparse as sparse
 
-from trisolve.linalg import matvec_transpose, norm2
+from trisolve.linalg import matvec, matvec_transpose, norm2
 
 
 def spd_with_spectrum(rng, m, lam_min=1.0, lam_max=5.0, eigenvalues=None):
@@ -52,6 +52,23 @@ def check_witness(a, b, result, atol=0.0):
     assert lhs < rhs + atol, f"witness recheck failed: {lhs} >= {rhs}"
     if result.lower_bound is not None and norm2(c) > 0:
         assert np.isclose(result.lower_bound, rhs / norm2(c), rtol=1e-9)
+
+
+def status_holds(res, a, b, eps, h_mode="aat"):
+    """Whether a centering result's status is true of its returned ``x``,
+    measured with the solvers' own kernels on ``a``: ``||b - Ax||`` for an
+    approximate solution, ``||A^T r||`` (``||A r||`` in symmetric mode, the
+    clause's own measure) for a normal-equation one, each against
+    ``eps ||b||``.  A status that claims nothing holds."""
+    b = np.asarray(b, dtype=np.float64)
+    r = b - matvec(a, res.x)
+    if res.status == "approx_solution":
+        measured = r
+    elif res.status == "normal_eq_solution":
+        measured = matvec(a, r) if h_mode == "a" else matvec_transpose(a, r)
+    else:
+        return True
+    return norm2(measured) <= eps * norm2(b)
 
 
 def krylov_degree(h, r, tol=1e-8):

@@ -28,7 +28,10 @@ import numpy as np
 # argument checks, error-state setup and result copies per moment solve, half
 # the cost of a solve at order 5, and gives numpy's bits;
 # tests/test_centering.py pins them to ``np.linalg.lstsq``.
-from numpy.linalg import _umath_linalg
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy that moved it: the fallback below
+    _umath_linalg = None
 
 from .linalg import (
     H_MODE_GRAM,
@@ -59,7 +62,11 @@ MOMENT_RCOND = 1e-13
 
 # numpy 1.x splits the kernel by shape and ``np.linalg.lstsq`` calls
 # ``lstsq_m`` for a square system; newer releases merged both into ``lstsq``.
-_gelsd = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_m
+_gelsd = getattr(_umath_linalg, "lstsq", None) or getattr(_umath_linalg, "lstsq_m", None)
+if _gelsd is None:
+    def _gelsd(a, b, rcond, signature):
+        # the same gufunc, wherever numpy keeps it, behind its checks
+        return np.linalg.lstsq(a, b, rcond=rcond)
 
 # Accept a step as monotone up to this relative slack.
 _MONOTONE_SLACK = 1e-13
@@ -171,11 +178,15 @@ class CenteringOptions:
     In Gram mode on dense ``A`` (a ``numpy.ndarray`` or array-like, not a
     caller's operator) with no more rows than columns, the driver forms
     ``G = A A^T`` once and carries ``y`` with ``x = A^T y``: ``H`` is applied
-    as ``G p``, which reads ``m^2`` entries instead of ``2mn``, and ``A^T``
+    as ``G p``, which reads ``m^2`` entries instead of ``2mn`` (one triangle
+    of ``G``, ``m^2 / 2``, from ``SYMMETRIC_MIN_ROWS`` rows on), and ``A^T``
     only at the drift rechecks.  Steps on ``y`` claim nothing.  The solve
     goes on with ``x = A^T y`` and ``H`` as ``A (A^T p)`` once a clause
     passes, once ``sqrt(phi_1)`` (``||A^T r||``, free with ``G``) falls to
     the rounding of ``G``, or once ``y`` drifts beyond the recheck's budget.
+    In symmetric mode, dense ``A`` of at least that many rows that equals
+    ``A^T`` to the bit is applied from one triangle as well (see
+    :meth:`linalg.HOperator.form_gram`).
 
     ``known_solvable`` disables the normal-equation clause: when the system
     is known consistent the residual clause alone suffices, and on matrices

@@ -20,19 +20,26 @@ Products on CSR storage (``A`` itself, or the stored ``A^T``) call scipy's
 compiled ``csr_matvec`` kernel directly, skipping the per-call dispatch of
 ``A @ v``; this is the kernel ``A @ v`` runs, so the bits are the same.
 Other sparse formats, CSR storage of another dtype and dense matrices go
-through scipy's and numpy's own ``@``.
+through scipy's and numpy's own ``@``, a BLAS ``gemv`` for dense storage.
+The exception is a symmetric dense ``H`` of ``SYMMETRIC_MIN_ROWS`` rows or
+more: a formed Gram matrix, or in symmetric mode an ``A`` equal to ``A^T``
+to the bit.  :func:`matvec` applies it with BLAS ``dsymv``, which reads one
+triangle, so each such bandwidth-bound product reads half the bytes.
 
 This is the one module of the package that reaches ``scipy.sparse``, and it
 imports it on first use (:func:`scipy_sparse`): that import is about half
 of ``import trisolve``'s start-up, which a caller with dense input never
 needs.  No sparse object can exist before ``scipy.sparse`` is loaded, so
-:func:`issparse` answers ``False`` without importing it.
+:func:`issparse` answers ``False`` without importing it.  ``dsymv`` comes
+from ``scipy.linalg.blas``, imported likewise on the first product that
+uses it (:func:`blas_dsymv`), so dense work below the floor loads no scipy.
 
 Sparse kernels accumulate left-to-right within each row and are
 single-threaded; dense products go through BLAS and stay deterministic for a
-fixed thread count.  All objects here are immutable after construction, but
-for the one :meth:`HOperator.form_gram` call a solve makes before its first
-product, and are safe to share across concurrent solves.
+fixed thread count; the bits of ``dsymv`` also change with the thread
+count.  All objects here are immutable after construction, but for the one
+:meth:`HOperator.form_gram` call a solve makes before its first product,
+and are safe to share across concurrent solves.
 """
 
 from __future__ import annotations
@@ -47,6 +54,12 @@ import numpy as np
 H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
 H_MODE_GRAM = "aat"      # H = A A^T
 
+# Dense symmetric products of at least this many rows read one triangle
+# (:func:`matvec` with ``symmetric=True``).  A product below it costs at most
+# about 55 us, which would not pay back the one-time import of scipy.linalg:
+# about 125 ms after scipy.sparse, 260 ms cold, and 8 MB.
+SYMMETRIC_MIN_ROWS = 512
+
 
 @functools.cache
 def scipy_sparse() -> tuple:
@@ -60,6 +73,14 @@ def scipy_sparse() -> tuple:
     from scipy.sparse import _sparsetools
 
     return sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec
+
+
+@functools.cache
+def blas_dsymv():
+    """BLAS ``dsymv`` from ``scipy.linalg.blas``, imported on the first call."""
+    from scipy.linalg.blas import dsymv
+
+    return dsymv
 
 
 def issparse(a) -> bool:
@@ -110,13 +131,22 @@ def _product(a, v: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.asarray(a @ v).reshape(m)
 
 
-def matvec(a, v: np.ndarray) -> np.ndarray:
+def matvec(a, v: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     """``A @ v`` for a stored matrix, with a deterministic summation order
-    for fixed storage."""
+    for fixed storage.  ``symmetric`` asserts that ``a`` is exactly
+    symmetric: a float64 square ndarray of at least ``SYMMETRIC_MIN_ROWS``
+    rows then goes to BLAS ``dsymv``, which reads one triangle, half the
+    bytes of ``a @ v``, and rounds differently.  Anything else keeps
+    ``a @ v`` and its bits."""
     v = np.asarray(v, dtype=np.float64)
     m, n = a.shape
     if v.shape != (n,):
         raise ValueError(f"matvec: vector has length {v.shape}, matrix has {n} columns")
+    if (symmetric and m == n and m >= SYMMETRIC_MIN_ROWS and type(a) is np.ndarray
+            and a.dtype == np.float64):
+        # the Fortran-ordered one of a and a.T, equal by symmetry: scipy
+        # copies a C-ordered argument, about 7x the product at 1000 rows
+        return blas_dsymv()(1.0, a.T if a.flags.c_contiguous else a, v, lower=1)
     return _product(a, v, m, n)
 
 
@@ -182,6 +212,10 @@ class Operator:
     def frobenius_norm(self) -> float:
         a = self.matrix
         if issparse(a):
+            if a.format in ("csr", "csc") and a.has_canonical_format:
+                # no duplicate entries: the norm of the stored values, with
+                # no temporary the size of the matrix
+                return math.sqrt(a.data @ a.data)
             return float(np.sqrt((a.multiply(a)).sum()))
         return float(np.linalg.norm(a, "fro"))
 
@@ -280,8 +314,9 @@ class HOperator:
     """The solver-side operator ``H``: mode ``"a"`` applies the matrix itself
     (caller asserts symmetry); mode ``"aat"`` applies ``A A^T`` as
     ``A (A^T r)``, or as ``matvec(gram, r)`` once :meth:`form_gram` formed
-    ``gram``.  The constructor never forms it: ``gram`` starts as ``None``.
-    Only the Gram mode stores ``A^T`` of a sparse matrix.
+    ``gram``.  The constructor never forms it: ``gram`` starts as ``None``,
+    and ``exactly_symmetric`` as ``False``.  Only the Gram mode stores
+    ``A^T`` of a sparse matrix.
     """
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
@@ -294,20 +329,32 @@ class HOperator:
         self.mode = mode
         self.dim = m  # H acts on residuals of length m
         self.gram = None
+        self.exactly_symmetric = False
 
     def form_gram(self) -> bool:
-        """Form ``gram = A A^T`` once, with BLAS-3, when the mode is Gram and
-        ``A`` is dense :class:`Operator` storage with ``m <= n``; return
-        whether ``H`` is now applied as ``gram r``.  Each application then
-        reads ``m^2`` entries instead of ``2mn``, for ``m^2`` more floats,
-        never more than ``A``'s own ``mn``.  Sparse ``A`` (whose product fills
-        in), tall ``A``, symmetric mode and caller-supplied operators keep
-        their products."""
+        """Set up the dense products of ``H`` once, before the first; return
+        whether ``H`` is now applied as ``gram r``.  Only dense
+        :class:`Operator` storage takes part.
+
+        In Gram mode with ``m <= n`` it forms ``gram = A A^T`` with BLAS-3.
+        Each application then reads ``m^2`` entries instead of ``2mn``, one
+        triangle of them from ``SYMMETRIC_MIN_ROWS`` rows on, since ``gram``
+        is exactly symmetric; it costs ``m^2`` more floats, never more than
+        ``A``'s own ``mn``.  Sparse ``A`` (whose product fills in), tall
+        ``A`` and caller-supplied operators keep their products.
+
+        In symmetric mode with at least ``SYMMETRIC_MIN_ROWS`` rows it checks
+        once, for about six products' worth of reads, whether ``A`` equals
+        ``A^T`` to the bit, and sets ``exactly_symmetric``: each product then
+        reads one triangle.  A matrix that is not exactly symmetric keeps
+        its full product and its bits."""
         op = self.operator
         m, n = op.shape
-        if (self.mode == H_MODE_GRAM and isinstance(op, Operator)
-                and type(op.matrix) is np.ndarray and m <= n):
+        dense = isinstance(op, Operator) and type(op.matrix) is np.ndarray
+        if self.mode == H_MODE_GRAM and dense and m <= n:
             self.gram = op.matrix @ op.matrix.T
+        elif self.mode == H_MODE_SYMMETRIC and dense and m >= SYMMETRIC_MIN_ROWS:
+            self.exactly_symmetric = np.array_equal(op.matrix, op.matrix.T)
         return self.gram is not None
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -320,8 +367,10 @@ class HOperator:
         free there; ``r`` itself with ``gram`` formed, where the solver
         carries ``y`` with ``x = A^T y``; ``None`` in symmetric mode."""
         if self.gram is not None:
-            return matvec(self.gram, r), r
+            return matvec(self.gram, r, symmetric=True), r
         op = self.operator
+        if self.exactly_symmetric:
+            return matvec(op.matrix, r, symmetric=True), None
         if self.mode == H_MODE_SYMMETRIC:
             return op.matvec(r), None
         at_r = op.rmatvec(r)

@@ -1,5 +1,11 @@
-"""Shared helpers: controlled-spectrum operators, instance builders, and the
-witness recheck used across suites."""
+"""Shared helpers: controlled-spectrum operators, instance builders, the
+witness recheck used across suites, and a fresh interpreter to run a script
+in."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
@@ -81,3 +87,16 @@ def krylov_degree(h, r, tol=1e-8):
         cols.append(h @ cols[-1])
     k = np.column_stack([c / max(norm2(c), 1e-300) for c in cols])
     return int(np.linalg.matrix_rank(k, tol=tol))
+
+
+def fresh_python(script, *args, env=None):
+    """Run ``python -c script *args`` in a fresh interpreter that imports
+    this checkout's ``trisolve``, with ``env`` added to the environment;
+    returns its stdout and fails on a nonzero exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **(env or {}))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import krylov_degree, random_instance, spd_with_spectrum, status_holds
+from conftest import fresh_python, krylov_degree, random_instance, spd_with_spectrum, status_holds
 from trisolve import centering, gallery
 from trisolve.centering import (
     MOMENT_RCOND,
@@ -21,6 +21,54 @@ from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import (GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2,
                              prepare_system)
 from trisolve.results import Trace
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# One gallery solve, from argv: family, size, h_mode and epsilon.  Prints the
+# status and the iteration count.
+_GALLERY_SOLVE = """
+import sys
+from trisolve import CenteringOptions, centering_solve, gallery
+
+family, n, h_mode, eps = sys.argv[1:]
+a = gallery.make(family, int(n))
+res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(float(eps), h_mode=h_mode))
+print(res.status, res.iterations)
+"""
+
+
+# numpy's private LAPACK module as a numpy that moved it would have it:
+# argv[1] "stub" leaves a module with neither kernel, "module" none at all.
+_WITHOUT_PRIVATE_GELSD = """
+import sys
+import types
+
+import numpy as np
+import numpy.linalg
+
+stub = types.ModuleType("numpy.linalg._umath_linalg") if sys.argv[1] == "stub" else None
+sys.modules["numpy.linalg._umath_linalg"] = stub
+if stub is None:
+    del numpy.linalg._umath_linalg
+else:
+    numpy.linalg._umath_linalg = stub
+
+from trisolve import centering
+assert not isinstance(centering._gelsd, np.ufunc)
+"""
+
+# Two small dense centering solves, of full and of low rank; prints the
+# status, iterations and bytes of each x.
+_SMALL_SOLVES = """
+import numpy as np
+from trisolve import CenteringOptions, centering_solve
+
+rng = np.random.default_rng(12)
+for a in (rng.standard_normal((15, 25)), rng.standard_normal((15, 4)) @ rng.standard_normal((4, 25))):
+    res = centering_solve(a, rng.standard_normal(15), CenteringOptions(epsilon=1e-10))
+    print(res.status, res.iterations, res.x.tobytes().hex())
+"""
 
 
 def _lstsq_reference(mom, t):
@@ -203,6 +251,15 @@ class TestMomentSolveBits:
         assert res.detail == ("moment solve failed: "
                               "SVD did not converge in Linear Least Squares")
 
+    @pytest.mark.parametrize("gone", ["stub", "module"])
+    def test_public_lstsq_replaces_a_moved_private_gufunc(self, gone, capsys):
+        # a numpy without the private kernels still imports trisolve, and
+        # np.linalg.lstsq then gives the same coefficients, bit for bit
+        fresh = fresh_python(_WITHOUT_PRIVATE_GELSD + _SMALL_SOLVES, gone)
+        exec(_SMALL_SOLVES, {})
+        assert fresh == capsys.readouterr().out
+        assert len(fresh.splitlines()) == 2
+
 
 class TestStep:
     def test_given_residual_norm_changes_nothing(self):
@@ -356,6 +413,20 @@ class TestDriver:
         a = gallery.make(family, int(n))
         res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=eps))
         assert (res.status, res.iterations) == (status, iterations)
+
+    @pytest.mark.parametrize("spec, h_mode, eps, status, iterations", [
+        ("gram-psd:600", "a", 1e-9, "approx_solution", 93),
+        ("ode:600", "aat", 1e-8, "normal_eq_solution", 150),
+    ])
+    def test_golden_iteration_counts_on_one_triangle(self, spec, h_mode, eps, status,
+                                                     iterations):
+        # dense products of 600 rows read one triangle (BLAS dsymv), whose
+        # rounding depends on the BLAS thread count: one thread, pinned
+        # before numpy loads
+        family, n = spec.split(":")
+        out = fresh_python(_GALLERY_SOLVE, family, n, h_mode, str(eps),
+                           env=dict.fromkeys(_BLAS_THREADS, "1"))
+        assert out.split() == [status, str(iterations)]
 
     def test_trace_schema_and_monotone_tail(self):
         a = gallery.gen_diag("pd", 30, seed=3)

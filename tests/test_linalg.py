@@ -18,6 +18,7 @@ from trisolve.dynamics import phase_portrait
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import (
+    SYMMETRIC_MIN_ROWS,
     GramProduct,
     HOperator,
     Operator,
@@ -140,6 +141,68 @@ class TestHOperator:
         h = HOperator(a, "aat")
         out = h.apply(np.array([2.0]))
         assert out.shape == (1,) and out[0] == 2.0 * n
+
+
+def _exactly_symmetric(m, seed=22):
+    b = np.random.default_rng(seed).standard_normal((m, m // 2))
+    return b @ b.T
+
+
+class TestSymmetricKernel:
+    """Exactly symmetric dense storage of ``SYMMETRIC_MIN_ROWS`` rows or more
+    is applied by BLAS ``dsymv``, which reads one triangle; everything else
+    keeps the bits of ``a @ v``."""
+
+    @pytest.mark.parametrize("m", [SYMMETRIC_MIN_ROWS, 600])
+    def test_one_triangle_matches_the_full_product(self, m):
+        g = _exactly_symmetric(m)
+        v = np.random.default_rng(m).standard_normal(m)
+        full = g @ v
+        out = matvec(g, v, symmetric=True)
+        assert norm2(out - full) <= 1e-13 * norm2(full)
+        # the Fortran-ordered copy reads the same triangle in the same order
+        assert matvec(np.asfortranarray(g), v, symmetric=True).tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("m", [5, SYMMETRIC_MIN_ROWS - 1])
+    def test_below_the_floor_keeps_the_full_product(self, m):
+        g = _exactly_symmetric(m)
+        v = np.random.default_rng(m).standard_normal(m)
+        assert matvec(g, v, symmetric=True).tobytes() == (g @ v).tobytes()
+
+    def test_other_storage_keeps_its_product(self):
+        g = _exactly_symmetric(600)
+        v = np.random.default_rng(1).standard_normal(600)
+        for stored in (sparse.csr_array(g), g.astype(np.float32)):
+            assert matvec(stored, v, symmetric=True).tobytes() == matvec(stored, v).tobytes()
+
+    @pytest.mark.parametrize("m, exact", [(600, True), (SYMMETRIC_MIN_ROWS - 1, False)])
+    def test_symmetric_mode_checks_the_matrix(self, m, exact):
+        a = _exactly_symmetric(m)
+        r = np.random.default_rng(2).standard_normal(m)
+        h = HOperator(a, "a")
+        assert h.exactly_symmetric is False  # the constructor never checks
+        assert h.form_gram() is False
+        assert h.exactly_symmetric is exact
+        expected = matvec(a, r, symmetric=True) if exact else a @ r
+        assert h.apply(r).tobytes() == expected.tobytes()
+
+    def test_one_ulp_off_symmetric_keeps_the_full_product(self):
+        a = _exactly_symmetric(600)
+        a[3, 7] = np.nextafter(a[3, 7], np.inf)
+        r = np.random.default_rng(3).standard_normal(600)
+        h = HOperator(a, "a")
+        h.form_gram()
+        assert h.exactly_symmetric is False
+        assert h.apply(r).tobytes() == (a @ r).tobytes()
+
+    def test_formed_gram_reads_one_triangle(self):
+        rng = np.random.default_rng(4)
+        a, r = rng.standard_normal((600, 700)), rng.standard_normal(600)
+        h = HOperator(a, "aat")
+        assert h.form_gram() is True
+        hr, direction = h.apply_with_transpose(r)
+        assert direction is r
+        assert hr.tobytes() == matvec(h.gram, r, symmetric=True).tobytes()
 
 
 class TestNorm2:
@@ -616,3 +679,14 @@ def test_frobenius_norm_sparse_matches_dense():
     rng = np.random.default_rng(2)
     sp = random_sparse(rng, max_mn=20)
     assert np.isclose(Operator(sp).frobenius_norm(), np.linalg.norm(sp.toarray(), "fro"))
+
+
+@pytest.mark.parametrize("cls", [sparse.csr_array, sparse.csc_matrix])
+def test_frobenius_norm_sums_duplicate_entries(cls):
+    # a stored 3 and 4 at one place hold a 7; the stored values alone give 5
+    a = cls((np.array([3.0, 4.0]), np.array([1, 1]), np.array([0, 2, 2])), shape=(2, 2))
+    assert not a.has_canonical_format
+    assert Operator(a).frobenius_norm() == 7.0
+    a.sum_duplicates()
+    assert a.has_canonical_format
+    assert Operator(a).frobenius_norm() == 7.0

@@ -1,14 +1,14 @@
 """Start-up cost: ``import trisolve`` and work on dense input load no part of
-scipy, which only the first sparse input imports.  Each check runs in a
-fresh interpreter, where no earlier import can hide a load."""
+scipy, which only the first sparse input imports, and a dense symmetric
+product large enough to read one triangle loads ``scipy.linalg`` alone.
+Each check runs in a fresh interpreter, where no earlier import can hide a
+load."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 # Prints one line per step: "step", then a JSON list of the step's name and
 # the scipy modules it loaded.  argv[1] is a scratch directory.
@@ -94,19 +94,9 @@ _STEPS = [
 ]
 
 
-def _fresh_python(script, *args):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @pytest.fixture(scope="module")
 def dense_steps(tmp_path_factory):
-    out = _fresh_python(_DENSE_STEPS, str(tmp_path_factory.mktemp("startup")))
+    out = fresh_python(_DENSE_STEPS, str(tmp_path_factory.mktemp("startup")))
     return dict(json.loads(line[5:]) for line in out.splitlines() if line.startswith("step "))
 
 
@@ -120,7 +110,31 @@ def test_dense_step_loads_no_scipy(dense_steps, step):
 
 
 def test_sparse_solve_after_a_late_scipy_import_keeps_its_bits(capsys):
-    fresh = _fresh_python(_SPARSE_SOLVES)
+    fresh = fresh_python(_SPARSE_SOLVES)
     exec(_SPARSE_SOLVES, {})
     assert fresh == capsys.readouterr().out
     assert len(fresh.splitlines()) == 6
+
+
+# A symmetric-mode solve on an exactly symmetric dense matrix of 600 rows,
+# whose products read one triangle; prints the scipy modules it loaded.
+_ONE_TRIANGLE_SOLVE = """
+import json
+import sys
+
+import numpy as np
+from trisolve import CenteringOptions, centering_solve
+
+b = np.random.default_rng(8).standard_normal((600, 300))
+a = b @ b.T
+before = set(sys.modules)
+res = centering_solve(a, a.sum(axis=1), CenteringOptions(epsilon=1e-8, h_mode="a"))
+assert res.success, res.status
+print(json.dumps(sorted(name for name in set(sys.modules) - before if name.startswith("scipy"))))
+"""
+
+
+def test_one_triangle_solve_loads_scipy_linalg_and_no_sparse():
+    loaded = json.loads(fresh_python(_ONE_TRIANGLE_SOLVE))
+    assert "scipy.linalg" in loaded
+    assert not [name for name in loaded if name.startswith("scipy.sparse")]

@@ -80,14 +80,14 @@ class Trace:
 class SolveResult:
     """Outcome of a solver driver.
 
-    ``x`` is always the best iterate available, even for non-success
-    statuses.  ``residual_norm`` is ``||b - Ax||`` and
-    ``normal_residual_norm`` is ``||A^T(b - Ax)||``, both for the returned
-    ``x``.  Triangle-family extras: ``rho`` is the final search radius,
-    ``lower_bound`` a certified lower bound on the minimum-norm solution
-    (witness outcomes), ``rho_interval`` the certified ``(lower, upper)``
-    bracket of the minimum-norm radius (min-norm outcomes), and ``b_prime``
-    the final ellipsoid iterate ``Ax`` needed to re-verify a witness.
+    ``x`` is the best iterate available, even for non-success statuses.
+    ``residual_norm`` is ``||b - Ax||`` and ``normal_residual_norm``
+    ``||A^T(b - Ax)||``, both for the returned ``x``.  Triangle-family extras:
+    ``rho`` is the final search radius, ``lower_bound`` a certified lower bound
+    on the minimum-norm solution (witnesses), ``rho_interval`` the certified
+    ``(lower, upper)`` bracket of the minimum-norm radius, and ``b_prime`` the
+    final ellipsoid iterate, which re-verifies a witness: ``Ax`` as
+    ``op.matvec`` computes it after a success, possibly carried otherwise.
     """
 
     status: str

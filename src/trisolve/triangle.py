@@ -11,7 +11,8 @@ minimum-norm solution).  One loop, :func:`_pivot_loop`, runs this iteration
 for every driver: a fixed-radius membership test, an adaptive-radius solver
 that grows ``rho`` past ``||x*||``, a bisection on ``rho`` that certifies an
 approximate minimum-norm solution, and the nonnegative-cone search of
-:mod:`trisolve.feasibility`.
+:mod:`trisolve.feasibility`.  Pivots carry ``b'`` by convex combinations;
+a success is claimed only on ``b' = Ax'`` measured from the returned ``x'``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .results import (
     zero_rhs,
 )
 
-# Re-validate b' = A x' this often; convex-combination updates drift slowly.
+# Measure b' = A x' again this often; convex-combination updates drift slowly.
 _REVALIDATE_EVERY = 512
 
 # The min-norm bisection runs its membership tests at a residual tolerance
@@ -75,28 +76,30 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
     radius becomes ``max(2 rho, (b - b')^T b / ||c||)`` and stops once it
     passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
     when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
-    The run starts from the float64 vector ``x0``, or from the origin when
-    it is None; a fixed-radius caller passes an ``x0`` inside the ball.  The
-    result carries the run's final ``rho``, ``b_prime``, the witness bound
-    as ``lower_bound`` and ``detail``.  Each iteration adds one row to
-    ``trace``, which numbers and times it.
+    The run starts from the float64 ``x0``, or the origin when it is None; a
+    fixed-radius caller passes an ``x0`` inside the ball.  A stopping clause
+    that passes on a carried ``b'`` is tested again on ``b' = op.matvec(x)``,
+    which counts no iteration, so a success holds of the returned ``x``.
+    The result carries the final ``rho``, ``b_prime``, ``detail`` and the
+    witness bound as ``lower_bound``; each iteration adds a row to ``trace``.
     """
     m, n = op.shape
-    if x0 is None:
-        x, b_prime = np.zeros(n), np.zeros(m)
-    else:
-        x = x0.copy()
-        b_prime = op.matvec(x)
+    x = np.zeros(n) if x0 is None else x0.copy()
+    b_prime = np.zeros(m) if x0 is None else op.matvec(x)
     status, detail, bound = ITERATION_CAP, "", None
-    iterations = 0
-    since_revalidate = 0
+    iterations = since_revalidate = 0   # pivots since b' was measured from x
     while iterations < max_iters:
+        if since_revalidate >= _REVALIDATE_EVERY:
+            b_prime, since_revalidate = op.matvec(x), 0
         gap = b - b_prime
         gap_norm = norm2(gap)
         if not math.isfinite(gap_norm):
             status, detail = NUMERICAL_FAILURE, "non-finite iterate"
             break
         if gap_norm <= eps:
+            if since_revalidate:
+                since_revalidate = _REVALIDATE_EVERY
+                continue
             status = APPROX_SOLUTION
             break
         c = op.rmatvec(gap)
@@ -105,6 +108,9 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
             status, detail = NUMERICAL_FAILURE, "non-finite pivot direction"
             break
         if c_norm <= eps_prime:
+            if since_revalidate:
+                since_revalidate = _REVALIDATE_EVERY
+                continue
             status = NORMAL_EQ_SOLUTION
             detail = ("pivot direction vanished" if c_norm == 0.0
                       else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
@@ -150,9 +156,6 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
             break
         if event == "pivot":
             since_revalidate += 1
-            if since_revalidate >= _REVALIDATE_EVERY:
-                b_prime = op.matvec(x)
-                since_revalidate = 0
     return finish(status, op, b, x, iterations, trace, rho=rho, b_prime=b_prime,
                   lower_bound=bound, detail=detail)
 

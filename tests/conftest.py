@@ -61,14 +61,17 @@ def check_witness(a, b, result, atol=0.0):
 
 
 def status_holds(res, a, b, eps, h_mode="aat"):
-    """Whether a centering result's status is true of its returned ``x``,
-    measured with the solvers' own kernels on ``a``: ``||b - Ax||`` for an
-    approximate solution, ``||A^T r||`` (``||A r||`` in symmetric mode, the
-    clause's own measure) for a normal-equation one, each against
-    ``eps ||b||``.  A status that claims nothing holds."""
+    """Whether a result's status is true of its returned ``x``, measured with
+    the solvers' own kernels on ``a``: ``||b - Ax||`` for an approximate,
+    minimum-norm or feasible solution, a feasible ``x`` also nonnegative;
+    ``||A^T r||`` (``||A r||`` in symmetric mode, the clause's own measure)
+    for a normal-equation one; each against ``eps ||b||``.  A status that
+    claims nothing holds."""
     b = np.asarray(b, dtype=np.float64)
     r = b - matvec(a, res.x)
-    if res.status == "approx_solution":
+    if res.status == "feasible" and (res.x < 0.0).any():
+        return False
+    if res.status in ("approx_solution", "min_norm_solution", "feasible"):
         measured = r
     elif res.status == "normal_eq_solution":
         measured = matvec(a, r) if h_mode == "a" else matvec_transpose(a, r)

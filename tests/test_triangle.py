@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import check_witness
+from conftest import check_witness, status_holds
+from hypothesis import given, settings, strategies as st
 from trisolve import feasibility, triangle
 from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import GramProduct, norm2
+from trisolve.linalg import GramProduct, matvec, norm2
 from trisolve.results import finish
 from trisolve.triangle import (
     min_norm_solve,
@@ -380,6 +381,88 @@ def test_bad_tolerance_names_the_argument(solve, name):
         solve()
 
 
+# --- a success is claimed only on b' measured from the returned x ------------
+
+def _claim_draw(seed):
+    """One draw of the seeded fuzz that found false claims: a random-rank
+    system, columns graded with probability 0.3, scaled by a power of two,
+    ``b`` consistent or random, CSR with probability 0.3, and
+    ``eps = 10^-U(3, 9) ||b||``.  Returns the generator too, for the draws
+    that follow."""
+    rng = np.random.default_rng(5000 + seed)
+    m, n = rng.integers(1, 25, 2)
+    k = rng.integers(1, min(m, n) + 1)
+    a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    if rng.random() < 0.3:
+        a = a * np.logspace(0, -rng.uniform(0, 8), n)
+    a = a * 2.0 ** rng.integers(-30, 30)
+    if rng.random() < 0.5:
+        b = a @ rng.standard_normal(n)
+    else:
+        b = rng.standard_normal(m) * 2.0 ** rng.integers(-30, 30)
+    if rng.random() < 0.3:
+        a = sparse.csr_array(a)
+    return rng, a, b, 10 ** -rng.uniform(3, 9) * norm2(b)
+
+
+def _claim_draw_adaptive(seed):
+    _, a, b, eps = _claim_draw(seed)
+    return solve_adaptive(a, b, eps=eps, max_iters=3000)
+
+
+class TestClaimRule:
+    """Every success status of the pivot loop holds of the returned x."""
+
+    @pytest.mark.parametrize("seed", [16, 31, 104, 253])
+    def test_adaptive_normal_equation(self, seed):
+        # draws whose carried b' passed the normal-equation clause while the
+        # returned x missed it by 1.02x to 4.34x
+        _, a, b, eps = _claim_draw(seed)
+        res = solve_adaptive(a, b, eps=eps, max_iters=3000)
+        assert res.status == "normal_eq_solution"
+        assert status_holds(res, a, b, eps / norm2(b))
+        # the claim was made on b' = Ax as the solve's own product gives it
+        assert np.array_equal(res.b_prime, matvec(a, res.x))
+
+    def test_fixed_radius_claim_becomes_a_witness(self):
+        # a 2 x 6 CSR system that claimed a normal-equation solution after
+        # one pivot; measured from x the clause fails, and the next step is
+        # a witness
+        rng, a, b, eps = _claim_draw(133)
+        rho = rng.uniform(0.1, 10) * norm2(b) / np.linalg.norm(a.toarray())
+        assert (a.shape, rho, eps) == ((2, 6), 0.00793903889910772, 0.0029140939562707323)
+        res = solve_in_ball(a, b, rho=rho, eps=eps)
+        assert res.status == "witness" and res.iterations == 2
+        check_witness(a, b, res)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 8), n=st.integers(1, 8), rank=st.integers(1, 8),
+           csr=st.booleans(), consistent=st.booleans(), grade=st.floats(0, 8),
+           scale=st.integers(-30, 30), digits=st.floats(3, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_status_holds(self, m, n, rank, csr, consistent, grade, scale, digits,
+                                seed):
+        # dense and CSR systems of every shape and rank, columns graded down
+        # to 1e-8, scaled by 2^scale, eps from 1e-3 to 1e-9 of ||b||; the
+        # four drivers of the loop, min_norm_solve from the adaptive x
+        rng = np.random.default_rng(seed)
+        k = min(rank, m, n)
+        a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+        a = a * np.logspace(0, -grade, n) * 2.0 ** scale
+        b = a @ rng.standard_normal(n) if consistent else rng.standard_normal(m) * 2.0 ** scale
+        eps = 10.0 ** -digits * norm2(b)
+        rho = rng.uniform(0.1, 10) * norm2(b) / np.linalg.norm(a)
+        if csr:
+            a = sparse.csr_array(a)
+        adaptive = solve_adaptive(a, b, eps=eps, max_iters=300)
+        runs = [adaptive, solve_in_ball(a, b, rho=rho, eps=eps, max_iters=300),
+                nonnegative_feasibility(a, b, eps=eps, max_iters=300)]
+        if adaptive.residual_norm <= eps:
+            runs.append(min_norm_solve(a, b, eps, adaptive.x, inner_cap=300, max_iters=1500))
+        for res in runs:
+            assert status_holds(res, a, b, eps / norm2(b)), res
+
+
 # --- the lean iteration gives the bits of the plain one ----------------------
 
 def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
@@ -387,7 +470,9 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
     """The pivot loop written out plainly: the pivot point and
     ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
     ``b - b'``, every product through ``np.dot``.  Like the lean loop it
-    starts from ``x0`` whenever one is given, and returns through ``finish``."""
+    starts from ``x0`` whenever one is given, measures ``b' = Ax`` again
+    after every 512 pivots and before it claims a success on a carried
+    ``b'``, and returns through ``finish``."""
     m, n = op.shape
     if x0 is None:
         x, b_prime = np.zeros(n), np.zeros(m)
@@ -413,12 +498,18 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
         if not math.isfinite(gap_norm):
             return done("numerical_failure", "non-finite iterate")
         if gap_norm <= eps:
+            if since_revalidate:   # carried b': measure it from x, test again
+                b_prime, since_revalidate = op.matvec(x), 0
+                continue
             return done("approx_solution")
         c = op.rmatvec(gap)
         c_norm = norm2(c)
         if not math.isfinite(c_norm):
             return done("numerical_failure", "non-finite pivot direction")
         if c_norm <= eps_prime:
+            if since_revalidate:
+                b_prime, since_revalidate = op.matvec(x), 0
+                continue
             return done("normal_eq_solution", "pivot direction vanished" if c_norm == 0.0
                         else f"certified ||A^T(b - Ax)|| <= {eps_prime:.3e}")
         d = np.maximum(c, 0.0) if cone else c
@@ -496,6 +587,9 @@ _LOOP_CASES = {
                                                       rho_max=0.5), ["iteration_cap"]),
     "revalidate": (lambda: solve_in_ball(_ILL, _ILL.sum(axis=1), rho=1e3, eps=1e-12,
                                          max_iters=700), ["iteration_cap"]),
+    # the normal-equation clause passes on the carried b' but fails on the
+    # measured one: the run pivots on and certifies later
+    "carried-claim-refused": (lambda: _claim_draw_adaptive(31), ["normal_eq_solution"]),
 }
 
 # one solve per driver; the min-norm case both shrinks and expands, so its

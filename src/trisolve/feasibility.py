@@ -1,9 +1,16 @@
 """Feasibility of ``{x : Ax = b, x >= 0}`` via nonnegative-cone pivots.
 
-The adaptive-radius membership solver carries over with one change: the
+The adaptive-radius membership solver carries over with two changes.  The
 pivot direction ``c = A^T(b - b')`` is replaced by its nonnegative part
-``c+``, so the pivot ``rho A c+ / ||c+||`` has a nonnegative preimage and
-every iterate stays a convex combination of nonnegative vectors.  When
+``c+``, so the pivot ``v = rho A c+ / ||c+||`` has a nonnegative preimage.
+From the second pivot on, the search moves to the point of
+``conv{b', v, v_prev}`` nearest ``b``, ``v_prev`` the previous pivot point,
+instead of the point of the segment ``[b', v]``: Wolfe's corrective step,
+never farther from ``b`` than the segment, which damps the zig-zag between
+faces of the cone section.  Its weights lie in the simplex, so every iterate
+is a convex combination of nonnegative vectors and ``x >= 0`` holds
+exactly.  Such a pivot costs more than a segment step, so a run that ends
+at its cap takes longer than it did with segment steps.  When
 ``c+ = 0`` and ``(b - b')^T b > 0``, the gap ``y = b - b'`` satisfies
 ``A^T y <= 0`` and ``y^T b > 0``, a Farkas certificate that no ``x >= 0``
 solves ``Ax = b``; the run ends in a witness.  When ``c+ = 0`` but

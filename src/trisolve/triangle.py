@@ -11,7 +11,8 @@ minimum-norm solution).  One loop, :func:`_pivot_loop`, runs this iteration
 for every driver: a fixed-radius membership test, an adaptive-radius solver
 that grows ``rho`` past ``||x*||``, a bisection on ``rho`` that certifies an
 approximate minimum-norm solution, and the nonnegative-cone search of
-:mod:`trisolve.feasibility`.  Pivots carry ``b'`` by convex combinations;
+:mod:`trisolve.feasibility`, whose pivots move over a triangle rather than a
+segment.  Pivots carry ``b'`` by convex combinations;
 a success is claimed only on ``b' = Ax'`` measured from the returned ``x'``.
 """
 
@@ -48,21 +49,69 @@ _REVALIDATE_EVERY = 512
 _INNER_EPS_FACTOR = 0.25
 
 
-def move_to_pivot(b_prime, x_prime, v, preimage, gap):
-    """Advance to the point of segment ``[b', v]`` nearest to ``b``.
+def move_to_pivot(b_prime, x_prime, v, preimage, gap, prev=None):
+    """Advance to the point of segment ``[b', v]``, or of the triangle
+    ``conv{b', v, v_prev}`` when ``prev = (v_prev, preimage_prev)``, nearest
+    to ``b``.
 
     ``b_prime`` is a float64 array and ``gap`` is ``b - b'``; ``v`` and
     ``preimage`` are ``0.0`` for a move to the cone's apex.  Returns
-    ``(b'', x'', alpha)`` with the step ``alpha`` clamped to [0, 1] so the
-    new iterate stays a convex combination inside the ellipsoid.
+    ``(b'', x'', alpha)`` with ``alpha`` the weight on ``v``.  The weights on
+    ``x'``, ``v`` and ``v_prev`` lie in the simplex, so the new iterate stays
+    a convex combination inside the ellipsoid, and nonnegative when its
+    preimages are.
+
+    The triangle point is Wolfe's corrective step: with ``d1 = v - b'`` and
+    ``d2 = v_prev - b'`` it minimizes ``||gap - s d1 - u d2||`` over
+    ``s, u >= 0``, ``s + u <= 1``, by the 2x2 normal equations when their
+    solution lies inside and by the best of the three edges otherwise.  The
+    segment ``u = 0`` is one of those edges, so up to rounding the triangle
+    never ends farther from ``b`` than the segment.
     """
     d = v - b_prime
-    denom = float(d.dot(d))
-    if denom == 0.0:
+    a11 = float(d.dot(d))
+    if a11 == 0.0:
         raise ValueError("degenerate pivot: v coincides with the iterate")
-    alpha = float(gap.dot(d)) / denom
-    alpha = min(1.0, max(0.0, alpha))
-    return b_prime + alpha * d, (1.0 - alpha) * x_prime + alpha * preimage, alpha
+    g1 = float(gap.dot(d))
+    s = min(1.0, max(0.0, g1 / a11))
+    if prev is None:
+        b_new = s * d
+        b_new += b_prime
+        x_new = (1.0 - s) * x_prime
+        x_new += s * preimage
+        return b_new, x_new, s
+    v_prev, preimage_prev = prev
+    d2 = v_prev - b_prime
+    a12, a22, g2 = float(d.dot(d2)), float(d2.dot(d2)), float(gap.dot(d2))
+    det = a11 * a22 - a12 * a12
+    s_in = u_in = -1.0   # nearly parallel d1, d2 leave only the edges
+    if det > 1e-12 * a11 * a22:
+        s_in = (g1 * a22 - g2 * a12) / det
+        u_in = (g2 * a11 - g1 * a12) / det
+    if s_in >= 0.0 and u_in >= 0.0 and s_in + u_in <= 1.0:
+        s, u = s_in, u_in
+    else:
+        # ||gap - s d1 - u d2||^2 - ||gap||^2 at each edge's nearest point,
+        # starting from the segment's
+        def excess(s, u):
+            return s * (s * a11 - 2.0 * g1) + u * (u * a22 - 2.0 * g2) + 2.0 * s * u * a12
+        u, best = 0.0, excess(s, 0.0)
+        if a22 > 0.0:
+            t = min(1.0, max(0.0, g2 / a22))
+            if excess(0.0, t) < best:
+                s, u, best = 0.0, t, excess(0.0, t)
+        e = a11 - 2.0 * a12 + a22   # ||v - v_prev||^2
+        if e > 0.0:
+            t = min(1.0, max(0.0, (g1 - g2 - a12 + a22) / e))
+            if excess(t, 1.0 - t) < best:
+                s, u = t, 1.0 - t
+    b_new = s * d
+    b_new += b_prime
+    b_new += u * d2
+    x_new = max(0.0, 1.0 - s - u) * x_prime
+    x_new += s * preimage
+    x_new += u * preimage_prev
+    return b_new, x_new, s
 
 
 def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
@@ -76,6 +125,13 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
     radius becomes ``max(2 rho, (b - b')^T b / ||c||)`` and stops once it
     passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
     when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
+    After its first pivot a cone run moves to the point of
+    ``conv{b', v, v_prev}`` nearest ``b``, ``v_prev`` its last pivot point
+    (Wolfe's corrective step; the last pivot outlives expands, since
+    ``E_rho`` only grows, and the revalidation of ``b'``).  The apex pivot
+    and every pivot of a run outside the cone take the segment step: a ball
+    run would reach its approximate solution in fewer pivots of higher cost,
+    and a fixed-radius run its witness later.
     The run starts from the float64 ``x0``, or the origin when it is None; a
     fixed-radius caller passes an ``x0`` inside the ball.  A stopping clause
     that passes on a carried ``b'`` is tested again on ``b' = op.matvec(x)``,
@@ -87,6 +143,7 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
     x = np.zeros(n) if x0 is None else x0.copy()
     b_prime = np.zeros(m) if x0 is None else op.matvec(x)
     status, detail, bound = ITERATION_CAP, "", None
+    prev = None
     iterations = since_revalidate = 0   # pivots since b' was measured from x
     while iterations < max_iters:
         if since_revalidate >= _REVALIDATE_EVERY:
@@ -130,7 +187,10 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
         elif rho > 0.0 and rho * d_norm >= gap_dot_b:
             # v = rho A d / ||d||, the maximizer of d^T x over E_rho
             preimage = (rho / d_norm) * d
-            b_prime, x, _ = move_to_pivot(b_prime, x, op.matvec(preimage), preimage, gap)
+            v = op.matvec(preimage)
+            b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, gap, prev)
+            if cone:
+                prev = (v, preimage)
             event = "pivot"
         elif rho_cap is None:
             event, stop = "witness", WITNESS
@@ -142,9 +202,9 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
                 stop, detail = ITERATION_CAP, f"radius exceeded cap {rho_cap:.3e}"
         if cone:
             x_min = float(x.min()) if n else 0.0
-            if x_min < -1e-12:
-                # convex combinations of nonnegative vectors cannot go
-                # negative; a violation means the state is corrupt
+            if x_min < 0.0:
+                # nonnegative weights on nonnegative vectors cannot give a
+                # negative entry; one means the state is corrupt
                 status, detail = NUMERICAL_FAILURE, "iterate left the nonnegative cone"
                 break
             trace.append(rho, gap_norm, c_norm, event, x_min)

@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from trisolve import triangle
 from trisolve.feasibility import default_rho_max, nonnegative_feasibility
-from trisolve.linalg import GramProduct, norm2
+from trisolve.linalg import GramProduct, matvec, matvec_transpose, norm2
 from trisolve.triangle import solve_adaptive
 
 
@@ -50,7 +54,7 @@ class TestFeasibilitySolver:
         res = nonnegative_feasibility(np.eye(2), np.array([1.0, 1.0]), eps=1e-8)
         assert res.status == "feasible"
         assert np.abs(res.x - 1.0).max() <= 1e-7
-        assert res.x.min() >= -1e-12
+        assert res.x.min() >= 0.0
 
     def test_sign_obstructed_never_feasible(self):
         # x >= 0 forces Ax >= 0, but b < 0
@@ -82,7 +86,7 @@ class TestFeasibilitySolver:
             res = nonnegative_feasibility(a, b, eps=1e-8, max_iters=400_000)
             assert res.status == "feasible"
             assert lp_oracle_feasible(a, b)
-            assert res.x.min() >= -1e-12
+            assert res.x.min() >= 0.0
             assert norm2(a @ res.x - b) <= 1e-8
 
     def test_oracle_infeasible_instances_never_feasible(self):
@@ -110,8 +114,8 @@ class TestFeasibilitySolver:
         res = nonnegative_feasibility(a, b, eps=1e-8, max_iters=100_000)
         assert res.status == "feasible"
         min_entries = res.trace.column("min_x_entry")
-        assert all(v >= -1e-12 for v in min_entries)
-        assert res.min_x_entry >= -1e-12
+        assert all(v >= 0.0 for v in min_entries)
+        assert res.min_x_entry >= 0.0
 
     def test_normal_equation_variant(self):
         # a feasible system solved through the implicit (A^T A, A^T b) pair:
@@ -126,7 +130,7 @@ class TestFeasibilitySolver:
         if res.status == "feasible":
             sigma_min = np.linalg.svd(a, compute_uv=False).min()
             assert norm2(a @ res.x - b) <= 1e-9 * norm2(g) / sigma_min * 10
-            assert res.x.min() >= -1e-12
+            assert res.x.min() >= 0.0
 
     def test_rho_cap_reports_inconclusive(self):
         a = np.array([[1.0, 1.0]])
@@ -160,3 +164,135 @@ class TestFeasibilitySolver:
         assert (a.T @ y).max() <= 0.0
         assert y @ b > 0.0
         assert np.isclose(res.lower_bound, (y @ b) / norm2(a.T @ y), rtol=1e-9)
+
+
+# --- the cone pivot moves over a triangle ------------------------------------
+
+_LP_KINDS = ("interior", "boundary", "infeasible", "positive")
+
+
+def _lp_system(kind, rng, m, n):
+    """A random ``m x n`` LP of one kind: ``b`` from a positive ``x``
+    (interior), from an ``x`` supported on fewer than ``m`` columns, so the
+    solutions lie on a face (boundary), with one row made nonpositive and
+    its right-hand side positive (infeasible, a one-row Farkas certificate),
+    or a uniform ``A > 0``, whose searches take apex pivots (positive)."""
+    a = rng.random((m, n)) if kind == "positive" else rng.standard_normal((m, n))
+    x = rng.uniform(0.2, 1.0, n)
+    if kind == "boundary":
+        x[int(rng.integers(1, m)) if m > 1 else 1:] = 0.0
+    b = a @ x
+    if kind == "infeasible":
+        row = int(rng.integers(m))
+        a[row] = -np.abs(a[row])
+        b[row] = abs(b[row]) + 0.5
+    return a, b
+
+
+def _lp_draw(kind, seed):
+    """Draw ``seed`` of a kind: ``2 <= m <= 8``, ``m < n <= 3m + 3``, CSR
+    for odd seeds, ``eps = 1e-6 ||b||``."""
+    rng = np.random.default_rng(9000 + seed)
+    m = int(rng.integers(2, 9))
+    n = int(rng.integers(m + 1, 3 * m + 4))
+    a, b = _lp_system(kind, rng, m, n)
+    return (sparse.csr_array(a) if seed % 2 else a), b, 1e-6 * norm2(b)
+
+
+def _checked_pivots(a, b, eps, max_iters):
+    """Run the cone search, checking every pivot against the segment step
+    from the same state; returns the result and the counts of triangle and
+    apex pivots.  The gaps are compared within 1e-12 of the largest point
+    the step combines: near convergence both gaps sit at the rounding of
+    ``b' + s d1 + u d2`` (a sweep of 1500 draws at eps down to 1e-12 ||b||
+    saw the triangle's gap above the segment's by at most 5.1e-17 of that
+    scale, and by up to 8.6e-5 of the segment's own gap)."""
+    b = np.asarray(b, dtype=np.float64)
+    move = triangle.move_to_pivot
+    counts = {"triangle": 0, "apex": 0}
+
+    def checked(b_prime, x, v, preimage, gap, prev=None):
+        b_new, x_new, alpha = move(b_prime, x, v, preimage, gap, prev)
+        if prev is not None:
+            counts["triangle"] += 1
+            b_seg = move(b_prime, x, v, preimage, gap)[0]
+            scale = max(norm2(b), norm2(b_prime), norm2(v), norm2(prev[0]))
+            assert norm2(b - b_new) <= norm2(b - b_seg) + 1e-12 * scale
+        counts["apex"] += isinstance(v, float)
+        assert x_new.size == 0 or x_new.min() >= 0.0
+        return b_new, x_new, alpha
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(triangle, "move_to_pivot", checked)
+        res = nonnegative_feasibility(a, b, eps=eps, max_iters=max_iters)
+    return res, counts
+
+
+class TestTriangleStep:
+    """After its first pivot a cone run moves to the point of
+    ``conv{b', v, v_prev}`` nearest ``b``: never farther than the segment
+    step, and exactly nonnegative."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(_LP_KINDS), m=st.integers(1, 6), n=st.integers(1, 10),
+           csr=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_no_pivot_ends_farther_than_the_segment(self, kind, m, n, csr, seed):
+        a, b = _lp_system(kind, np.random.default_rng(seed), m, n)
+        res, _ = _checked_pivots(sparse.csr_array(a) if csr else a, b, 1e-6 * norm2(b),
+                                 max_iters=300)
+        assert res.min_x_entry >= 0.0
+
+    def test_apex_pivots_are_checked(self):
+        # a positive A: c+ = 0 with (b - b')^T b <= 0 sends the search to the
+        # apex, and the triangle steps around it keep both properties
+        a, b, eps = _lp_draw("positive", 0)
+        res, counts = _checked_pivots(a, b, eps, max_iters=20_000)
+        assert res.status == "feasible"
+        assert counts["apex"] > 0 and counts["triangle"] > counts["apex"]
+
+    def test_any_negative_entry_is_corruption(self, monkeypatch):
+        # simplex weights keep x >= 0 exactly, so even -1e-13 means a
+        # corrupt state, never a feasible x
+        move = triangle.move_to_pivot
+
+        def drifting(*args):
+            b_new, x_new, alpha = move(*args)
+            x_new[0] = -1e-13
+            return b_new, x_new, alpha
+
+        monkeypatch.setattr(triangle, "move_to_pivot", drifting)
+        res = nonnegative_feasibility(np.eye(2), np.array([1.0, 1.0]), eps=1e-8)
+        # the radius jump from 0, then the first pivot breaks the run
+        assert res.status == "numerical_failure" and res.iterations == 1
+        assert res.detail == "iterate left the nonnegative cone"
+
+    def test_statuses_against_the_segment_step(self):
+        # 15 draws of each kind, cap 20000.  Feasible draws end no worse than
+        # under the segment step; a feasible result is nonnegative within eps.
+        # A witness needs c+ = 0 at the iterate the path reaches before the
+        # radius budget runs out, so single infeasible draws can gain or lose
+        # one either way; in total they may not end in fewer witnesses.
+        rank = {"feasible": 0, "witness": 0, "inconclusive": 1}
+        witnesses = {"segment": 0, "triangle": 0}
+        move = triangle.move_to_pivot
+        for kind in _LP_KINDS:
+            for seed in range(15):
+                a, b, eps = _lp_draw(kind, seed)
+                res = nonnegative_feasibility(a, b, eps=eps, max_iters=20_000)
+                with pytest.MonkeyPatch.context() as mp:
+                    # every pivot a segment step, as cone runs took before
+                    mp.setattr(triangle, "move_to_pivot", lambda *args: move(*args[:5]))
+                    seg = nonnegative_feasibility(a, b, eps=eps, max_iters=20_000)
+                if res.status == "feasible":
+                    assert res.x.min() >= 0.0
+                    assert norm2(matvec(a, res.x) - b) <= eps
+                if res.status == "witness":   # y = b - b': A^T y <= 0 < y^T b
+                    y = b - res.b_prime
+                    assert matvec_transpose(a, y).max() <= 0.0 < float(y @ b)
+                if kind == "infeasible":
+                    assert res.status != "feasible"
+                    witnesses["segment"] += seg.status == "witness"
+                    witnesses["triangle"] += res.status == "witness"
+                else:
+                    assert rank[res.status] <= rank[seg.status], (kind, seed)
+        assert witnesses["triangle"] >= witnesses["segment"]

@@ -470,9 +470,12 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
     """The pivot loop written out plainly: the pivot point and
     ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
     ``b - b'``, every product through ``np.dot``.  Like the lean loop it
-    starts from ``x0`` whenever one is given, measures ``b' = Ax`` again
-    after every 512 pivots and before it claims a success on a carried
-    ``b'``, and returns through ``finish``."""
+    starts from ``x0`` whenever one is given, moves a cone run after its
+    first pivot to the nearest point of the triangle of ``b'`` and the last
+    two pivots (the apex pivot keeps the segment and leaves the last pivot
+    as it was), measures ``b' = Ax`` again after every 512 pivots and before
+    it claims a success on a carried ``b'``, and returns through
+    ``finish``."""
     m, n = op.shape
     if x0 is None:
         x, b_prime = np.zeros(n), np.zeros(m)
@@ -486,11 +489,39 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
         alpha = min(1.0, max(0.0, alpha))
         return b_prime + alpha * d, (1.0 - alpha) * x + alpha * preimage
 
+    def move_in_triangle(v, preimage, v_prev, preimage_prev):
+        # the point of conv{b', v, v_prev} nearest b: the 2x2 normal
+        # equations by Cramer's rule when their solution lies in the simplex,
+        # else the best nearest point of the three edges, the segment first
+        clamp = lambda t: min(1.0, max(0.0, t))
+        gap = np.asarray(b) - b_prime
+        d1, d2 = v - b_prime, v_prev - b_prime
+        a11, a12, a22 = (float(np.dot(d1, d1)), float(np.dot(d1, d2)),
+                         float(np.dot(d2, d2)))
+        g1, g2 = float(np.dot(gap, d1)), float(np.dot(gap, d2))
+        det = a11 * a22 - a12 * a12
+        s = u = -1.0
+        if det > 1e-12 * a11 * a22:
+            s, u = (g1 * a22 - g2 * a12) / det, (g2 * a11 - g1 * a12) / det
+        if not (s >= 0.0 and u >= 0.0 and s + u <= 1.0):
+            edges = [(clamp(g1 / a11), 0.0)]
+            if a22 > 0.0:
+                edges.append((0.0, clamp(g2 / a22)))
+            e = a11 - 2.0 * a12 + a22
+            if e > 0.0:
+                t = clamp((g1 - g2 - a12 + a22) / e)
+                edges.append((t, 1.0 - t))
+            s, u = min(edges, key=lambda su: su[0] * (su[0] * a11 - 2.0 * g1)
+                       + su[1] * (su[1] * a22 - 2.0 * g2) + 2.0 * su[0] * su[1] * a12)
+        w = max(0.0, 1.0 - s - u)
+        return (b_prime + s * d1 + u * d2,
+                w * x + s * preimage + u * preimage_prev)
+
     def done(status, detail="", bound=None):
         return finish(status, op, b, x, iterations, trace, rho=rho, b_prime=b_prime,
                       lower_bound=bound, detail=detail)
 
-    bound = None
+    bound = last_pivot = None
     iterations = since_revalidate = 0
     while iterations < max_iters:
         gap = b - b_prime
@@ -525,7 +556,13 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
             event = "pivot"
         elif rho > 0.0 and rho * d_norm >= gap_dot_b:
             preimage = (rho / norm2(d)) * np.asarray(d, dtype=np.float64)
-            b_prime, x = move(op.matvec(preimage), preimage)
+            v = op.matvec(preimage)
+            if last_pivot is None:
+                b_prime, x = move(v, preimage)
+            else:
+                b_prime, x = move_in_triangle(v, preimage, *last_pivot)
+            if cone:   # ball runs keep the segment step
+                last_pivot = (v, preimage)
             event = "pivot"
         elif rho_cap is None:
             event, stop, detail = "witness", "witness", ""
@@ -537,7 +574,7 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
                 stop, detail = "iteration_cap", f"radius exceeded cap {rho_cap:.3e}"
         if cone:
             x_min = float(x.min()) if n else 0.0
-            if x_min < -1e-12:
+            if x_min < 0.0:
                 return done("numerical_failure", "iterate left the nonnegative cone")
             trace.append(rho, gap_norm, c_norm, event, x_min)
         else:
@@ -582,7 +619,7 @@ _LOOP_CASES = {
     "farkas-witness": (lambda: nonnegative_feasibility(*_lp(2), eps=1e-6, max_iters=300),
                        ["witness"]),
     "apex-pivot": (lambda: nonnegative_feasibility(*_lp(3), eps=1e-6, max_iters=300),
-                   ["iteration_cap"]),
+                   ["approx_solution"]),
     "radius-budget": (lambda: nonnegative_feasibility(*_system(2, 6, 9, cols=4), eps=1e-4,
                                                       rho_max=0.5), ["iteration_cap"]),
     "revalidate": (lambda: solve_in_ball(_ILL, _ILL.sum(axis=1), rho=1e3, eps=1e-12,

@@ -40,7 +40,6 @@ from .linalg import (
     check_positive,
     matvec,  # noqa: F401  re-exported as trisolve.centering.matvec
     norm2,
-    prepare_system,
     quiet_floating_point,
 )
 from .results import (
@@ -50,9 +49,7 @@ from .results import (
     NORMAL_EQ_SOLUTION,
     NUMERICAL_FAILURE,
     SolveResult,
-    Trace,
-    finish,
-    zero_rhs,
+    System,
 )
 
 # Singular values of the moment system below this relative cutoff are
@@ -264,11 +261,11 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     """Solve ``Ax = b`` (or its normal equation) by cycled centering steps."""
     opts = options or CenteringOptions()
     # symmetric mode applies A^T once, at the end: no stored transpose
-    op, b, b_norm = prepare_system(a, b, transpose=opts.h_mode == H_MODE_GRAM)
+    system = System(a, b, CENTERING_TRACE_COLUMNS, transpose=opts.h_mode == H_MODE_GRAM)
+    op, b, b_norm, trace = system.op, system.b, system.b_norm, system.trace
     m, n = op.shape
-    trace = Trace(CENTERING_TRACE_COLUMNS)
     if b_norm == 0.0:
-        return zero_rhs(APPROX_SOLUTION, n, trace)
+        return system.zero_rhs(APPROX_SOLUTION)
     opts = opts.validated(m)
 
     h = HOperator(op, opts.h_mode)
@@ -279,10 +276,9 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     eps_abs = opts.epsilon * b_norm
     quad_threshold = eps_abs * eps_abs
     drift_budget = 1e-10
-    a_fro = op.frobenius_norm()
     # with G formed, sqrt(phi_1) is ||A^T r|| up to the rounding of forming
     # and applying G, at most about sqrt((m + n) u) ||A||_F ||r||
-    gram_floor = math.sqrt((m + n) * np.finfo(np.float64).eps) * a_fro
+    gram_floor = math.sqrt((m + n) * np.finfo(np.float64).eps) * system.a_fro
     schedule = _order_schedule(opts.t_max)
     status = ITERATION_CAP
     detail = ""
@@ -343,7 +339,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         iterations += 1
         if iterations % _RECHECK_EVERY == 0:
             x_now, r_now, h_now = true_residual(x, h)
-            if norm2(r_now - r) > drift_budget * (b_norm + a_fro * norm2(x_now)):
+            if norm2(r_now - r) > drift_budget * (b_norm + system.a_fro * norm2(x_now)):
                 if h.gram is None:
                     status, detail = NUMERICAL_FAILURE, "residual drift exceeded budget"
                     break
@@ -351,5 +347,5 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
                 x, h = x_now, h_now
             r = r_now
 
-    return finish(status, op, b, x if h.gram is None else op.rmatvec(x), iterations, trace,
-                  detail=detail)
+    return system.finish(status, x if h.gram is None else op.rmatvec(x), iterations,
+                         detail=detail)

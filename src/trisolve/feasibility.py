@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .linalg import (check_count, check_positive, norm2, prepare, prepare_system,
-                     quiet_floating_point)
+from .linalg import check_count, check_positive, norm2, prepare, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
@@ -33,19 +32,19 @@ from .results import (
     INCONCLUSIVE,
     ITERATION_CAP,
     SolveResult,
-    Trace,
-    zero_rhs,
+    System,
 )
 from .triangle import _pivot_loop
 
 
+@quiet_floating_point
 def default_rho_max(a, b) -> float:
     """Radius budget ``10 max(n, 1) max(1, ||b|| / sigma)`` with the RMS row
     norm standing in as the scale ``sigma``; ``a`` is a matrix or a prepared
     operator."""
     op = prepare(a, transpose=False)
     m, n = op.shape
-    sigma = op.frobenius_norm() / math.sqrt(m)
+    sigma = op.frobenius_norm() / math.sqrt(max(m, 1))
     if sigma == 0.0:
         sigma = 1.0
     return 10.0 * max(n, 1) * max(1.0, norm2(b) / sigma)
@@ -61,19 +60,18 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     ``b = 0`` the feasible point ``x = 0`` is returned at iteration 0.  Only
     a passed ``rho_max`` is checked, not :func:`default_rho_max`.
     """
-    op, b, b_norm = prepare_system(a, b)
-    trace = Trace(FEASIBILITY_TRACE_COLUMNS)
-    if b_norm == 0.0:
-        return zero_rhs(FEASIBLE, op.shape[1], trace, rho=0.0, min_x_entry=0.0)
+    system = System(a, b, FEASIBILITY_TRACE_COLUMNS)
+    if system.b_norm == 0.0:
+        return system.zero_rhs(FEASIBLE, rho=0.0, min_x_entry=0.0)
     check_positive(eps=eps)
     check_count(max_iters=max_iters)
     if rho_max is None:
-        rho_max = default_rho_max(op, b)
+        rho_max = default_rho_max(system.op, system.b)
     else:
         check_positive(rho_max=rho_max)
     # eps_prime = -inf: the cone search has no normal-equation stop
-    run = _pivot_loop(op, b, None, 0.0, eps, -math.inf, max_iters, trace,
-                      rho_cap=rho_max, cone=True)
+    run = _pivot_loop(system, None, 0.0, eps, -math.inf, max_iters, rho_cap=rho_max,
+                      cone=True)
     status, detail = run.status, run.detail
     if status == APPROX_SOLUTION:
         status = FEASIBLE

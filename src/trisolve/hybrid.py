@@ -12,17 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .centering import CenteringOptions, centering_solve
-from .linalg import (GramProduct, check_count, check_positive, norm2, prepare_system,
-                     quiet_floating_point)
-from .results import (
-    APPROX_SOLUTION,
-    NORMAL_EQ_SOLUTION,
-    NUMERICAL_FAILURE,
-    SolveResult,
-    Trace,
-    finish,
-    zero_rhs,
-)
+from .linalg import GramProduct, check_count, check_positive, norm2, quiet_floating_point
+from .results import APPROX_SOLUTION, NORMAL_EQ_SOLUTION, NUMERICAL_FAILURE, SolveResult, System
 from .triangle import min_norm_solve, solve_adaptive
 
 HYBRID_TRACE_COLUMNS = ("iter", "stage", "residual_norm", "normal_residual_norm", "wall_ns")
@@ -52,11 +43,11 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     pair with a nonzero ``A^T b`` whose norm underflows to 0; the result
     then carries stage one's status and a detail naming the underflow."""
     opts = options or HybridOptions()
-    op, b, b_norm = prepare_system(a, b)
-    # both stages' rows, on this trace's clock
-    trace = Trace(HYBRID_TRACE_COLUMNS)
+    # both stages' rows go to the system's trace, on its clock
+    system = System(a, b, HYBRID_TRACE_COLUMNS)
+    op, b, b_norm, trace = system.op, system.b, system.b_norm, system.trace
     if b_norm == 0.0:
-        return zero_rhs(APPROX_SOLUTION, op.shape[1], trace)
+        return system.zero_rhs(APPROX_SOLUTION)
     check_positive(below=1.0, eps_cta=opts.eps_cta)
     check_positive(eps_ta=opts.eps_ta)
     check_count(max_iters_stage1=opts.max_iters_stage1, max_iters_stage2=opts.max_iters_stage2,
@@ -106,7 +97,7 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
                         else stage2.status)
 
     trace.extend(stage2.trace, stage="stage2")
-    return finish(final_status, op, b, x, stage1.iterations + stage2.iterations, trace,
-                  rho=stage2.rho, rho_interval=stage2.rho_interval,
-                  lower_bound=stage2.lower_bound, detail=stage2.detail,
-                  stage_results=[stage1, stage2])
+    return system.finish(final_status, x, stage1.iterations + stage2.iterations,
+                         rho=stage2.rho, rho_interval=stage2.rho_interval,
+                         lower_bound=stage2.lower_bound, detail=stage2.detail,
+                         stage_results=[stage1, stage2])

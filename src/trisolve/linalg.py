@@ -248,20 +248,6 @@ def as_vector(name: str, v, length: int) -> np.ndarray:
     return v
 
 
-def prepare_system(a, b, transpose: bool = True):
-    """The entry of every driver: ``(prepare(a, transpose), b, ||b||)`` with
-    ``b`` as a float64 vector of the operator's row count.  Raises
-    ``ValueError`` for a wrong shape, and for a nonzero ``b`` whose norm
-    underflows to 0, which the drivers would read as ``b = 0``.  NaN, Inf or
-    an overflowing norm pass; the drivers end in ``numerical_failure``."""
-    op = prepare(a, transpose)
-    b = as_vector("b", b, op.shape[0])
-    b_norm = norm2(b)
-    if b_norm == 0.0 and b.any():
-        raise ValueError("b is nonzero but its norm underflows to 0; scale b up")
-    return op, b, b_norm
-
-
 def check_positive(*, below: float = math.inf, **named) -> None:
     """Raise ``ValueError`` naming the first keyword argument that is not a
     number in the open interval ``(0, below)``: by default a finite positive

@@ -1,14 +1,17 @@
-"""Result and trace containers shared by all solver drivers."""
+"""Result and trace containers shared by all solver drivers, and the one
+entry and exit of a solve: :class:`System`, the system as prepared at entry,
+whose trace takes the solve's rows and whose exits build its result."""
 
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import norm2
+from .linalg import as_vector, norm2, prepare
 
 # Terminal statuses.  Drivers return exactly one of these.
 APPROX_SOLUTION = "approx_solution"       # ||Ax - b|| within tolerance
@@ -116,16 +119,39 @@ class SolveResult:
         )
 
 
-def finish(status, op, b, x, iterations, trace, **extra) -> SolveResult:
-    """The exit of every driver: both residual norms measured from ``x``."""
-    final = b - op.matvec(x)
-    return SolveResult(status, x, norm2(final), norm2(op.rmatvec(final)),
-                       iterations, trace, **extra)
+class System:
+    """The system of one solve, prepared once at entry: the operator
+    ``op`` (:func:`linalg.prepare`, storing ``A^T`` when ``transpose`` is
+    set), ``b`` as a float64 vector of its row count, ``b_norm`` and the
+    solve's ``trace``, with the given columns.  Raises ``ValueError`` for a
+    wrong shape, and for a nonzero ``b`` whose norm underflows to 0, which
+    the drivers would read as ``b = 0``.  NaN, Inf or an overflowing norm
+    pass; the drivers end in ``numerical_failure``."""
 
+    def __init__(self, a, b, columns, transpose: bool = True):
+        self.op = prepare(a, transpose)
+        self.b = as_vector("b", b, self.op.shape[0])
+        self.b_norm = norm2(self.b)
+        if self.b_norm == 0.0 and self.b.any():
+            raise ValueError("b is nonzero but its norm underflows to 0; scale b up")
+        self.trace = Trace(columns)
 
-def zero_rhs(status, n, trace, **extra) -> SolveResult:
-    """The answer to ``b = 0``: ``x = 0`` at iteration 0, both residuals 0."""
-    return SolveResult(status, np.zeros(n), 0.0, 0.0, 0, trace, **extra)
+    @functools.cached_property
+    def a_fro(self) -> float:
+        """``||A||_F``, on first use: a pass over ``A`` that only the
+        solves with a floating-point floor need."""
+        return self.op.frobenius_norm()
+
+    def finish(self, status, x, iterations, **extra) -> SolveResult:
+        """The exit of every driver: both residual norms measured from ``x``."""
+        final = self.b - self.op.matvec(x)
+        return SolveResult(status, x, norm2(final), norm2(self.op.rmatvec(final)),
+                           iterations, self.trace, **extra)
+
+    def zero_rhs(self, status, **extra) -> SolveResult:
+        """The answer to ``b = 0``: ``x = 0`` at iteration 0, both residuals 0."""
+        return SolveResult(status, np.zeros(self.op.shape[1]), 0.0, 0.0, 0, self.trace,
+                           **extra)
 
 
 CENTERING_TRACE_COLUMNS = ("iter", "t", "residual_norm", "normal_residual_norm", "wall_ns")

@@ -23,8 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .linalg import (as_vector, check_count, check_positive, norm2, prepare_system,
-                     quiet_floating_point)
+from .linalg import as_vector, check_count, check_positive, norm2, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
     ITERATION_CAP,
@@ -33,10 +32,8 @@ from .results import (
     NUMERICAL_FAILURE,
     TRIANGLE_TRACE_COLUMNS,
     SolveResult,
-    Trace,
+    System,
     WITNESS,
-    finish,
-    zero_rhs,
 )
 
 # Measure b' = A x' again this often; convex-combination updates drift slowly.
@@ -114,7 +111,7 @@ def move_to_pivot(b_prime, x_prime, v, preimage, gap, prev=None):
     return b_new, x_new, s
 
 
-def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
+def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
                 cone=False) -> SolveResult:
     """The Triangle Algorithm iteration shared by every driver.
 
@@ -136,9 +133,12 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
     fixed-radius caller passes an ``x0`` inside the ball.  A stopping clause
     that passes on a carried ``b'`` is tested again on ``b' = op.matvec(x)``,
     which counts no iteration, so a success holds of the returned ``x``.
-    The result carries the final ``rho``, ``b_prime``, ``detail`` and the
-    witness bound as ``lower_bound``; each iteration adds a row to ``trace``.
+    The run returns through ``system.finish``, with the final ``rho``,
+    ``b_prime``, ``detail`` and the witness bound as ``lower_bound``; each
+    iteration adds a row to the system's trace, which the runs of one solve
+    share.
     """
+    op, b, trace = system.op, system.b, system.trace
     m, n = op.shape
     x = np.zeros(n) if x0 is None else x0.copy()
     b_prime = np.zeros(m) if x0 is None else op.matvec(x)
@@ -216,8 +216,8 @@ def _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
             break
         if event == "pivot":
             since_revalidate += 1
-    return finish(status, op, b, x, iterations, trace, rho=rho, b_prime=b_prime,
-                  lower_bound=bound, detail=detail)
+    return system.finish(status, x, iterations, rho=rho, b_prime=b_prime,
+                         lower_bound=bound, detail=detail)
 
 
 @quiet_floating_point
@@ -227,13 +227,12 @@ def solve_in_ball(a, b, rho, eps, max_iters=100_000) -> SolveResult:
     (``||A^T(b - Ax)|| <= eps``), or a witness that ``b`` lies outside
     ``E_rho``.  Tolerances are absolute.  ``b = 0`` is answered before any
     check: ``x = 0`` at iteration 0, with ``rho``."""
-    op, b, b_norm = prepare_system(a, b)
-    trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    if b_norm == 0.0:
-        return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=rho)
+    system = System(a, b, TRIANGLE_TRACE_COLUMNS)
+    if system.b_norm == 0.0:
+        return system.zero_rhs(APPROX_SOLUTION, rho=rho)
     check_positive(rho=rho, eps=eps)
     check_count(max_iters=max_iters)
-    return _pivot_loop(op, b, None, rho, eps, eps, max_iters, trace)
+    return _pivot_loop(system, None, rho, eps, eps, max_iters)
 
 
 @quiet_floating_point
@@ -248,19 +247,18 @@ def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> Sol
     to ``eps``.  A radius past ``4 ||b||^2 / eps_prime`` ends the run at the
     iteration cap.
     """
-    op, b, b_norm = prepare_system(a, b)
-    trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    if b_norm == 0.0:
-        return zero_rhs(APPROX_SOLUTION, op.shape[1], trace, rho=0.0)
+    system = System(a, b, TRIANGLE_TRACE_COLUMNS)
+    if system.b_norm == 0.0:
+        return system.zero_rhs(APPROX_SOLUTION, rho=0.0)
     eps_prime = eps if eps_prime is None else eps_prime
     check_positive(eps=eps, eps_prime=eps_prime)
     check_count(max_iters=max_iters)
     rho = 0.0
     if x0 is not None:
-        x0 = as_vector("x0", x0, op.shape[1])
+        x0 = as_vector("x0", x0, system.op.shape[1])
         rho = norm2(x0)
-    return _pivot_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace,
-                       rho_cap=4.0 * b_norm ** 2 / eps_prime)
+    return _pivot_loop(system, x0, rho, eps, eps_prime, max_iters,
+                       rho_cap=4.0 * system.b_norm ** 2 / eps_prime)
 
 
 @quiet_floating_point
@@ -281,28 +279,24 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     check: ``x = 0`` at iteration 0, with ``rho = 0`` and
     ``rho_interval = (0, 0)``.
     """
-    op, b, b_norm = prepare_system(a, b)
-    trace = Trace(TRIANGLE_TRACE_COLUMNS)
-    if b_norm == 0.0:
-        return zero_rhs(MIN_NORM_SOLUTION, op.shape[1], trace, rho=0.0,
-                        rho_interval=(0.0, 0.0))
+    system = System(a, b, TRIANGLE_TRACE_COLUMNS)
+    if system.b_norm == 0.0:
+        return system.zero_rhs(MIN_NORM_SOLUTION, rho=0.0, rho_interval=(0.0, 0.0))
     check_positive(eps=eps)
     check_count(inner_cap=inner_cap, max_iters=max_iters)
-    x_eps = as_vector("x_eps", x_eps, op.shape[1])
-    start_gap = norm2(b - op.matvec(x_eps))
+    x_eps = as_vector("x_eps", x_eps, system.op.shape[1])
+    start_gap = norm2(system.b - system.op.matvec(x_eps))
     if not math.isfinite(start_gap):
-        return finish(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
-                      detail="non-finite start residual")
+        return system.finish(NUMERICAL_FAILURE, x_eps, 0, detail="non-finite start residual")
     rho_hi = norm2(x_eps)
     if not math.isfinite(rho_hi):
-        return finish(NUMERICAL_FAILURE, op, b, x_eps, 0, trace,
-                      detail="||x_eps|| overflows")
+        return system.finish(NUMERICAL_FAILURE, x_eps, 0, detail="||x_eps|| overflows")
     if start_gap > eps * (1.0 + 1e-9):
         raise ValueError(
             f"x_eps is not an eps-approximate solution: ||Ax-b|| = {start_gap:.3e} > {eps:.3e}"
         )
     # Floating-point floor standing in for an exact "||c|| > 0" guard.
-    zero_floor = 1e-14 * op.frobenius_norm() * b_norm
+    zero_floor = 1e-14 * system.a_fro * system.b_norm
 
     rho_lo = 0.0
     best_x = x_eps.copy()
@@ -319,21 +313,21 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         rho = 0.5 * (rho_hi + rho_lo)
         if warm is not None and not norm2(warm) <= rho * (1.0 + 1e-9):
             warm = None   # a fixed-radius run must start inside its ball
-        run = _pivot_loop(op, b, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
-                          min(inner_cap, max_iters - iterations), trace)
+        run = _pivot_loop(system, warm, rho, _INNER_EPS_FACTOR * eps, zero_floor,
+                          min(inner_cap, max_iters - iterations))
         iterations += run.iterations
         warm = run.x
         if run.status == APPROX_SOLUTION:
             best_x = run.x
             # an approximate solution may undershoot ||x*||: keep the bracket ordered
             rho_hi = max(rho_lo, min(rho, norm2(run.x)))
-            trace.append(rho_hi, run.residual_norm, run.normal_residual_norm, "shrink")
+            system.trace.append(rho_hi, run.residual_norm, run.normal_residual_norm, "shrink")
         elif run.status == WITNESS:
             # Clamping to rho_hi keeps the bracket ordered; a smaller lower
             # bound is weaker but stays certified (no exact solution lies
             # strictly inside any radius below the witness bound).
             rho_lo = min(max(rho_lo, run.lower_bound), rho_hi)
-            trace.append(rho_lo, run.residual_norm, run.normal_residual_norm, "expand")
+            system.trace.append(rho_lo, run.residual_norm, run.normal_residual_norm, "expand")
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
             return replace(run, iterations=iterations, rho_interval=(rho_lo, rho_hi),
@@ -346,5 +340,5 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
 
     if status == MIN_NORM_SOLUTION and rho_hi - rho_lo > eps:
         status, detail = ITERATION_CAP, "bisection budget exhausted"
-    return finish(status, op, b, best_x, iterations, trace,
-                  rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail)
+    return system.finish(status, best_x, iterations,
+                         rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail)

@@ -18,9 +18,8 @@ from trisolve.centering import (
     _step_arrays,
 )
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import (GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2,
-                             prepare_system)
-from trisolve.results import Trace
+from trisolve.linalg import GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2
+from trisolve.results import CENTERING_TRACE_COLUMNS, System, Trace
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -89,8 +88,9 @@ def _lstsq_reference(mom, t):
 def _gallery_moments(spec, h_mode, t):
     family, n = spec.split(":")
     a = gallery.make(family, int(n))
-    op, b, _ = prepare_system(a, gallery.row_sum_rhs(a), transpose=h_mode == "aat")
-    return moments(HOperator(op, h_mode), b, t)
+    system = System(a, gallery.row_sum_rhs(a), CENTERING_TRACE_COLUMNS,
+                    transpose=h_mode == "aat")
+    return moments(HOperator(system.op, h_mode), system.b, t)
 
 
 def _count_applications(h):

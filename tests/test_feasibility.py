@@ -139,8 +139,13 @@ class TestFeasibilitySolver:
         assert res.status == "inconclusive"
         assert "radius" in res.detail
 
-    def test_default_rho_max_positive(self):
-        assert default_rho_max(np.eye(3), np.ones(3)) > 0
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(3), np.ones(3)),
+        (np.zeros((0, 3)), np.zeros(0)),        # no row: no RMS row norm to divide by
+        (1e300 * np.eye(2), 1e300 * np.ones(2)),  # both norms overflow, silently
+    ], ids=["identity", "no-rows", "overflow"])
+    def test_default_rho_max_positive(self, a, b):
+        assert default_rho_max(a, b) > 0
 
     def test_zero_columns_certify_infeasibility(self):
         # no column: Ax = 0 for every x, so b = 1 is out of reach, and

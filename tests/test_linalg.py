@@ -414,6 +414,35 @@ def test_entry_point_solves_a_nested_list(name):
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
 
 
+class _CountingFrobenius:
+    """An operator over ``a`` that counts its ``frobenius_norm`` calls."""
+
+    def __init__(self, a):
+        self._op = Operator(a)
+        self.matvec, self.rmatvec, self.shape = self._op.matvec, self._op.rmatvec, self._op.shape
+        self.calls = 0
+
+    def frobenius_norm(self):
+        self.calls += 1
+        return self._op.frobenius_norm()
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("centering_solve", 1), ("solve_in_ball", 0), ("solve_adaptive", 0),
+    ("min_norm_solve", 1), ("nonnegative_feasibility", 1), ("hybrid_solve", 1),
+    ("hybrid_solve-min-norm", 2),
+])
+def test_entry_point_computes_the_frobenius_norm_on_first_use(name, calls):
+    # ||A||_F costs a pass over A; only the solves with a floating-point
+    # floor or a default radius budget use it, once per stage
+    solve = (_ENTRY_POINTS.get(name) or (lambda a, b: hybrid_solve(
+        a, b, HybridOptions(eps_ta=1e-8, want_min_norm=True))))
+    op = _CountingFrobenius(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    res = solve(op, np.array([2.0, 1.0]))
+    assert res.success
+    assert op.calls == calls
+
+
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
 @pytest.mark.parametrize("a", [aslinearoperator(np.eye(2)), object(), "abc"],
                          ids=["LinearOperator", "object", "str"])

@@ -12,7 +12,6 @@ from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, matvec, norm2
-from trisolve.results import finish
 from trisolve.triangle import (
     min_norm_solve,
     move_to_pivot,
@@ -465,8 +464,7 @@ class TestClaimRule:
 
 # --- the lean iteration gives the bits of the plain one ----------------------
 
-def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=None,
-                    cone=False):
+def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, cone=False):
     """The pivot loop written out plainly: the pivot point and
     ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
     ``b - b'``, every product through ``np.dot``.  Like the lean loop it
@@ -475,7 +473,8 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
     two pivots (the apex pivot keeps the segment and leaves the last pivot
     as it was), measures ``b' = Ax`` again after every 512 pivots and before
     it claims a success on a carried ``b'``, and returns through
-    ``finish``."""
+    ``system.finish``."""
+    op, b, trace = system.op, system.b, system.trace
     m, n = op.shape
     if x0 is None:
         x, b_prime = np.zeros(n), np.zeros(m)
@@ -518,8 +517,8 @@ def _reference_loop(op, b, x0, rho, eps, eps_prime, max_iters, trace, rho_cap=No
                 w * x + s * preimage + u * preimage_prev)
 
     def done(status, detail="", bound=None):
-        return finish(status, op, b, x, iterations, trace, rho=rho, b_prime=b_prime,
-                      lower_bound=bound, detail=detail)
+        return system.finish(status, x, iterations, rho=rho, b_prime=b_prime,
+                             lower_bound=bound, detail=detail)
 
     bound = last_pivot = None
     iterations = since_revalidate = 0

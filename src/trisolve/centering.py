@@ -234,8 +234,12 @@ def _step_arrays(x, r, t, h, r_norm=None):
     best = None
     for order in range(t, 0, -1):
         alpha = min_norm_coefficients(mom, order)
-        r_new = r.copy()
-        for i in range(order):
+        # r - alpha_1 p_1 - ... - alpha_k p_k from its first term, with no
+        # copy of r: one pass fewer, and the roundings of subtracting the
+        # terms from r one by one (tests/test_centering.py pins the bits)
+        r_new = alpha[0] * mom.krylov[1]
+        np.subtract(r, r_new, out=r_new)
+        for i in range(1, order):
             r_new -= alpha[i] * mom.krylov[i + 1]
         cand_norm = norm2(r_new)
         if best is None or cand_norm < best[0]:
@@ -244,8 +248,9 @@ def _step_arrays(x, r, t, h, r_norm=None):
             break
     _, order, alpha, r_new = best
     directions = mom.transposed if mom.transposed is not None else mom.krylov
-    x_new = x.copy()
-    for i in range(order):
+    x_new = alpha[0] * directions[0]
+    np.add(x, x_new, out=x_new)
+    for i in range(1, order):
         x_new += alpha[i] * directions[i]
     return x_new, r_new, order, atr_norm
 

@@ -24,7 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .linalg import check_count, check_positive, norm2, prepare, quiet_floating_point
+import numpy as np
+
+from .linalg import (
+    Operator,
+    check_count,
+    check_positive,
+    issparse,
+    norm2,
+    prepare,
+    quiet_floating_point,
+)
 from .results import (
     APPROX_SOLUTION,
     FEASIBILITY_TRACE_COLUMNS,
@@ -37,17 +47,50 @@ from .results import (
 from .triangle import _pivot_loop
 
 
+def _scaled_norm(v) -> tuple[float, int]:
+    """``(||v 2^-e||, e)`` for ``e`` the binary exponent of the largest
+    ``|v_i|``, 0 for a zero vector: the scaling is exact, and the scaled norm
+    neither overflows nor underflows."""
+    e = math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+    return norm2(np.ldexp(v, -e)), e
+
+
+def _stored_entries(op: Operator) -> np.ndarray:
+    """Values whose Euclidean norm is ``||A||_F``, as
+    :meth:`Operator.frobenius_norm` computes it for dense storage and for
+    CSR or CSC storage without duplicate entries."""
+    a = op.matrix
+    if not issparse(a):
+        return a
+    if not (a.format in ("csr", "csc") and a.has_canonical_format):
+        a = a.tocsr(copy=True)
+        a.sum_duplicates()
+    return a.data
+
+
 @quiet_floating_point
 def default_rho_max(a, b) -> float:
     """Radius budget ``10 max(n, 1) max(1, ||b|| / sigma)`` with the RMS row
     norm standing in as the scale ``sigma``; ``a`` is a matrix or a prepared
-    operator."""
+    operator.
+
+    The ratio does not depend on the scale of the system.  When a norm
+    overflows or underflows to zero it comes from ``A 2^-e_A`` and
+    ``b 2^-e_b`` instead, whose norms do neither; where neither does, those
+    give the bits of the plain ratio.  A caller's operator, whose entries
+    are out of reach, keeps its own ``frobenius_norm()``."""
     op = prepare(a, transpose=False)
     m, n = op.shape
-    sigma = op.frobenius_norm() / math.sqrt(max(m, 1))
-    if sigma == 0.0:
-        sigma = 1.0
-    return 10.0 * max(n, 1) * max(1.0, norm2(b) / sigma)
+    rows = math.sqrt(max(m, 1))
+    fro, b_norm = op.frobenius_norm(), norm2(b)
+    if 0.0 < fro < math.inf and 0.0 < b_norm < math.inf:
+        ratio = b_norm / (fro / rows)
+    else:
+        b_norm, b_exp = _scaled_norm(b)
+        fro, a_exp = _scaled_norm(_stored_entries(op)) if isinstance(op, Operator) else (fro, 0)
+        sigma = fro / rows or 1.0
+        ratio = float(np.ldexp(b_norm / sigma, b_exp - a_exp))
+    return 10.0 * max(n, 1) * max(1.0, ratio)
 
 
 @quiet_floating_point

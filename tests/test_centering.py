@@ -317,6 +317,75 @@ class TestStep:
             assert len(calls) == t
 
 
+def _reference_step(x, r, t, h, r_norm):
+    """``_step_arrays`` in its plainest arithmetic: ``r.copy()`` and
+    ``x.copy()``, then ``-= alpha_i p_i`` and ``+= alpha_i d_i`` term by
+    term."""
+    mom = moments(h, r, t)
+    best = None
+    for order in range(t, 0, -1):
+        alpha = min_norm_coefficients(mom, order)
+        r_new = r.copy()
+        for i in range(order):
+            r_new -= alpha[i] * mom.krylov[i + 1]
+        cand_norm = norm2(r_new)
+        if best is None or cand_norm < best[0]:
+            best = (cand_norm, order, alpha, r_new)
+        if cand_norm <= r_norm * (1.0 + centering._MONOTONE_SLACK):
+            break
+    _, order, alpha, r_new = best
+    directions = mom.transposed if mom.transposed is not None else mom.krylov
+    x_new = x.copy()
+    for i in range(order):
+        x_new += alpha[i] * directions[i]
+    return x_new, r_new, order
+
+
+class TestStepBits:
+    """The step builds ``r - sum alpha_i p_i`` and ``x + sum alpha_i d_i``
+    from their first terms, with no copy of ``r`` or ``x``; it must keep the
+    bits of the copy-then-accumulate updates, so that a later change to the
+    update (a fused or stacked product) cannot move them unnoticed."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(23)
+        dense = rng.standard_normal((30, 45))
+        yield "dense-gram", HOperator(dense, "aat")
+        yield "csr-gram", HOperator(gallery.make("convdiff", 7), "aat")  # int64 indices
+        formed = HOperator(dense, "aat")
+        assert formed.form_gram()  # steps on y of x = A^T y
+        yield "formed-gram", formed
+        spd, _, _ = spd_with_spectrum(rng, 35, 0.5, 4.0)
+        yield "symmetric", HOperator(spd, "a")
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+    def test_bits_of_the_copy_then_accumulate_step(self, t):
+        rng = np.random.default_rng(24 + t)
+        for name, h in self._cases():
+            width = h.dim if h.gram is not None else h.operator.shape[1]
+            x, r = rng.standard_normal(width), rng.standard_normal(h.dim)
+            r_norm = norm2(r)
+            x_new, r_new, order, _ = _step_arrays(x, r, t, h, r_norm)
+            x_ref, r_ref, order_ref = _reference_step(x, r, t, h, r_norm)
+            assert order == order_ref, name
+            assert r_new.tobytes() == r_ref.tobytes(), name
+            assert x_new.tobytes() == x_ref.tobytes(), name
+
+    def test_bits_on_a_long_vector(self):
+        a = gallery.make("poisson-d", 317)  # 100489 rows
+        assert a.shape[0] >= 10**5
+        rng = np.random.default_rng(29)
+        x, r = rng.standard_normal(a.shape[0]), rng.standard_normal(a.shape[0])
+        for h in (HOperator(a, "a"), HOperator(a, "aat")):
+            r_norm = norm2(r)
+            x_new, r_new, order, _ = _step_arrays(x, r, 3, h, r_norm)
+            x_ref, r_ref, order_ref = _reference_step(x, r, 3, h, r_norm)
+            assert order == order_ref
+            assert r_new.tobytes() == r_ref.tobytes()
+            assert x_new.tobytes() == x_ref.tobytes()
+
+
 class TestSchedule:
     def test_triangle_wave(self):
         gen = _order_schedule(5)

@@ -147,6 +147,25 @@ class TestFeasibilitySolver:
     def test_default_rho_max_positive(self, a, b):
         assert default_rho_max(a, b) > 0
 
+    @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array])
+    def test_default_rho_max_does_not_depend_on_the_scale(self, storage):
+        # the budget reads ||b|| / sigma, which scaling A and b by one power
+        # of two leaves as it is, also where the plain norms overflow or
+        # underflow to zero
+        rng = np.random.default_rng(12)
+        a = storage(rng.uniform(0.5, 2.0, (4, 6)))
+        b = 10.0 * rng.uniform(1.0, 3.0, 4)
+        budget = default_rho_max(a, b)
+        assert budget > 10.0 * 6  # ||b|| / sigma > 1: the ratio shows
+        for k in (-1000, -800, -600, -400, -1, 1, 400, 600, 800, 1000):
+            assert default_rho_max(2.0**k * a, 2.0**k * b) == budget, k
+
+    def test_overflowing_norms_keep_the_ratio(self):
+        big = default_rho_max(1e300 * np.eye(2), 1e300 * np.ones(2))
+        assert big == default_rho_max(np.eye(2), np.ones(2)) == 20.0 * np.sqrt(2.0)
+        res = nonnegative_feasibility(1e300 * np.eye(2), 1e300 * np.ones(2), 1e-6)
+        assert res.status == "numerical_failure"
+
     def test_zero_columns_certify_infeasibility(self):
         # no column: Ax = 0 for every x, so b = 1 is out of reach, and
         # y = b has A^T y = 0 <= 0 < y^T b, a Farkas certificate

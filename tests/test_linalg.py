@@ -348,6 +348,50 @@ class TestStoredTranspose:
         assert HOperator(a, "aat").operator.transposed is not None
 
 
+class TestIndexStorage:
+    """Sparse storage whose int64 indices fit int32 is kept with int32 copies
+    of ``indices`` and ``indptr``: 12 bytes per nonzero a product streams
+    instead of 16.  The caller's matrix is not touched; the bits of the
+    products are pinned by :class:`TestStoredTranspose`."""
+
+    @pytest.mark.parametrize("cls", [sparse.csr_array, sparse.csr_matrix,
+                                     sparse.csc_array, sparse.csc_matrix])
+    @pytest.mark.parametrize("transpose", [True, False])
+    def test_int64_indices_are_stored_as_int32(self, cls, transpose):
+        rng = np.random.default_rng(30)
+        a = _with_index_dtype(cls(sparse.random(9, 13, density=0.3, random_state=rng)),
+                              np.int64)
+        indices, indptr = a.indices, a.indptr
+        before = (indices.tobytes(), indptr.tobytes())
+        op = Operator(a, transpose=transpose)
+        stored = [op.matrix] + ([op.transposed] if transpose else [])
+        for m in stored:
+            assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert type(op.matrix) is cls
+        assert np.shares_memory(op.matrix.data, a.data)
+        assert (op.transposed is not None) == transpose
+        # the caller's matrix keeps its own index arrays, dtypes and bytes
+        assert a.indices is indices and a.indptr is indptr
+        assert indices.dtype == indptr.dtype == np.int64
+        assert (indices.tobytes(), indptr.tobytes()) == before
+        v = rng.standard_normal(13)
+        assert op.matvec(v).tobytes() == (a @ v).tobytes()
+
+    def test_int32_storage_is_kept_as_it_is(self):
+        a = sparse.csr_array(np.eye(4))
+        assert a.indices.dtype == np.int32
+        assert Operator(a).matrix is a
+
+    def test_indices_beyond_int32_stay_int64(self):
+        # one entry in column 2^31: no int32 index can name it
+        a = sparse.csr_array((np.ones(1), np.array([2**31]), np.array([0, 1])),
+                             shape=(1, 2**31 + 1))
+        assert a.indices.dtype == np.int64
+        op = Operator(a, transpose=False)
+        assert op.matrix is a
+        assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int64
+
+
 class TestPrepare:
     def test_operators_pass_through(self):
         g = GramProduct(np.ones((2, 3)))

@@ -16,7 +16,14 @@ at its cap takes longer than it did with segment steps.  When
 solves ``Ax = b``; the run ends in a witness.  When ``c+ = 0`` but
 ``(b - b')^T b <= 0``, the apex ``x = 0`` is a strict pivot and the search
 goes on.  The radius growth is capped; hitting the cap is reported as
-inconclusive, never as "infeasible".
+inconclusive, never as "infeasible", with a certified lower bound on the
+norm of every ``eps``-feasible point when the last gap gives one.
+
+Before the first pivot, the first check of an LP presolve: a row ``i``
+whose signs alone rule out ``x >= 0`` (every entry of ``A_i`` at most 0
+and ``b_i > eps``, or at least 0 and ``b_i < -eps``) gives the Farkas
+certificate ``y = b_i e_i`` at ``x = 0``, and the solve ends in a witness
+at iteration 0.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .results import (
     FEASIBLE,
     INCONCLUSIVE,
     ITERATION_CAP,
+    WITNESS,
     SolveResult,
     System,
 )
@@ -66,6 +74,33 @@ def _stored_entries(op: Operator) -> np.ndarray:
         a = a.tocsr(copy=True)
         a.sum_duplicates()
     return a.data
+
+
+def _sign_row(op, b, eps) -> int | None:
+    """The lowest row ``i`` whose signs alone rule out ``x >= 0``: every
+    stored entry of ``A_i`` at most 0 and ``b_i > eps``, or at least 0 and
+    ``b_i < -eps``.  Implicit zeros fit both, so an empty row counts.
+    ``None`` when no row does, when a stored value of ``A`` is not finite,
+    and for a caller's operator, whose entries are out of reach."""
+    if not isinstance(op, Operator):
+        return None
+    a = op.matrix
+    if issparse(a):
+        a = a if a.format == "csr" else a.tocsr()
+        values, starts = a.data, a.indptr[:-1]
+        # the stored entries of a nonempty row run from its start to the
+        # next nonempty row's
+        filled = starts < a.indptr[1:]
+        positive, negative = np.zeros((2, a.shape[0]), dtype=bool)
+        positive[filled] = np.logical_or.reduceat(values > 0.0, starts[filled])
+        negative[filled] = np.logical_or.reduceat(values < 0.0, starts[filled])
+    else:
+        values = a
+        positive, negative = (a > 0.0).any(axis=1), (a < 0.0).any(axis=1)
+    if not np.isfinite(values).all():
+        return None
+    rows = np.flatnonzero((~positive & (b > eps)) | (~negative & (b < -eps)))
+    return int(rows[0]) if rows.size else None
 
 
 @quiet_floating_point
@@ -98,9 +133,16 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     """Search for nonnegative ``x`` with ``||Ax - b|| <= eps`` (absolute).
 
     Returns ``feasible`` with such an ``x``; ``witness`` with a Farkas
-    certificate of infeasibility (``c+ = 0`` and ``(b - b')^T b > 0``);
-    ``inconclusive`` when the radius or iteration budget runs out.  For
-    ``b = 0`` the feasible point ``x = 0`` is returned at iteration 0.  Only
+    certificate of infeasibility ``y = b - b_prime`` (``A^T y <= 0`` and
+    ``y^T b > 0``); ``inconclusive`` when the radius or iteration budget
+    runs out.  For ``b = 0`` the feasible point ``x = 0`` is returned at
+    iteration 0.  A row of ``A`` whose signs alone rule out ``x >= 0``
+    (:func:`_sign_row`; checked when ``||b||`` and ``A``'s stored values are
+    finite) ends in a witness at iteration 0: ``x = 0``, ``rho = 0`` and
+    ``y = b_i e_i``.  An inconclusive result carries the certified bound
+    ``lower_bound = (y^T b - eps ||y||) / ||max(A^T y, 0)||`` for
+    ``y = b - b_prime`` when both parts are positive, else ``None``: every
+    ``x >= 0`` with ``||Ax - b|| <= eps`` has ``||x||`` at least that.  Only
     a passed ``rho_max`` is checked, not :func:`default_rho_max`.
     """
     system = System(a, b, FEASIBILITY_TRACE_COLUMNS)
@@ -108,19 +150,36 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
         return system.zero_rhs(FEASIBLE, rho=0.0, min_x_entry=0.0)
     check_positive(eps=eps)
     check_count(max_iters=max_iters)
+    op, b = system.op, system.b
+    row = _sign_row(op, b, eps) if math.isfinite(system.b_norm) else None
+    if row is not None:
+        # Farkas: y = b_i e_i has A^T y <= 0 < y^T b = b_i^2
+        y = np.zeros_like(b)
+        y[row] = b[row]
+        c_norm = norm2(op.rmatvec(y))
+        return system.finish(
+            WITNESS, np.zeros(op.shape[1]), 0, rho=0.0, b_prime=b - y,
+            lower_bound=float(y.dot(b)) / c_norm if c_norm > 0.0 else math.inf,
+            min_x_entry=0.0, detail=f"row {row} of A has no entry of the sign of b[{row}]")
     if rho_max is None:
-        rho_max = default_rho_max(system.op, system.b)
+        rho_max = default_rho_max(op, b)
     else:
         check_positive(rho_max=rho_max)
     # eps_prime = -inf: the cone search has no normal-equation stop
     run = _pivot_loop(system, None, 0.0, eps, -math.inf, max_iters, rho_cap=rho_max,
                       cone=True)
-    status, detail = run.status, run.detail
+    status, detail, bound = run.status, run.detail, run.lower_bound
     if status == APPROX_SOLUTION:
         status = FEASIBLE
     elif status == ITERATION_CAP:
         status = INCONCLUSIVE
         detail = (f"radius budget {rho_max:.3e} exhausted" if detail
                   else "iteration budget exhausted")
-    return replace(run, status=status, detail=detail,
+        # for x >= 0 with ||Ax - b|| <= eps and y = b - b':
+        # y^T b <= (A^T y)^T x + eps ||y|| <= ||c+|| ||x|| + eps ||y||
+        y = b - run.b_prime
+        excess = float(y.dot(b)) - eps * norm2(y)
+        c_plus_norm = norm2(np.maximum(op.rmatvec(y), 0.0))
+        bound = excess / c_plus_norm if excess > 0.0 and c_plus_norm > 0.0 else None
+    return replace(run, status=status, detail=detail, lower_bound=bound,
                    min_x_entry=float(run.x.min()) if run.x.size else 0.0)

@@ -87,10 +87,14 @@ class SolveResult:
     ``residual_norm`` is ``||b - Ax||`` and ``normal_residual_norm``
     ``||A^T(b - Ax)||``, both for the returned ``x``.  Triangle-family extras:
     ``rho`` is the final search radius, ``lower_bound`` a certified lower bound
-    on the minimum-norm solution (witnesses), ``rho_interval`` the certified
-    ``(lower, upper)`` bracket of the minimum-norm radius, and ``b_prime`` the
-    final ellipsoid iterate, which re-verifies a witness: ``Ax`` as
-    ``op.matvec`` computes it after a success, possibly carried otherwise.
+    on the norm of every solution (witnesses), and for an ``inconclusive``
+    feasibility search on the norm of every nonnegative ``x`` within ``eps``
+    of ``b``, ``rho_interval`` the certified ``(lower, upper)`` bracket of the
+    minimum-norm radius, and ``b_prime`` the final ellipsoid iterate, which
+    re-verifies a witness: ``Ax`` as ``op.matvec`` computes it after a
+    success, possibly carried otherwise.  For a cone witness ``b_prime`` is
+    ``b - y``, ``y`` the Farkas certificate; when the certificate is a sign
+    row of ``A``, found before the first pivot, that is not an iterate.
     """
 
     status: str

@@ -90,6 +90,26 @@ class TestSolve:
         assert run(args) == 0
         assert run(args + ["--rho-max", "1e-6"]) == 2
 
+    def test_sign_row_witness_exits_two(self, tmp_path, monkeypatch):
+        # row sums never give a sign row (a nonpositive row sums to at most
+        # 0), so b is replaced by their absolute values: row 0 is then
+        # nonpositive with b_0 = 3 > 0, and the solve ends before any pivot
+        import scipy.sparse as sp
+        from trisolve import gallery
+        path, summary, trace = (tmp_path / name for name in ("neg.mtx", "s.json", "t.csv"))
+        mmio.write_matrix_market(sp.csr_array(np.array([[-1.0, -2.0], [3.0, 0.5]])), path)
+        row_sums = gallery.row_sum_rhs
+        monkeypatch.setattr(gallery, "row_sum_rhs", lambda a: np.abs(row_sums(a)))
+        rc = run(["solve", "--mtx", str(path), "--algo", "lpfeas", "--summary", str(summary),
+                  "--trace", str(trace)])
+        assert rc == 2
+        data = json.loads(summary.read_text())
+        jsonschema.validate(data, SUMMARY_SCHEMA)
+        assert data["outcome"] == "witness" and data["iterations"] == 0
+        assert read_trace_without_wall(trace) == [["iter", "rho", "residual_norm",
+                                                   "normal_residual_norm", "event",
+                                                   "min_x_entry"]]
+
     def test_iteration_cap_exit_code(self):
         rc = run(["solve", "--gen", "dorr:120:0.001", "--algo", "cta",
                   "--eps", "1e-14", "--max-iters", "5"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -7,7 +9,8 @@ from scipy.optimize import linprog
 from trisolve import triangle
 from trisolve.feasibility import default_rho_max, nonnegative_feasibility
 from trisolve.linalg import GramProduct, matvec, matvec_transpose, norm2
-from trisolve.triangle import solve_adaptive
+from trisolve.results import FEASIBILITY_TRACE_COLUMNS, System
+from trisolve.triangle import _pivot_loop, solve_adaptive
 
 
 def lp_oracle_feasible(a, b):
@@ -17,21 +20,53 @@ def lp_oracle_feasible(a, b):
     return res.status == 0
 
 
+def assert_farkas_witness(a, b, res):
+    """Check a witness from the result alone: ``y = b - b'`` has
+    ``A^T y <= 0 < y^T b``, and the bound is ``y^T b / ||A^T y||``."""
+    assert res.status == "witness"
+    y = b - res.b_prime
+    c = matvec_transpose(a, y)
+    assert c.max(initial=0.0) <= 0.0 < float(y @ b)
+    c_norm = norm2(c)
+    assert np.isclose(res.lower_bound, float(y @ b) / c_norm if c_norm else math.inf,
+                      rtol=1e-9)
+
+
+def cone_loop(a, b, eps, max_iters=100_000):
+    """The cone search from ``x = 0`` as :func:`nonnegative_feasibility`
+    runs it, without the sign-row check before it."""
+    system = System(a, b, FEASIBILITY_TRACE_COLUMNS)
+    return _pivot_loop(system, None, 0.0, eps, -math.inf, max_iters,
+                       rho_cap=default_rho_max(a, b), cone=True)
+
+
 class TestNonnegativePart:
     """The cone direction ``c+ = max(c, 0)``, seen through the search on the
-    identity, where ``c = b - b'``."""
+    identity, where ``c = b - b'``.  A negative ``b_i`` on the identity is a
+    sign row, which ends the solve before the search; the search itself is
+    run through the pivot loop."""
 
     def test_mixed(self):
         # c = (1, -2, 0): one pivot along c+ = (1, 0, 0), then c+ = 0 with
         # (b - b')^T b = 4 > 0 certifies infeasibility
-        res = nonnegative_feasibility(np.eye(3), np.array([1.0, -2.0, 0.0]), eps=1e-8)
-        assert res.status == "witness"
-        assert np.array_equal(res.x, [1.0, 0.0, 0.0])
+        a, b = np.eye(3), np.array([1.0, -2.0, 0.0])
+        run = cone_loop(a, b, eps=1e-8)
+        assert run.status == "witness"
+        assert np.array_equal(run.x, [1.0, 0.0, 0.0])
+        res = nonnegative_feasibility(a, b, eps=1e-8)
+        assert res.iterations == 0 and np.array_equal(res.x, np.zeros(3))
+        assert res.detail == "row 1 of A has no entry of the sign of b[1]"
+        assert_farkas_witness(a, b, res)
 
     def test_all_negative(self):
-        res = nonnegative_feasibility(np.eye(2), np.array([-1.0, -2.0]), eps=1e-8)
-        assert res.status == "witness" and res.iterations == 1
-        assert np.array_equal(res.x, np.zeros(2))
+        a, b = np.eye(2), np.array([-1.0, -2.0])
+        run = cone_loop(a, b, eps=1e-8)
+        assert run.status == "witness" and run.iterations == 1
+        assert np.array_equal(run.x, np.zeros(2))
+        res = nonnegative_feasibility(a, b, eps=1e-8)
+        assert res.iterations == 0 and np.array_equal(res.x, np.zeros(2))
+        assert res.detail == "row 0 of A has no entry of the sign of b[0]"
+        assert_farkas_witness(a, b, res)
 
     def test_all_nonnegative_unchanged(self):
         # c >= 0 all along: the cone search repeats the unconstrained one
@@ -138,6 +173,9 @@ class TestFeasibilitySolver:
                                       max_iters=1000)
         assert res.status == "inconclusive"
         assert "radius" in res.detail
+        # the first expand leaves b' = 0, whose gap y = b bounds ||x|| by
+        # 25 / ||(5, 5)||, the norm of the nearest solution (2.5, 2.5)
+        assert np.isclose(res.lower_bound, 5.0 / np.sqrt(2.0), rtol=1e-9)
 
     @pytest.mark.parametrize("a, b", [
         (np.eye(3), np.ones(3)),
@@ -178,16 +216,122 @@ class TestFeasibilitySolver:
 
     def test_farkas_witness_is_checked_from_the_result_alone(self):
         # y = b - b' must satisfy A^T y <= 0 < y^T b, with the reported
-        # bound y^T b / ||A^T y||
+        # bound y^T b / ||A^T y||; no row of A has a single sign, so the
+        # certificate comes from the search
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal(3)
         res = nonnegative_feasibility(a, b, eps=1e-6, max_iters=300)
-        assert res.status == "witness"
+        assert res.iterations > 0
+        assert_farkas_witness(a, b, res)
+
+
+def _sign_rows(storage):
+    """A 3 x 4 system whose rows 1 and 2 carry sign certificates: row 1 is
+    nonnegative with ``b_1 < 0``, row 2 nonpositive with ``b_2 > 0``."""
+    a = np.array([[1.0, -2.0, 0.5, 3.0],
+                  [0.0, 2.0, 0.0, 1.5],
+                  [-1.0, 0.0, -0.25, 0.0]])
+    return storage(a), np.array([1.0, -3.0, 2.0])
+
+
+class TestSignRowWitness:
+    """A row whose signs alone rule out ``x >= 0`` ends the solve in a Farkas
+    witness at ``x = 0``, before the first pivot."""
+
+    @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    @pytest.mark.parametrize("row", [1, 2], ids=["nonnegative-row", "nonpositive-row"])
+    def test_each_sign_pattern_ends_at_iteration_zero(self, storage, row):
+        a, b = _sign_rows(storage)
+        # both rows certify and the lowest is taken, unless b_1 lies inside
+        # the tolerance
+        if row == 2:
+            b[1] = -0.5e-3
+        res = nonnegative_feasibility(a, b, eps=1e-3)
+        assert res.iterations == 0 and len(res.trace) == 0
+        assert np.array_equal(res.x, np.zeros(4))
+        assert res.rho == 0.0 and res.min_x_entry == 0.0
+        assert res.detail == f"row {row} of A has no entry of the sign of b[{row}]"
+        assert res.residual_norm == norm2(b)
+        assert_farkas_witness(a, b, res)
+        # the certificate is the one row: b' = b - b_i e_i
+        assert np.array_equal(b - res.b_prime, np.where(np.arange(3) == row, b, 0.0))
+
+    @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_empty_row(self, storage):
+        # an all-zero row, with no stored entry in CSR: A^T y = 0, so the
+        # bound is infinite
+        a = storage(np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]]))
+        b = np.array([1.0, 0.5, 1.0])
+        res = nonnegative_feasibility(a, b, eps=1e-6)
+        assert res.iterations == 0 and res.lower_bound == math.inf
+        assert res.detail.startswith("row 1 ")
+        assert_farkas_witness(a, b, res)
+
+    @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_rows_within_the_tolerance_are_left_to_the_search(self, storage):
+        # row 0 is nonpositive but b_0 = eps / 2: x = (0, 1) is eps-feasible
+        a = storage(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+        b = np.array([0.5e-3, 1.0])
+        res = nonnegative_feasibility(a, b, eps=1e-3)
+        assert res.status == "feasible" and res.iterations > 0
+
+    @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_ends_as_before(self, storage, bad):
+        # row 0 is nonpositive with b_0 > 0, but a non-finite entry in
+        # row 1 turns the check off: the search fails on it
+        a = storage(np.array([[-1.0, -2.0], [bad, 1.0]]))
+        res = nonnegative_feasibility(a, np.array([1.0, 1.0]), eps=1e-3)
+        assert res.status == "numerical_failure"
+
+    def test_overflowing_rhs_norm_ends_as_before(self):
+        # finite b whose norm overflows: the check is off, as for NaN in A
+        res = nonnegative_feasibility(np.eye(2), np.array([-1e300, 1e300]), eps=1e-6)
+        assert res.status == "numerical_failure"
+
+    def test_caller_operator_skips_the_check(self):
+        # the identity's Gram pair has the sign row 0, out of reach through
+        # GramProduct: the search finds the certificate after its first pivot
+        a, b = np.eye(2), np.array([-1.0, 1.0])
+        assert nonnegative_feasibility(a, b, eps=1e-8).iterations == 0
+        res = nonnegative_feasibility(GramProduct(a), b, eps=1e-8)
+        assert res.status == "witness" and res.iterations > 0
+        assert_farkas_witness(a, b, res)
+
+
+class TestInconclusiveBound:
+    """An inconclusive result carries ``(y^T b - eps ||y||) / ||max(A^T y, 0)||``
+    for ``y = b - b'``: no ``x >= 0`` within ``eps`` of ``b`` is shorter."""
+
+    def test_planted_boundary_bound(self):
+        # the planted x = (1, 1, 1, 1, 0, ...) has norm 2, so the bound may
+        # not exceed it; it is recomputed from the result alone
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 9))
+        b = a[:, :4].sum(axis=1)
+        eps = 1e-3
+        res = nonnegative_feasibility(a, b, eps=eps, max_iters=200)
+        assert res.status == "inconclusive" and res.iterations == 200
+        assert 0.0 < res.lower_bound <= 2.0
         y = b - res.b_prime
-        assert (a.T @ y).max() <= 0.0
-        assert y @ b > 0.0
-        assert np.isclose(res.lower_bound, (y @ b) / norm2(a.T @ y), rtol=1e-9)
+        c_plus = np.maximum(a.T @ y, 0.0)
+        assert np.isclose(res.lower_bound, (y @ b - eps * norm2(y)) / norm2(c_plus),
+                          rtol=1e-9)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 6), n=st.integers(1, 10), iters=st.integers(1, 40),
+           csr=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_no_planted_point_is_shorter(self, m, n, iters, csr, seed):
+        # x >= 0 solves Ax = b exactly, so no certified bound exceeds ||x||
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n))
+        x = rng.uniform(0.0, 1.0, n)
+        b = a @ x
+        res = nonnegative_feasibility(sparse.csr_array(a) if csr else a, b,
+                                      eps=1e-6 * norm2(b), max_iters=iters)
+        if res.status == "inconclusive" and res.lower_bound is not None:
+            assert res.lower_bound <= norm2(x) * (1.0 + 1e-9)
 
 
 # --- the cone pivot moves over a triangle ------------------------------------
@@ -295,26 +439,29 @@ class TestTriangleStep:
         # under the segment step; a feasible result is nonnegative within eps.
         # A witness needs c+ = 0 at the iterate the path reaches before the
         # radius budget runs out, so single infeasible draws can gain or lose
-        # one either way; in total they may not end in fewer witnesses.
+        # one either way; in total they may not end in fewer witnesses.  Each
+        # infeasible draw has a sign row, which ends the solve before its
+        # first pivot, so their searches run through the pivot loop alone.
         rank = {"feasible": 0, "witness": 0, "inconclusive": 1}
         witnesses = {"segment": 0, "triangle": 0}
         move = triangle.move_to_pivot
         for kind in _LP_KINDS:
+            solve = cone_loop if kind == "infeasible" else nonnegative_feasibility
             for seed in range(15):
                 a, b, eps = _lp_draw(kind, seed)
-                res = nonnegative_feasibility(a, b, eps=eps, max_iters=20_000)
+                res = solve(a, b, eps=eps, max_iters=20_000)
                 with pytest.MonkeyPatch.context() as mp:
                     # every pivot a segment step, as cone runs took before
                     mp.setattr(triangle, "move_to_pivot", lambda *args: move(*args[:5]))
-                    seg = nonnegative_feasibility(a, b, eps=eps, max_iters=20_000)
+                    seg = solve(a, b, eps=eps, max_iters=20_000)
                 if res.status == "feasible":
                     assert res.x.min() >= 0.0
                     assert norm2(matvec(a, res.x) - b) <= eps
-                if res.status == "witness":   # y = b - b': A^T y <= 0 < y^T b
-                    y = b - res.b_prime
-                    assert matvec_transpose(a, y).max() <= 0.0 < float(y @ b)
+                if res.status == "witness":
+                    assert_farkas_witness(a, b, res)
                 if kind == "infeasible":
-                    assert res.status != "feasible"
+                    assert res.status != "approx_solution"
+                    assert nonnegative_feasibility(a, b, eps=eps).iterations == 0
                     witnesses["segment"] += seg.status == "witness"
                     witnesses["triangle"] += res.status == "witness"
                 else:

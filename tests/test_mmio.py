@@ -327,6 +327,12 @@ class TestTokenRules:
     def test_python_only_spellings_rejected_with_line(self, entry):
         assert error_line(COORD + "% c\n10 10 1\n" + entry + "\n") == "line 4"
 
+    @pytest.mark.parametrize("entry", ["1 1 2.5abc", "1 1 1.5 7", "1 1.0 2.0"])
+    def test_entries_scipy_misreads_rejected_with_line(self, entry):
+        # scipy.io.mmread reads these as the values 2.5, 1.5 and 0.0 without
+        # complaint
+        assert error_line(COORD + "% c\n10 10 1\n" + entry + "\n") == "line 4"
+
     def test_trailing_comment_after_entry_ignored(self):
         a = read_str(COORD + "2 2 2\n1 1 1.5 % first\n2 2 -2.5%second\n")
         assert np.array_equal(a.toarray(), [[1.5, 0.0], [0.0, -2.5]])

@@ -265,8 +265,7 @@ def _order_schedule(t_max: int):
 def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResult:
     """Solve ``Ax = b`` (or its normal equation) by cycled centering steps."""
     opts = options or CenteringOptions()
-    # symmetric mode applies A^T once, at the end: no stored transpose
-    system = System(a, b, CENTERING_TRACE_COLUMNS, transpose=opts.h_mode == H_MODE_GRAM)
+    system = System(a, b, CENTERING_TRACE_COLUMNS)
     op, b, b_norm, trace = system.op, system.b, system.b_norm, system.trace
     m, n = op.shape
     if b_norm == 0.0:
@@ -282,8 +281,10 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     quad_threshold = eps_abs * eps_abs
     drift_budget = 1e-10
     # with G formed, sqrt(phi_1) is ||A^T r|| up to the rounding of forming
-    # and applying G, at most about sqrt((m + n) u) ||A||_F ||r||
-    gram_floor = math.sqrt((m + n) * np.finfo(np.float64).eps) * system.a_fro
+    # and applying G, at most about sqrt((m + n) u) ||A||_F ||r||; a pass
+    # over A that only a solve with G formed needs
+    gram_floor = (math.sqrt((m + n) * np.finfo(np.float64).eps) * system.a_fro
+                  if h.gram is not None else 0.0)
     schedule = _order_schedule(opts.t_max)
     status = ITERATION_CAP
     detail = ""

@@ -63,19 +63,6 @@ def _scaled_norm(v) -> tuple[float, int]:
     return norm2(np.ldexp(v, -e)), e
 
 
-def _stored_entries(op: Operator) -> np.ndarray:
-    """Values whose Euclidean norm is ``||A||_F``, as
-    :meth:`Operator.frobenius_norm` computes it for dense storage and for
-    CSR or CSC storage without duplicate entries."""
-    a = op.matrix
-    if not issparse(a):
-        return a
-    if not (a.format in ("csr", "csc") and a.has_canonical_format):
-        a = a.tocsr(copy=True)
-        a.sum_duplicates()
-    return a.data
-
-
 def _sign_row(op, b, eps) -> int | None:
     """The lowest row ``i`` whose signs alone rule out ``x >= 0``: every
     stored entry of ``A_i`` at most 0 and ``b_i > eps``, or at least 0 and
@@ -114,7 +101,7 @@ def default_rho_max(a, b) -> float:
     ``b 2^-e_b`` instead, whose norms do neither; where neither does, those
     give the bits of the plain ratio.  A caller's operator, whose entries
     are out of reach, keeps its own ``frobenius_norm()``."""
-    op = prepare(a, transpose=False)
+    op = prepare(a)
     m, n = op.shape
     rows = math.sqrt(max(m, 1))
     fro, b_norm = op.frobenius_norm(), norm2(b)
@@ -122,7 +109,7 @@ def default_rho_max(a, b) -> float:
         ratio = b_norm / (fro / rows)
     else:
         b_norm, b_exp = _scaled_norm(b)
-        fro, a_exp = _scaled_norm(_stored_entries(op)) if isinstance(op, Operator) else (fro, 0)
+        fro, a_exp = _scaled_norm(op.entries()) if isinstance(op, Operator) else (fro, 0)
         sigma = fro / rows or 1.0
         ratio = float(np.ldexp(b_norm / sigma, b_exp - a_exp))
     return 10.0 * max(n, 1) * max(1.0, ratio)

@@ -4,9 +4,8 @@ operator ``H`` used by all solvers.
 Matrices are plain ``numpy.ndarray`` (dense, row-major) or ``scipy.sparse``
 objects, usually ``csr_array`` / ``csr_matrix`` (compressed-row); array-likes
 such as nested lists become float64 arrays.  Every solver prepares its matrix
-once, at entry, into an :class:`Operator`.  For sparse storage the operator
-of a solve that applies ``A^T`` in its loop also holds a CSR copy of ``A^T``,
-which about doubles the matrix storage; dense ``A`` keeps BLAS ``a.T @ v``.
+once, at entry, into an :class:`Operator`, which stores ``A`` alone: ``A^T``
+is applied from ``A``'s own storage, never from a transposed copy.
 CSR and CSC storage keeps int32 indices whenever they fit (see
 :class:`Operator`): 12 bytes per nonzero, a quarter fewer than with the
 int64 indices that scipy's coordinate constructors give.
@@ -19,13 +18,14 @@ operator as ``A (A^T r)``; on request (:meth:`HOperator.form_gram`, which
 ``centering_solve`` makes) it forms the ``m x m`` product once for dense
 ``A`` with ``m <= n`` and applies that instead.
 
-Products on CSR storage (``A`` itself, or the stored ``A^T``) call scipy's
-compiled ``csr_matvec`` kernel directly, skipping the per-call dispatch of
-``A @ v``; this is the kernel ``A @ v`` runs, so the bits are the same.  It
-is one template for both index types, adding the same terms in the same
-order, so int32 storage keeps the bits of int64 storage as well.
-Other sparse formats, CSR storage of another dtype and dense matrices go
-through scipy's and numpy's own ``@``, a BLAS ``gemv`` for dense storage.
+Products on float64 CSR storage call scipy's compiled kernels directly,
+skipping the per-call dispatch of ``A @ v``: ``csr_matvec``, and for
+``A^T v`` ``csc_matvec`` on the same arrays, the CSC arrays of ``A^T``.
+Scipy's own products run these kernels, so the bits are the same, and each
+is one template for both index types, so int32 storage keeps the bits of
+int64 storage as well.  Other sparse formats, CSR storage of another dtype
+and dense matrices go through scipy's and numpy's own ``@``, a BLAS
+``gemv`` for dense storage.
 The exception is a symmetric dense ``H`` of ``SYMMETRIC_MIN_ROWS`` rows or
 more: a formed Gram matrix, or in symmetric mode an ``A`` equal to ``A^T``
 to the bit.  :func:`matvec` applies it with BLAS ``dsymv``, which reads one
@@ -69,16 +69,17 @@ SYMMETRIC_MIN_ROWS = 512
 
 @functools.cache
 def scipy_sparse() -> tuple:
-    """``(scipy.sparse, (csr_array, csr_matrix), csr_matvec)``, imported on
-    the first call.  A plain tuple, because every sparse product unpacks it.
-    ``csr_matvec`` is the compiled kernel behind ``csr @ v``, from a private
-    scipy module: calling it directly saves about 4 us of dispatch per
-    product, most of the cost of a product on small systems;
-    tests/test_linalg.py pins its bits to ``a @ v``."""
+    """``(scipy.sparse, (csr_array, csr_matrix), csr_matvec, csc_matvec)``,
+    imported on the first call.  A plain tuple, because every sparse product
+    unpacks it.  The kernels behind ``csr @ v`` and ``csc @ v``, from a
+    private scipy module: calling them directly saves about 4 us of dispatch
+    per product, most of the cost of a product on small systems;
+    tests/test_linalg.py pins their bits to ``a @ v`` and ``v @ a``."""
     import scipy.sparse as sparse
     from scipy.sparse import _sparsetools
 
-    return sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec
+    return (sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec,
+            _sparsetools.csc_matvec)
 
 
 @functools.cache
@@ -129,7 +130,7 @@ def _product(a, v: np.ndarray, m: int, n: int) -> np.ndarray:
     of n-d COO storage is a numpy scalar, hence the reshape."""
     if type(a) is np.ndarray:
         return a @ v
-    _, csr_types, csr_matvec = scipy_sparse()
+    _, csr_types, csr_matvec, _ = scipy_sparse()
     if isinstance(a, csr_types) and a.dtype == np.float64:
         out = np.zeros(m)
         csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
@@ -156,20 +157,26 @@ def matvec(a, v: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     return _product(a, v, m, n)
 
 
-def matvec_transpose(a, v: np.ndarray, a_t=None) -> np.ndarray:
-    """``A.T @ v`` for a stored matrix: the product :func:`_product` makes on
-    ``a_t``, the CSR copy of ``A^T`` that an :class:`Operator` keeps for
-    sparse ``a``, or else on the transposed view ``a.T``.  A CSC ``a`` has a
-    CSR view, which goes straight to the kernel; other sparse views run
+def matvec_transpose(a, v: np.ndarray) -> np.ndarray:
+    """``A.T @ v`` for a stored matrix, read from ``a``'s own storage: a
+    float64 CSR ``a`` goes to ``csc_matvec`` on its arrays, anything else to
+    the product :func:`_product` makes on the view ``a.T``.  A CSC ``a`` has
+    a CSR view, which goes to ``csr_matvec``; other sparse views run
     scipy's ``@``, and dense ``a`` BLAS ``a.T @ v``.  For CSR or CSC ``a``
-    the stored copy and the view accumulate the same terms in the same order
-    and give the bits of ``v @ a``.
+    each entry of the result adds the terms ``A_ji v_j`` in ascending ``j``,
+    duplicates in storage order: the bits of ``v @ a``.
     """
     v = np.asarray(v, dtype=np.float64)
     m, n = a.shape
     if v.shape != (m,):
         raise ValueError(f"matvec_transpose: vector has length {v.shape}, matrix has {m} rows")
-    return _product(a.T if a_t is None else a_t, v, n, m)
+    if type(a) is not np.ndarray:
+        _, csr_types, _, csc_matvec = scipy_sparse()
+        if isinstance(a, csr_types) and a.dtype == np.float64:
+            out = np.zeros(n)
+            csc_matvec(n, m, a.indptr, a.indices, a.data, v, out)
+            return out
+    return _product(a.T, v, n, m)
 
 
 def norm2(v: np.ndarray) -> float:
@@ -208,22 +215,19 @@ def _narrow_indices(a):
 
 
 class Operator:
-    """The matrix of one solve: ``A`` as float64 storage and, when
-    ``transpose`` is set and ``A`` is sparse, a CSR copy of ``A^T`` that
-    :meth:`rmatvec` applies.  An operator built without it applies the view
-    ``A.T``, which suits a solve that does so once.
+    """The matrix of one solve: ``A`` as float64 storage, the only matrix
+    it stores; :meth:`rmatvec` applies ``A^T`` from it.
 
     CSR or CSC ``A`` with int64 ``indices`` and ``indptr`` is stored with
     int32 copies of those two arrays when every index fits (shape and
     nonzero count at most ``2^31 - 1``), in the caller's class and sharing
     its ``data``; the caller's object is not touched.  Sparse storage then
-    costs 12 bytes per nonzero, and ``A^T``, built from it, inherits the
-    int32 indices.  The copies cost 4 bytes per nonzero while the caller
-    keeps its int64 matrix, and the products keep their bits.  Each
-    bandwidth-bound product streams a quarter fewer bytes; a matrix that
-    fits in cache gains little."""
+    costs 12 bytes per nonzero, and 4 more while the caller keeps its int64
+    matrix; the products keep their bits.  Each bandwidth-bound product
+    streams a quarter fewer bytes; a matrix that fits in cache gains
+    little."""
 
-    def __init__(self, a, transpose: bool = True):
+    def __init__(self, a):
         is_sparse = issparse(a)
         try:
             matrix = a if is_sparse else np.asarray(a)
@@ -238,34 +242,39 @@ class Operator:
             matrix = _narrow_indices(matrix)
         self.matrix = matrix
         self.shape = shape_of(matrix)
-        self.transposed = matrix.T.tocsr() if transpose and is_sparse else None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return matvec(self.matrix, v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return matvec_transpose(self.matrix, v, self.transposed)
+        return matvec_transpose(self.matrix, v)
+
+    def entries(self) -> np.ndarray:
+        """Values whose Euclidean norm is ``||A||_F``: the dense matrix, the
+        ``data`` of CSR or CSC storage without duplicate entries, with no
+        temporary the size of the matrix, or else the ``data`` of a
+        canonical CSR copy."""
+        a = self.matrix
+        if not issparse(a):
+            return a
+        if not (a.format in ("csr", "csc") and a.has_canonical_format):
+            a = a.tocsr(copy=True)
+            a.sum_duplicates()
+        return a.data
 
     def frobenius_norm(self) -> float:
-        a = self.matrix
-        if issparse(a):
-            if a.format in ("csr", "csc") and a.has_canonical_format:
-                # no duplicate entries: the norm of the stored values, with
-                # no temporary the size of the matrix
-                return math.sqrt(a.data @ a.data)
-            return float(np.sqrt((a.multiply(a)).sum()))
-        return float(np.linalg.norm(a, "fro"))
+        return norm2(self.entries())
 
 
-def prepare(a, transpose: bool = True):
+def prepare(a):
     """The operator a solve applies: ``a`` itself when it has all of
     ``_OPERATOR_MEMBERS`` (an :class:`Operator`, a :class:`GramProduct`),
-    otherwise an :class:`Operator` over ``a``, storing ``A^T`` when
-    ``transpose`` is set; that raises ``ValueError`` naming ``A`` for anything
-    but a 2-D real matrix, such as a scipy ``LinearOperator``."""
+    otherwise an :class:`Operator` over ``a``; that raises ``ValueError``
+    naming ``A`` for anything but a 2-D real matrix, such as a scipy
+    ``LinearOperator``."""
     if all(hasattr(a, member) for member in _OPERATOR_MEMBERS):
         return a
-    return Operator(a, transpose)
+    return Operator(a)
 
 
 def _check_real(name: str, v) -> None:
@@ -338,14 +347,13 @@ class HOperator:
     (caller asserts symmetry); mode ``"aat"`` applies ``A A^T`` as
     ``A (A^T r)``, or as ``matvec(gram, r)`` once :meth:`form_gram` formed
     ``gram``.  The constructor never forms it: ``gram`` starts as ``None``,
-    and ``exactly_symmetric`` as ``False``.  Only the Gram mode stores
-    ``A^T`` of a sparse matrix.
+    and ``exactly_symmetric`` as ``False``.
     """
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
         if mode not in (H_MODE_SYMMETRIC, H_MODE_GRAM):
             raise ValueError(f"unknown h_mode {mode!r}")
-        self.operator = prepare(a, transpose=mode == H_MODE_GRAM)
+        self.operator = prepare(a)
         m, n = self.operator.shape
         if mode == H_MODE_SYMMETRIC and m != n:
             raise ValueError(f"h_mode {mode!r} needs a square matrix, got {m} x {n}")

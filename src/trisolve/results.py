@@ -124,16 +124,15 @@ class SolveResult:
 
 
 class System:
-    """The system of one solve, prepared once at entry: the operator
-    ``op`` (:func:`linalg.prepare`, storing ``A^T`` when ``transpose`` is
-    set), ``b`` as a float64 vector of its row count, ``b_norm`` and the
-    solve's ``trace``, with the given columns.  Raises ``ValueError`` for a
-    wrong shape, and for a nonzero ``b`` whose norm underflows to 0, which
-    the drivers would read as ``b = 0``.  NaN, Inf or an overflowing norm
-    pass; the drivers end in ``numerical_failure``."""
+    """The system of one solve, prepared once at entry: the operator ``op``
+    (:func:`linalg.prepare`), ``b`` as a float64 vector of its row count,
+    ``b_norm`` and the solve's ``trace``, with the given columns.  Raises
+    ``ValueError`` for a wrong shape, and for a nonzero ``b`` whose norm
+    underflows to 0, which the drivers would read as ``b = 0``.  NaN, Inf or
+    an overflowing norm pass; the drivers end in ``numerical_failure``."""
 
-    def __init__(self, a, b, columns, transpose: bool = True):
-        self.op = prepare(a, transpose)
+    def __init__(self, a, b, columns):
+        self.op = prepare(a)
         self.b = as_vector("b", b, self.op.shape[0])
         self.b_norm = norm2(self.b)
         if self.b_norm == 0.0 and self.b.any():

@@ -88,8 +88,7 @@ def _lstsq_reference(mom, t):
 def _gallery_moments(spec, h_mode, t):
     family, n = spec.split(":")
     a = gallery.make(family, int(n))
-    system = System(a, gallery.row_sum_rhs(a), CENTERING_TRACE_COLUMNS,
-                    transpose=h_mode == "aat")
+    system = System(a, gallery.row_sum_rhs(a), CENTERING_TRACE_COLUMNS)
     return moments(HOperator(system.op, h_mode), system.b, t)
 
 
@@ -775,6 +774,47 @@ class TestExplicitGram:
         res = centering_solve(a, b, opts)
         assert formed == [False]
         assert res.success
+
+
+class TestDriftRecheck:
+    """Every 250 iterations the driver measures ``b - A x`` and compares it
+    with the residual its recurrence carries.  A drift past the budget ends
+    a solve on ``x``, and moves a solve on ``y`` (``G`` formed) over to
+    ``x``.  One step here scales its new residual by ``1 + 1e-6``, a drift
+    the recurrence keeps from then on."""
+
+    @staticmethod
+    def _drift_once(monkeypatch):
+        """One entry per step: whether ``G`` was formed."""
+        step, formed = centering._step_arrays, []
+
+        def drifting(x, r, t, h, r_norm=None):
+            x_new, r_new, order, atr_norm = step(x, r, t, h, r_norm)
+            if not formed:
+                r_new *= 1.0 + 1e-6
+            formed.append(h.gram is not None)
+            return x_new, r_new, order, atr_norm
+
+        monkeypatch.setattr(centering, "_step_arrays", drifting)
+        return formed
+
+    def test_drift_on_x_ends_the_solve(self, monkeypatch):
+        formed = self._drift_once(monkeypatch)
+        a = gallery.make("convdiff", 12)
+        res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=1e-10))
+        assert not any(formed)
+        assert res.status == "numerical_failure"
+        assert res.detail == "residual drift exceeded budget"
+        assert res.iterations == 250
+
+    def test_drift_on_y_moves_the_solve_to_x(self, monkeypatch):
+        formed = self._drift_once(monkeypatch)
+        a = _dense_gallery("ode:200")
+        b = gallery.row_sum_rhs(a)
+        res = centering_solve(a, b, CenteringOptions(epsilon=1e-10))
+        assert formed.index(False) == 250 and not any(formed[250:])
+        assert res.iterations > 250 and res.success
+        assert status_holds(res, a, b, 1e-10)
 
 
 class TestClaimRule:

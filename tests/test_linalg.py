@@ -250,6 +250,9 @@ def _csr_parts(cls, rng, shape, rows_of_entries):
     return cls((rng.standard_normal(len(indices)), indices, indptr), shape=shape)
 
 
+_CSC = (sparse.csc_array, sparse.csc_matrix)
+
+
 def _with_index_dtype(a, dtype):
     a = a.copy()
     a.indices = a.indices.astype(dtype)
@@ -258,25 +261,29 @@ def _with_index_dtype(a, dtype):
 
 
 class TestStoredTranspose:
-    """Products on CSR storage, ``A`` itself or the CSR copy of ``A^T`` an
-    :class:`Operator` stores, go straight to scipy's kernel and have the
-    bits of scipy's own ``A @ v`` and ``v @ A``."""
+    """Products on CSR storage go straight to scipy's kernels, ``A^T v``
+    through the CSC kernel on ``A``'s own arrays, and have the bits of
+    scipy's own ``A @ v`` and ``v @ A``."""
 
-    def _cases(self):
+    def _cases(self, classes=(sparse.csr_array, sparse.csr_matrix)):
         rng = np.random.default_rng(17)
-        for cls in (sparse.csr_array, sparse.csr_matrix):
+        for cls in classes:
+            # a CSC class stores the index lists below as columns
+            flip = (lambda shape: shape[::-1]) if cls in _CSC else (lambda shape: shape)
             matrices = []
             for shape in ((40, 40), (25, 60), (60, 25)):
                 matrices.append(cls(sparse.random(*shape, density=0.2, random_state=rng,
                                                   format="csr")))
-            # unsorted column indices, then duplicate entries
-            matrices.append(_csr_parts(cls, rng, (3, 5), [[4, 0, 2], [3, 1], [2, 4, 0, 1]]))
-            matrices.append(_csr_parts(cls, rng, (3, 4), [[1, 1, 3], [0, 2, 0, 0], [3, 1, 3]]))
-            # empty rows, one of them last
-            matrices.append(_csr_parts(cls, rng, (5, 4), [[], [2, 0], [], [1, 3], []]))
+            # unsorted indices, then duplicate entries
+            matrices.append(_csr_parts(cls, rng, flip((3, 5)),
+                                       [[4, 0, 2], [3, 1], [2, 4, 0, 1]]))
+            matrices.append(_csr_parts(cls, rng, flip((3, 4)),
+                                       [[1, 1, 3], [0, 2, 0, 0], [3, 1, 3]]))
+            # empty rows (columns), one of them last
+            matrices.append(_csr_parts(cls, rng, flip((5, 4)), [[], [2, 0], [], [1, 3], []]))
             # no rows, no columns
-            matrices.append(_csr_parts(cls, rng, (0, 4), []))
-            matrices.append(_csr_parts(cls, rng, (4, 0), [[], [], [], []]))
+            matrices.append(_csr_parts(cls, rng, flip((0, 4)), []))
+            matrices.append(_csr_parts(cls, rng, flip((4, 0)), [[], [], [], []]))
             for a in matrices:
                 for dtype in (np.int32, np.int64):
                     yield _with_index_dtype(a, dtype)
@@ -289,14 +296,14 @@ class TestStoredTranspose:
 
     def test_byte_identical_to_left_product(self):
         rng = np.random.default_rng(18)
-        for a in self._cases():
+        cases = list(self._cases((sparse.csr_array, sparse.csr_matrix) + _CSC))
+        cases += [a.astype(np.float32) for a in self._cases()]
+        for a in cases:
             op = Operator(a)
-            assert op.transposed is not None
-            a_t = _with_index_dtype(op.transposed, a.indices.dtype)
             for v in self._vectors(rng, a.shape[0]):
                 expected = np.asarray(v @ a)
                 assert op.rmatvec(v).tobytes() == expected.tobytes()
-                assert matvec_transpose(a, v, a_t).tobytes() == expected.tobytes()
+                assert matvec_transpose(a, v).tobytes() == expected.tobytes()
 
     def test_matvec_byte_identical_to_product(self):
         rng = np.random.default_rng(19)
@@ -340,12 +347,12 @@ class TestStoredTranspose:
             assert matvec(stored, v).tobytes() == (stored @ v).tobytes()
             assert matvec_transpose(stored, w).tobytes() == (stored.T @ w).tobytes()
 
-    def test_stored_only_where_asked(self):
-        a = sparse.csr_array(np.eye(3))
-        assert Operator(a, transpose=False).transposed is None
-        assert Operator(np.eye(3)).transposed is None  # dense keeps a.T @ v
-        assert HOperator(a, "a").operator.transposed is None
-        assert HOperator(a, "aat").operator.transposed is not None
+    @pytest.mark.parametrize("cls", [sparse.csr_array, sparse.csc_matrix])
+    def test_operator_stores_only_the_matrix(self, cls):
+        a = cls(sparse.random(6, 4, density=0.5, random_state=np.random.default_rng(22)))
+        for op in (Operator(a), HOperator(a, "aat").operator):
+            held = [value for value in vars(op).values() if sparse.issparse(value)]
+            assert len(held) == 1 and held[0] is op.matrix
 
 
 class TestIndexStorage:
@@ -356,26 +363,27 @@ class TestIndexStorage:
 
     @pytest.mark.parametrize("cls", [sparse.csr_array, sparse.csr_matrix,
                                      sparse.csc_array, sparse.csc_matrix])
-    @pytest.mark.parametrize("transpose", [True, False])
-    def test_int64_indices_are_stored_as_int32(self, cls, transpose):
+    # the operator built directly, or the one a Gram-mode ``H`` holds and
+    # applies ``A^T`` through
+    @pytest.mark.parametrize("gram", [True, False])
+    def test_int64_indices_are_stored_as_int32(self, cls, gram):
         rng = np.random.default_rng(30)
         a = _with_index_dtype(cls(sparse.random(9, 13, density=0.3, random_state=rng)),
                               np.int64)
         indices, indptr = a.indices, a.indptr
         before = (indices.tobytes(), indptr.tobytes())
-        op = Operator(a, transpose=transpose)
-        stored = [op.matrix] + ([op.transposed] if transpose else [])
-        for m in stored:
-            assert m.indices.dtype == m.indptr.dtype == np.int32
+        op = HOperator(a, "aat").operator if gram else Operator(a)
+        assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
         assert type(op.matrix) is cls
         assert np.shares_memory(op.matrix.data, a.data)
-        assert (op.transposed is not None) == transpose
         # the caller's matrix keeps its own index arrays, dtypes and bytes
         assert a.indices is indices and a.indptr is indptr
         assert indices.dtype == indptr.dtype == np.int64
         assert (indices.tobytes(), indptr.tobytes()) == before
         v = rng.standard_normal(13)
         assert op.matvec(v).tobytes() == (a @ v).tobytes()
+        w = rng.standard_normal(9)
+        assert op.rmatvec(w).tobytes() == np.asarray(w @ a).tobytes()
 
     def test_int32_storage_is_kept_as_it_is(self):
         a = sparse.csr_array(np.eye(4))
@@ -387,7 +395,7 @@ class TestIndexStorage:
         a = sparse.csr_array((np.ones(1), np.array([2**31]), np.array([0, 1])),
                              shape=(1, 2**31 + 1))
         assert a.indices.dtype == np.int64
-        op = Operator(a, transpose=False)
+        op = Operator(a)
         assert op.matrix is a
         assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int64
 
@@ -471,17 +479,31 @@ class _CountingFrobenius:
         return self._op.frobenius_norm()
 
 
+class _CountingOperator(Operator):
+    """An :class:`Operator` that counts its ``frobenius_norm`` calls: dense
+    Gram-mode centering forms ``G = A A^T`` on it, where
+    :class:`_CountingFrobenius` keeps its products."""
+
+    calls = 0
+
+    def frobenius_norm(self):
+        self.calls += 1
+        return super().frobenius_norm()
+
+
 @pytest.mark.parametrize("name, calls", [
-    ("centering_solve", 1), ("solve_in_ball", 0), ("solve_adaptive", 0),
-    ("min_norm_solve", 1), ("nonnegative_feasibility", 1), ("hybrid_solve", 1),
-    ("hybrid_solve-min-norm", 2),
+    ("centering_solve", 0), ("solve_in_ball", 0), ("solve_adaptive", 0),
+    ("min_norm_solve", 1), ("nonnegative_feasibility", 1), ("hybrid_solve", 0),
+    ("hybrid_solve-min-norm", 1), ("centering_solve-gram", 1),
 ])
 def test_entry_point_computes_the_frobenius_norm_on_first_use(name, calls):
     # ||A||_F costs a pass over A; only the solves with a floating-point
-    # floor or a default radius budget use it, once per stage
-    solve = (_ENTRY_POINTS.get(name) or (lambda a, b: hybrid_solve(
-        a, b, HybridOptions(eps_ta=1e-8, want_min_norm=True))))
-    op = _CountingFrobenius(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    # floor or a default radius budget use it, once per stage: centering
+    # only with G formed (or at a drift recheck), min_norm_solve always
+    solve = _ENTRY_POINTS.get(name.removesuffix("-gram")) or (lambda a, b: hybrid_solve(
+        a, b, HybridOptions(eps_ta=1e-8, want_min_norm=True)))
+    counting = _CountingOperator if name.endswith("-gram") else _CountingFrobenius
+    op = counting(np.array([[2.0, 0.0], [0.0, 1.0]]))
     res = solve(op, np.array([2.0, 1.0]))
     assert res.success
     assert op.calls == calls

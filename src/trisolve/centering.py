@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # A private numpy module: the LAPACK ``gelsd`` gufunc that
@@ -80,10 +80,9 @@ class NormalEquationReached(Exception):
 @dataclass
 class Moments:
     """Moments ``phi_1..phi_2t`` of ``r`` under ``H``, with the Krylov
-    vectors ``p_i = H^i r`` and, in Gram mode, the directions
-    ``q_i = A^T p_{i-1}`` (``p_{i-1}`` itself with ``H``'s ``gram`` formed)
-    that produced them, kept for reuse in the residual and solution
-    updates."""
+    vectors ``p_i = H^i r`` and, when ``H`` is applied as ``A (A^T p)``, the
+    directions ``q_i = A^T p_{i-1}`` that produced them (else ``None``),
+    kept for reuse in the residual and solution updates."""
 
     t: int
     phi: np.ndarray
@@ -99,11 +98,11 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     if not 1 <= t <= h.dim:
         raise ValueError(f"order t={t} outside 1..{h.dim}")
     p = [np.asarray(r, dtype=np.float64)]
-    q = [] if h.mode == H_MODE_GRAM else None
+    q = []
     for _ in range(t):
         hp, at_p = h.apply_with_transpose(p[-1])
         p.append(hp)
-        if q is not None:
+        if at_p is not None:
             q.append(at_p)
     phi = np.empty(2 * t)
     for k in range(1, 2 * t + 1):
@@ -113,7 +112,7 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
             # checked here so that LAPACK never sees (and reports) it
             raise FloatingPointError("non-finite moments")
         phi[k - 1] = value
-    return Moments(t, phi, p, q)
+    return Moments(t, phi, p, q or None)
 
 
 @functools.cache
@@ -168,9 +167,12 @@ class CenteringOptions:
     normal-equation solution once ``||A^T r|| <= epsilon * ||b||``
     (``||A r||`` in symmetric mode).
 
-    ``t_max`` is the top of the order cycle, ``max_iters`` the iteration
-    cap, and ``h_mode`` selects ``H = A`` (``"a"``, symmetric ``A``) or
-    ``H = A A^T`` (``"aat"``).
+    ``t_max`` is the top of the order cycle, which never goes above the row
+    count ``m``, ``max_iters`` the iteration cap, and ``h_mode`` selects
+    ``H = A`` (``"a"``, symmetric ``A``) or ``H = A A^T`` (``"aat"``).
+    :func:`centering_solve` checks ``epsilon``, ``t_max`` and ``max_iters``
+    at entry, after the ``b = 0`` answer, and raises ``ValueError`` naming
+    the first bad one.
 
     In Gram mode on dense ``A`` (a ``numpy.ndarray`` or array-like, not a
     caller's operator) with no more rows than columns, the driver forms
@@ -196,15 +198,6 @@ class CenteringOptions:
     max_iters: int = 100_000
     h_mode: str = H_MODE_GRAM
     known_solvable: bool = False
-
-    def validated(self, m: int) -> "CenteringOptions":
-        check_positive(below=1.0, epsilon=self.epsilon)
-        check_count(at_least=1, t_max=self.t_max)
-        check_count(max_iters=self.max_iters)
-        out = self
-        if self.t_max > m:
-            out = replace(out, t_max=m)
-        return out
 
 
 def _step_arrays(x, r, t, h, r_norm=None):
@@ -247,6 +240,7 @@ def _step_arrays(x, r, t, h, r_norm=None):
         if cand_norm <= r_norm * (1.0 + _MONOTONE_SLACK):
             break
     _, order, alpha, r_new = best
+    # A^T p_i, or else p_i itself: x in symmetric mode, y with G formed
     directions = mom.transposed if mom.transposed is not None else mom.krylov
     x_new = alpha[0] * directions[0]
     np.add(x, x_new, out=x_new)
@@ -270,7 +264,9 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     m, n = op.shape
     if b_norm == 0.0:
         return system.zero_rhs(APPROX_SOLUTION)
-    opts = opts.validated(m)
+    check_positive(below=1.0, epsilon=opts.epsilon)
+    check_count(at_least=1, t_max=opts.t_max)
+    check_count(max_iters=opts.max_iters)
 
     h = HOperator(op, opts.h_mode)
     h.form_gram()
@@ -278,14 +274,13 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     r = b.copy()
 
     eps_abs = opts.epsilon * b_norm
-    quad_threshold = eps_abs * eps_abs
     drift_budget = 1e-10
     # with G formed, sqrt(phi_1) is ||A^T r|| up to the rounding of forming
     # and applying G, at most about sqrt((m + n) u) ||A||_F ||r||; a pass
     # over A that only a solve with G formed needs
     gram_floor = (math.sqrt((m + n) * np.finfo(np.float64).eps) * system.a_fro
                   if h.gram is not None else 0.0)
-    schedule = _order_schedule(opts.t_max)
+    schedule = _order_schedule(min(opts.t_max, m))
     status = ITERATION_CAP
     detail = ""
     iterations = 0
@@ -326,7 +321,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
         except np.linalg.LinAlgError as exc:
             status, detail = NUMERICAL_FAILURE, f"moment solve failed: {exc}"
             break
-        certified = not opts.known_solvable and atr_norm * atr_norm <= quad_threshold
+        certified = not opts.known_solvable and atr_norm <= eps_abs
         if (certified and not fresh) or (h.gram is not None and atr_norm <= gram_floor * r_norm):
             # the clause passed on a residual the result would not have, or
             # sqrt(phi_1) is down to the rounding of G, where steps on y

@@ -16,7 +16,7 @@ from .linalg import GramProduct, check_count, check_positive, norm2, quiet_float
 from .results import APPROX_SOLUTION, NORMAL_EQ_SOLUTION, NUMERICAL_FAILURE, SolveResult, System
 from .triangle import min_norm_solve, solve_adaptive
 
-HYBRID_TRACE_COLUMNS = ("iter", "stage", "residual_norm", "normal_residual_norm", "wall_ns")
+HYBRID_TRACE_COLUMNS = ("stage", "residual_norm", "normal_residual_norm")
 
 
 @dataclass

@@ -393,12 +393,11 @@ class HOperator:
         return self.apply_with_transpose(r)[0]
 
     def apply_with_transpose(self, r: np.ndarray):
-        """``(H r, d)``, where ``d`` is what a solver adds to its iterate along
-        ``r``: ``A^T r``, the intermediate of the Gram mode, which comes for
-        free there; ``r`` itself with ``gram`` formed, where the solver
-        carries ``y`` with ``x = A^T y``; ``None`` in symmetric mode."""
+        """``(H r, A^T r)`` when ``H`` is applied as ``A (A^T r)``, whose
+        intermediate comes for free; ``(H r, None)`` when no ``A^T`` product
+        was computed: in symmetric mode, and with ``gram`` formed."""
         if self.gram is not None:
-            return matvec(self.gram, r, symmetric=True), r
+            return matvec(self.gram, r, symmetric=True), None
         op = self.operator
         if self.exactly_symmetric:
             return matvec(op.matrix, r, symmetric=True), None

@@ -4,10 +4,10 @@ Coordinate files become sparse CSR matrices with symmetric or skew-symmetric
 entries expanded to general storage; array files become dense row-major
 matrices.  Pattern entries read as ``1.0``.  One ``np.loadtxt`` call parses all
 entry lines (its C tokenizer skips ``%`` comments and blank lines, rejects a
-wrong token count and rounds correctly); range, finiteness and triangle checks
-are array masks.  Failures raise :class:`MatrixMarketError` naming the
-offending line.  Writing uses the shortest decimal that round-trips to the same
-float64, so ``read(write(A))`` reproduces every value bit-exactly.
+wrong token count and rounds correctly); range, finiteness, integer-field and
+triangle checks are array masks.  Failures raise :class:`MatrixMarketError`
+naming the offending line.  Writing uses the shortest decimal that round-trips
+to the same float64, so ``read(write(A))`` reproduces every value bit-exactly.
 """
 
 from __future__ import annotations
@@ -114,12 +114,12 @@ def read_matrix_market_with_info(source):
 
     if fmt == "coordinate":
         names = ("i", "j") if field == "pattern" else ("i", "j", "v")
-        data = _parse_entries(lines, size_lineno, names, count[0], m, n, symmetry)
+        data = _parse_entries(lines, size_lineno, names, count[0], m, n, field, symmetry)
         matrix, dups = _coordinate_matrix(data, m, n, symmetry)
         return matrix, MmInfo(fmt, field, symmetry, m, n, count[0], dups)
 
     expected = {"general": m * n, "symmetric": m * (m + 1) // 2}.get(symmetry, m * (m - 1) // 2)
-    data = _parse_entries(lines, size_lineno, ("v",), expected, m, n, symmetry)
+    data = _parse_entries(lines, size_lineno, ("v",), expected, m, n, field, symmetry)
     return _array_matrix(data["v"], m, n, symmetry), MmInfo(fmt, field, symmetry, m, n, m * n)
 
 
@@ -139,7 +139,7 @@ def _entry_linenos(lines, start):
     return [k + 1 for k in range(start, len(lines)) if lines[k].split("%", 1)[0].strip()]
 
 
-def _parse_entries(lines, start, names, expected, m, n, symmetry):
+def _parse_entries(lines, start, names, expected, m, n, field, symmetry):
     """Parse and check the entry lines after line ``start`` (fields: int64 ``i``,
     ``j``, float64 ``v``).  Lines are counted only on failure, where the first
     offending line wins, as in a line-by-line read."""
@@ -160,11 +160,11 @@ def _parse_entries(lines, start, names, expected, m, n, symmetry):
                 lo = mid
             except ValueError:
                 hi = mid
-        _check(_load(body[:lo], dtype), m, n, symmetry, lambda: linenos)
+        _check(_load(body[:lo], dtype), m, n, field, symmetry, lambda: linenos)
         _fail(start + lo + 1, _describe(body[lo], dtype))
     if len(data) != expected:
         _count_error(len(data), expected, noun, _entry_linenos(lines, start))
-    _check(data, m, n, symmetry, lambda: _entry_linenos(lines, start))
+    _check(data, m, n, field, symmetry, lambda: _entry_linenos(lines, start))
     return data
 
 
@@ -173,10 +173,13 @@ def _count_error(found, expected, noun, linenos):
     _fail(where, f"expected {expected} {noun}, found {found}")
 
 
-def _check(data, m, n, symmetry, linenos):
+def _check(data, m, n, field, symmetry, linenos):
     """Raise for the first entry a line-by-line read rejects, with its message."""
     fields = data.dtype.names
     rules = [(~np.isfinite(data["v"]), "non-finite value {v}")] if "v" in fields else []
+    if field == "integer":
+        rules.append((data["v"] != np.trunc(data["v"]),
+                      "integer field holds non-integer value {v}"))
     if "i" in fields:
         i, j = data["i"], data["j"]
         rules.insert(0, ((i < 1) | (i > m) | (j < 1) | (j > n),

@@ -27,21 +27,20 @@ _SUCCESS = frozenset({APPROX_SOLUTION, NORMAL_EQ_SOLUTION, MIN_NORM_SOLUTION, FE
 
 
 class Trace:
-    """Per-iteration records with a fixed column schema, writable as CSV.
-
-    The first column is ``iter`` and the last ``wall_ns``; the trace stamps
-    both itself.  ``iter`` is the row's number, from 0, and ``wall_ns`` the
-    nanoseconds since the trace was created (``start_ns``), so it never
-    decreases down a trace.  A schema that does not start with ``iter`` and
-    end with ``wall_ns`` raises ``ValueError``.
+    """Per-iteration records, writable as CSV: one column per name in
+    ``fields``, framed by two that the trace stamps itself, so ``columns`` is
+    ``("iter", *fields, "wall_ns")``.  ``iter`` is the row's number, from 0,
+    and ``wall_ns`` the nanoseconds since the trace was created
+    (``start_ns``), so it never decreases down a trace.  A field named
+    ``iter`` or ``wall_ns`` raises ``ValueError``.
     """
 
-    def __init__(self, columns: tuple[str, ...]):
-        columns = tuple(columns)
-        if columns[:1] != ("iter",) or columns[-1:] != ("wall_ns",):
-            raise ValueError(f"trace schema must start with 'iter' and end with 'wall_ns', "
-                             f"got {columns!r}")
-        self.columns = columns
+    def __init__(self, fields: tuple[str, ...]):
+        fields = tuple(fields)
+        if "iter" in fields or "wall_ns" in fields:
+            raise ValueError(f"trace fields must not name the stamped columns 'iter' or "
+                             f"'wall_ns', got {fields!r}")
+        self.columns = ("iter", *fields, "wall_ns")
         self.rows: list[tuple] = []
         self.start_ns = time.perf_counter_ns()
 
@@ -126,18 +125,18 @@ class SolveResult:
 class System:
     """The system of one solve, prepared once at entry: the operator ``op``
     (:func:`linalg.prepare`), ``b`` as a float64 vector of its row count,
-    ``b_norm`` and the solve's ``trace``, with the given columns.  Raises
+    ``b_norm`` and the solve's ``trace``, with the given fields.  Raises
     ``ValueError`` for a wrong shape, and for a nonzero ``b`` whose norm
     underflows to 0, which the drivers would read as ``b = 0``.  NaN, Inf or
     an overflowing norm pass; the drivers end in ``numerical_failure``."""
 
-    def __init__(self, a, b, columns):
+    def __init__(self, a, b, fields):
         self.op = prepare(a)
         self.b = as_vector("b", b, self.op.shape[0])
         self.b_norm = norm2(self.b)
         if self.b_norm == 0.0 and self.b.any():
             raise ValueError("b is nonzero but its norm underflows to 0; scale b up")
-        self.trace = Trace(columns)
+        self.trace = Trace(fields)
 
     @functools.cached_property
     def a_fro(self) -> float:
@@ -157,10 +156,6 @@ class System:
                            **extra)
 
 
-CENTERING_TRACE_COLUMNS = ("iter", "t", "residual_norm", "normal_residual_norm", "wall_ns")
-TRIANGLE_TRACE_COLUMNS = (
-    "iter", "rho", "residual_norm", "normal_residual_norm", "event", "wall_ns",
-)
-FEASIBILITY_TRACE_COLUMNS = (
-    "iter", "rho", "residual_norm", "normal_residual_norm", "event", "min_x_entry", "wall_ns",
-)
+CENTERING_TRACE_COLUMNS = ("t", "residual_norm", "normal_residual_norm")
+TRIANGLE_TRACE_COLUMNS = ("rho", "residual_norm", "normal_residual_norm", "event")
+FEASIBILITY_TRACE_COLUMNS = (*TRIANGLE_TRACE_COLUMNS, "min_x_entry")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_python, krylov_degree, random_instance, spd_with_spectrum, status_holds
+import trisolve
 from trisolve import centering, gallery
 from trisolve.centering import (
     MOMENT_RCOND,
@@ -19,7 +20,7 @@ from trisolve.centering import (
 )
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2
-from trisolve.results import CENTERING_TRACE_COLUMNS, System, Trace
+from trisolve.results import CENTERING_TRACE_COLUMNS, SolveResult, System, Trace
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -506,15 +507,46 @@ class TestDriver:
         assert all(b2 <= a2 * (1 + 1e-10) for a2, b2 in zip(norms, norms[1:]))
         with pytest.raises(ValueError, match="^trace row has 1 fields between iter and "
                                              "wall_ns, schema has 2$"):
-            Trace(("iter", "a", "b", "wall_ns")).append(1)
+            Trace(("a", "b")).append(1)
 
     @pytest.mark.parametrize("columns", [("a", "b", "c"), ("iter",), (), ("wall_ns", "iter"),
                                          ("iter", "t", "residual_norm")])
     def test_trace_schema_is_checked(self, columns):
-        # the trace stamps its first and last columns as iter and wall_ns
-        with pytest.raises(ValueError, match="^trace schema must start with 'iter' and end "
-                                             "with 'wall_ns', got "):
-            Trace(columns)
+        # the trace stamps iter and wall_ns itself: a field may name neither
+        if "iter" in columns or "wall_ns" in columns:
+            with pytest.raises(ValueError, match="^trace fields must not name the stamped "
+                                                 "columns 'iter' or 'wall_ns', got "):
+                Trace(columns)
+        else:
+            assert Trace(columns).columns == ("iter", *columns, "wall_ns")
+
+    @pytest.mark.parametrize("driver, args, header", [
+        ("centering_solve", (), "iter,t,residual_norm,normal_residual_norm,wall_ns"),
+        ("solve_in_ball", (10.0, 1e-8),
+         "iter,rho,residual_norm,normal_residual_norm,event,wall_ns"),
+        ("solve_adaptive", (1e-8,), "iter,rho,residual_norm,normal_residual_norm,event,wall_ns"),
+        ("min_norm_solve", (1e-6, np.ones(3)),
+         "iter,rho,residual_norm,normal_residual_norm,event,wall_ns"),
+        ("nonnegative_feasibility", (1e-8,),
+         "iter,rho,residual_norm,normal_residual_norm,event,min_x_entry,wall_ns"),
+        ("hybrid_solve", (), "iter,stage,residual_norm,normal_residual_norm,wall_ns"),
+    ], ids=["centering_solve", "solve_in_ball", "solve_adaptive", "min_norm_solve",
+            "nonnegative_feasibility", "hybrid_solve"])
+    def test_each_driver_writes_its_trace_header(self, driver, args, header, tmp_path):
+        # the headers the drivers wrote when their schemas named iter and
+        # wall_ns themselves: the trace's frame leaves every CSV as it was
+        a = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        b = np.array([3.0, 2.0])  # x = (1, 1, 1) solves it
+        res = getattr(trisolve, driver)(a, b, *args)
+        path = tmp_path / "trace.csv"
+        res.trace.write_csv(path)
+        assert path.read_bytes().startswith(header.encode() + b"\r\n")
+        assert res.trace.columns == tuple(header.split(","))
+
+    def test_result_repr_elides_arrays(self):
+        res = SolveResult("approx_solution", np.zeros(3), 1.5e-9, 2e-10, 7, Trace(()))
+        assert repr(res) == ("SolveResult(status='approx_solution', iterations=7, "
+                             "residual_norm=1.500e-09, normal_residual_norm=2.000e-10)")
 
     def test_known_solvable_disables_normal_clause(self):
         # a small-singular-value consistent system: the normal-equation

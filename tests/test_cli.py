@@ -140,7 +140,7 @@ class TestSolve:
         (trisolve.INCONCLUSIVE, 2), (trisolve.ITERATION_CAP, 3),
         (trisolve.NUMERICAL_FAILURE, 3)])
     def test_exit_code_by_status(self, status, code, monkeypatch):
-        result = SolveResult(status, np.zeros(3), 0.0, 0.0, 0, Trace(("iter", "wall_ns")))
+        result = SolveResult(status, np.zeros(3), 0.0, 0.0, 0, Trace(()))
         monkeypatch.setattr(cli, "_run_algorithm", lambda matrix, b, args: result)
         assert run(["solve", "--gen", "diag-pd:3"]) == code
 

@@ -46,6 +46,11 @@ class TestOrbit:
         for a, b in zip(orbit.norms, orbit.norms[1:]):
             assert b < a
 
+    def test_stops_on_null_direction(self):
+        # r = e_2 is nonzero but H r = 0: the orbit is its start alone
+        orbit = first_order_orbit(np.diag([1.0, 0.0]), np.array([0.0, 1.0]), steps=5)
+        assert len(orbit.points) == 1 and orbit.norms == [1.0]
+
 
 class TestCriticalPair:
     def test_coefficients_and_contraction(self):
@@ -137,6 +142,10 @@ class TestEigenbasisEquivalence:
         with pytest.raises(ValueError):
             eigenbasis_equivalence(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), 5)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="^H must be square$"):
+            eigenbasis_equivalence(np.ones((2, 3)), np.ones(2), 5)
+
 
 class TestPhasePortrait:
     def test_deterministic(self):
@@ -173,6 +182,10 @@ class TestPhasePortrait:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="H must be positive definite"):
                 phase_portrait(np.diag([bad, 2.0]))
+
+    def test_rejects_other_sizes(self):
+        with pytest.raises(ValueError, match="^phase portraits are drawn for 2x2 operators$"):
+            phase_portrait(np.eye(3))
 
 
 class TestDynamicsInvariants:

@@ -333,6 +333,15 @@ class TestTokenRules:
         # complaint
         assert error_line(COORD + "% c\n10 10 1\n" + entry + "\n") == "line 4"
 
+    @pytest.mark.parametrize("text, value", [
+        ("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 1.5\n", "1.5"),
+        ("%%MatrixMarket matrix array integer general\n1 1\n2.5\n", "2.5"),
+    ])
+    def test_integer_field_refuses_non_integer_values(self, text, value):
+        with pytest.raises(mmio.MatrixMarketError,
+                           match=f"^line 3: integer field holds non-integer value {value}$"):
+            read_str(text)
+
     def test_trailing_comment_after_entry_ignored(self):
         a = read_str(COORD + "2 2 2\n1 1 1.5 % first\n2 2 -2.5%second\n")
         assert np.array_equal(a.toarray(), [[1.5, 0.0], [0.0, -2.5]])

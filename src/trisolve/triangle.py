@@ -39,6 +39,16 @@ from .results import (
 # Measure b' = A x' again this often; convex-combination updates drift slowly.
 _REVALIDATE_EVERY = 512
 
+# A ball run's first expand from rho = 0 sets rho to this multiple of the
+# certified bound (b - b')^T b / ||c||, so that b starts well inside E_rho:
+# at the bound itself b sits on the boundary or just outside it, where strict
+# pivots crawl and the path depends on rounding.  4 is the largest factor
+# whose first radius, 4 ||b||^2 / ||A^T b||, cannot pass solve_adaptive's cap
+# 4 ||b||^2 / eps_prime, since the first expand happens only once
+# ||A^T b|| > eps_prime; within a few ulps of eps_prime the two sides round
+# differently, so the first radius is clipped at the cap.
+_FIRST_RADIUS_FACTOR = 4.0
+
 # The min-norm bisection runs its membership tests at a residual tolerance
 # tighter than the bracket target: any point with ||Ax - b|| <= delta can
 # undershoot ||x*|| by about ||pinv(A)|| * delta, and this keeps that slack
@@ -117,11 +127,17 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
 
     Each step takes the gap ``b - b'`` and the direction ``c = A^T(b - b')``,
     or ``c+ = max(c, 0)`` when ``cone``, and pivots toward
-    ``rho A c / ||c||`` when ``rho ||c|| >= (b - b')^T b``.  When that test
+    ``rho A c / ||c||`` when ``rho >= (b - b')^T b / ||c||``.  When that test
     fails, a fixed radius (``rho_cap`` None) ends in a witness, and a growing
-    radius becomes ``max(2 rho, (b - b')^T b / ||c||)`` and stops once it
-    passes ``rho_cap``.  In the cone, ``c+ = 0`` certifies infeasibility only
-    when ``(b - b')^T b > 0``; otherwise the apex ``x = 0`` is a strict pivot.
+    radius becomes ``max(2 rho, (b - b')^T b / ||c||)``, the quotient the
+    test compares with, so the next test at the same iterate passes; it
+    stops once it passes ``rho_cap``.  A ball run's first expand from
+    ``rho = 0`` goes to ``_FIRST_RADIUS_FACTOR`` times that quotient instead,
+    clipped at ``rho_cap``, so that ``b`` starts well inside ``E_rho``; a
+    cone run keeps the quotient, since overshooting there cost pivots (240
+    to 365 at 4x on a feasible 300 x 500 sparse LP).  In the cone,
+    ``c+ = 0`` certifies infeasibility only when ``(b - b')^T b > 0``;
+    otherwise the apex ``x = 0`` is a strict pivot.
     After its first pivot a cone run moves to the point of
     ``conv{b', v, v_prev}`` nearest ``b``, ``v_prev`` its last pivot point
     (Wolfe's corrective step; the last pivot outlives expands, since
@@ -184,7 +200,7 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
         elif d_norm == 0.0:
             b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, gap)
             event = "pivot"
-        elif rho > 0.0 and rho * d_norm >= gap_dot_b:
+        elif rho > 0.0 and rho >= gap_dot_b / d_norm:
             # v = rho A d / ||d||, the maximizer of d^T x over E_rho
             preimage = (rho / d_norm) * d
             v = op.matvec(preimage)
@@ -196,7 +212,11 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
             event, stop = "witness", WITNESS
             bound = gap_dot_b / c_norm
         else:
-            rho = max(2.0 * rho, gap_dot_b / d_norm)
+            needed = gap_dot_b / d_norm
+            if rho == 0.0 and not cone:
+                rho = min(_FIRST_RADIUS_FACTOR * needed, rho_cap)
+            else:
+                rho = max(2.0 * rho, needed)
             event = "expand"
             if rho > rho_cap:
                 stop, detail = ITERATION_CAP, f"radius exceeded cap {rho_cap:.3e}"
@@ -242,10 +262,14 @@ def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> Sol
     Starts from ``rho = 0`` (or the norm of the warm start ``x0``); whenever
     the strict-pivot test fails, the radius jumps to
     ``max(2 rho, (b - b')^T b / ||c||)``, which eventually clears the norm of
-    the minimum-norm solution.  ``c = 0`` certifies an exact normal-equation
-    solution immediately.  Tolerances are absolute; ``eps_prime`` defaults
-    to ``eps``.  A radius past ``4 ||b||^2 / eps_prime`` ends the run at the
-    iteration cap.
+    the minimum-norm solution.  From ``rho = 0`` the first jump goes to
+    ``4 ||b||^2 / ||A^T b||``, four times that certified bound: at the bound
+    ``b`` lies on the boundary of ``E_rho`` or just outside it, where strict
+    pivots crawl, and 4 is the largest factor that cannot pass the cap
+    below, since a first jump happens only once ``||A^T b|| > eps_prime``.
+    ``c = 0`` certifies an exact normal-equation solution immediately.
+    Tolerances are absolute; ``eps_prime`` defaults to ``eps``.  A radius
+    past ``4 ||b||^2 / eps_prime`` ends the run at the iteration cap.
     """
     system = System(a, b, TRIANGLE_TRACE_COLUMNS)
     if system.b_norm == 0.0:

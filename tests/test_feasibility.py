@@ -10,7 +10,7 @@ from trisolve import triangle
 from trisolve.feasibility import default_rho_max, nonnegative_feasibility
 from trisolve.linalg import GramProduct, matvec, matvec_transpose, norm2
 from trisolve.results import FEASIBILITY_TRACE_COLUMNS, System
-from trisolve.triangle import _pivot_loop, solve_adaptive
+from trisolve.triangle import _pivot_loop, solve_adaptive, solve_in_ball
 
 
 def lp_oracle_feasible(a, b):
@@ -69,14 +69,19 @@ class TestNonnegativePart:
         assert_farkas_witness(a, b, res)
 
     def test_all_nonnegative_unchanged(self):
-        # c >= 0 all along: the cone search repeats the unconstrained one
+        # c >= 0 all along: from the cone's first radius, the certified
+        # bound, the cone search takes the ball loop's steps; the adaptive
+        # ball run starts at 4x that bound instead
         a, b = np.eye(3), np.array([0.5, 0.0, 3.0])
         cone = nonnegative_feasibility(a, b, eps=1e-8)
-        free = solve_adaptive(a, b, eps=1e-8)
-        assert cone.status == "feasible"
-        assert np.array_equal(cone.x, free.x)
+        assert cone.status == "feasible" and cone.trace.column("event")[0] == "expand"
+        rho = cone.trace.column("rho")[0]
+        assert rho == float(b @ b) / norm2(b)
+        ball = solve_in_ball(a, b, rho=rho, eps=1e-8)
+        assert np.array_equal(cone.x, ball.x)
         cols = ("rho", "residual_norm", "normal_residual_norm", "event")
-        assert [cone.trace.column(k) for k in cols] == [free.trace.column(k) for k in cols]
+        assert [cone.trace.column(k)[1:] for k in cols] == [ball.trace.column(k) for k in cols]
+        assert solve_adaptive(a, b, eps=1e-8).trace.column("rho")[0] == 4.0 * rho
 
 
 class TestFeasibilitySolver:
@@ -467,3 +472,16 @@ class TestTriangleStep:
                 else:
                     assert rank[res.status] <= rank[seg.status], (kind, seed)
         assert witnesses["triangle"] >= witnesses["segment"]
+
+
+def test_no_expand_repeats_at_one_iterate():
+    # an expand sets rho to the quotient (b - b')^T b / ||c+|| that the pivot
+    # test compares it with, so the next test at the same iterate passes:
+    # no second expand doubles the radius without a pivot between (this draw
+    # repeated one at residual 3.1267, rho 16.78 -> 33.56)
+    a, b, eps = _lp_draw("infeasible", 7)
+    trace = cone_loop(a, b, eps, max_iters=20_000).trace
+    rows = list(zip(trace.column("event"), trace.column("residual_norm")))
+    assert sum(event == "expand" for event, _ in rows) > 2
+    assert not any(e1 == e2 == "expand" and r1 == r2
+                   for (e1, r1), (e2, r2) in zip(rows, rows[1:]))

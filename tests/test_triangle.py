@@ -12,6 +12,7 @@ from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, matvec, norm2
+from trisolve.results import TRIANGLE_TRACE_COLUMNS, System
 from trisolve.triangle import (
     min_norm_solve,
     move_to_pivot,
@@ -158,13 +159,40 @@ class TestSolveInBall:
 
 class TestSolveAdaptive:
     def test_first_pass_radius_jump(self):
+        # from rho = 0 the first expand goes to 4x the certified bound
         a = np.diag([1.0, 2.0])
         b = np.array([1.0, 2.0])
         res = solve_adaptive(a, b, eps=1e-10)
         first = res.trace.rows[0]
         assert first[4] == "expand"
-        expected = float(np.dot(b, b)) / norm2(a.T @ b)
-        assert np.isclose(first[1], expected, rtol=1e-12)
+        assert first[1] == 4.0 * float(np.dot(b, b)) / norm2(a.T @ b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 6), n=st.integers(1, 6), csr=st.booleans(),
+           scale=st.integers(-40, 40), ulps=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_first_radius_stays_within_the_cap(self, m, n, csr, scale, ulps, seed):
+        # ||A^T b|| a few ulps above eps_prime: 4 (b.b) / ||A^T b|| and the
+        # cap 4 ||b||^2 / eps_prime round differently, and the first radius
+        # is clipped at the cap
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, n)) * 2.0 ** scale
+        b = rng.standard_normal(m)
+        if csr:
+            a = sparse.csr_array(a)
+        system = System(a, b, TRIANGLE_TRACE_COLUMNS)
+        c_norm = norm2(system.op.rmatvec(system.b))
+        eps_prime = c_norm
+        for _ in range(ulps):
+            eps_prime = np.nextafter(eps_prime, 0.0)
+        if not eps_prime > 0.0:
+            return
+        res = solve_adaptive(a, b, eps=1e-300, eps_prime=eps_prime, max_iters=1)
+        (rho,), (event,) = res.trace.column("rho"), res.trace.column("event")
+        cap = 4.0 * system.b_norm ** 2 / eps_prime
+        assert event == "expand" and res.status == "iteration_cap" and not res.detail
+        assert rho == min(4.0 * float(system.b.dot(system.b)) / c_norm, cap)
+        assert rho <= cap
 
     def test_diagonal_solve(self):
         res = solve_adaptive(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), eps=1e-10)
@@ -464,16 +492,19 @@ class TestClaimRule:
 
 # --- the lean iteration gives the bits of the plain one ----------------------
 
-def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, cone=False):
+def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, cone=False,
+                    first_radius_factor=4.0):
     """The pivot loop written out plainly: the pivot point and
     ``move_to_pivot`` as their formulas state them, recomputing ``||d||`` and
     ``b - b'``, every product through ``np.dot``.  Like the lean loop it
-    starts from ``x0`` whenever one is given, moves a cone run after its
-    first pivot to the nearest point of the triangle of ``b'`` and the last
-    two pivots (the apex pivot keeps the segment and leaves the last pivot
-    as it was), measures ``b' = Ax`` again after every 512 pivots and before
-    it claims a success on a carried ``b'``, and returns through
-    ``system.finish``."""
+    pivots when ``rho >= (b - b')^T b / ||d||``, sends a ball run's first
+    expand from ``rho = 0`` to ``first_radius_factor`` times that bound
+    (clipped at the cap), starts from ``x0`` whenever one is given, moves a
+    cone run after its first pivot to the nearest point of the triangle of
+    ``b'`` and the last two pivots (the apex pivot keeps the segment and
+    leaves the last pivot as it was), measures ``b' = Ax`` again after every
+    512 pivots and before it claims a success on a carried ``b'``, and
+    returns through ``system.finish``."""
     op, b, trace = system.op, system.b, system.trace
     m, n = op.shape
     if x0 is None:
@@ -553,7 +584,7 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
         elif d_norm == 0.0:
             b_prime, x = move(0.0, 0.0)
             event = "pivot"
-        elif rho > 0.0 and rho * d_norm >= gap_dot_b:
+        elif rho > 0.0 and rho >= gap_dot_b / norm2(d):
             preimage = (rho / norm2(d)) * np.asarray(d, dtype=np.float64)
             v = op.matvec(preimage)
             if last_pivot is None:
@@ -567,7 +598,10 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
             event, stop, detail = "witness", "witness", ""
             bound = gap_dot_b / c_norm
         else:
-            rho = max(2.0 * rho, gap_dot_b / d_norm)
+            if rho == 0.0 and not cone:
+                rho = min(first_radius_factor * (gap_dot_b / norm2(d)), rho_cap)
+            else:
+                rho = max(2.0 * rho, gap_dot_b / norm2(d))
             event = "expand"
             if rho > rho_cap:
                 stop, detail = "iteration_cap", f"radius exceeded cap {rho_cap:.3e}"
@@ -587,6 +621,40 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
                 b_prime = op.matvec(x)
                 since_revalidate = 0
     return done("iteration_cap")
+
+
+def _consistent_draw(seed):
+    """A wide consistent system of ``tools/radius_sweep.py``'s three
+    consistent kinds, by ``seed % 3``: Gaussian, CSR with 5 Gaussian entries
+    per row, or Gaussian with column ``j`` scaled by ``exp(-2j/n)``;
+    ``20 <= m < 60``, ``n = m U(1.2, 2)``, ``b = A z``."""
+    rng = np.random.default_rng(9300 + seed)
+    m = int(rng.integers(20, 60))
+    n = int(m * rng.uniform(1.2, 2.0))
+    if seed % 3 == 1:
+        cols = np.concatenate([rng.choice(n, 5, replace=False) for _ in range(m)])
+        a = sparse.csr_array((rng.standard_normal(5 * m), (np.repeat(np.arange(m), 5), cols)),
+                             shape=(m, n))
+    else:
+        a = rng.standard_normal((m, n))
+        if seed % 3 == 2:
+            a *= np.exp(-2.0 * np.arange(n) / n)
+    return a, np.asarray(a @ rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_first_radius_saves_pivots(seed):
+    # b starts inside E_rho: no more iterations than a first expand to the
+    # bound itself, and every status holds of the returned x
+    a, b = _consistent_draw(seed)
+    eps = 1e-6 * norm2(b)
+    res = solve_adaptive(a, b, eps=eps, max_iters=20_000)
+    at_bound = _reference_loop(System(a, b, TRIANGLE_TRACE_COLUMNS), None, 0.0, eps, eps,
+                               20_000, rho_cap=4.0 * norm2(b) ** 2 / eps,
+                               first_radius_factor=1.0)
+    assert res.trace.column("rho")[0] == 4.0 * at_bound.trace.column("rho")[0]
+    assert status_holds(res, a, b, 1e-6)
+    assert res.iterations <= at_bound.iterations
 
 
 def _system(seed, m, n, cols=None):

@@ -22,8 +22,8 @@ with tempfile.TemporaryDirectory(prefix="trisolve-demo-") as tmp:
     a = gallery.gen_dorr(20, 0.05)
     path = workdir / "dorr20.mtx"
     mmio.write_matrix_market(a, path)
-    back, info = mmio.read_matrix_market_with_info(path)
-    print(f"{path.name}: {info.rows} x {info.cols}, {info.entries} entries, "
+    back = mmio.read_matrix_market(path)
+    print(f"{path.name}: {back.shape[0]} x {back.shape[1]}, {back.nnz} entries, "
           f"bit-identical round trip: {(back != a).nnz == 0}\n")
 
     print("=== the same via the CLI, plus a solve with a saved summary ===")

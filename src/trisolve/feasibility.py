@@ -96,23 +96,19 @@ def default_rho_max(a, b) -> float:
     norm standing in as the scale ``sigma``; ``a`` is a matrix or a prepared
     operator.
 
-    The ratio does not depend on the scale of the system.  When a norm
-    overflows or underflows to zero it comes from ``A 2^-e_A`` and
-    ``b 2^-e_b`` instead, whose norms do neither; where neither does, those
-    give the bits of the plain ratio.  A caller's operator, whose entries
-    are out of reach, keeps its own ``frobenius_norm()``."""
+    One formula: the norms come from ``A 2^-e_A`` and ``b 2^-e_b``, ``e`` the
+    binary exponent of the largest entry, and the ratio is scaled back by
+    ``2^(e_b - e_A)``.  Where no square in the plain norms is subnormal or
+    overflows, this gives the plain ratio's bits; it does not change when
+    ``A`` and ``b`` are scaled by one power of two.  A caller's operator,
+    whose entries are out of reach, keeps its own ``frobenius_norm()``."""
     op = prepare(a)
     m, n = op.shape
-    rows = math.sqrt(max(m, 1))
-    fro, b_norm = op.frobenius_norm(), norm2(b)
-    if 0.0 < fro < math.inf and 0.0 < b_norm < math.inf:
-        ratio = b_norm / (fro / rows)
-    else:
-        b_norm, b_exp = _scaled_norm(b)
-        fro, a_exp = _scaled_norm(op.entries()) if isinstance(op, Operator) else (fro, 0)
-        sigma = fro / rows or 1.0
-        ratio = float(np.ldexp(b_norm / sigma, b_exp - a_exp))
-    return 10.0 * max(n, 1) * max(1.0, ratio)
+    b_norm, b_exp = _scaled_norm(b)
+    fro, a_exp = (_scaled_norm(op.entries()) if isinstance(op, Operator)
+                  else (op.frobenius_norm(), 0))
+    sigma = fro / math.sqrt(max(m, 1)) or 1.0
+    return 10.0 * max(n, 1) * max(1.0, float(np.ldexp(b_norm / sigma, b_exp - a_exp)))
 
 
 @quiet_floating_point

@@ -74,12 +74,22 @@ def scipy_sparse() -> tuple:
     unpacks it.  The kernels behind ``csr @ v`` and ``csc @ v``, from a
     private scipy module: calling them directly saves about 4 us of dispatch
     per product, most of the cost of a product on small systems;
-    tests/test_linalg.py pins their bits to ``a @ v`` and ``v @ a``."""
+    tests/test_linalg.py pins their bits to ``a @ v`` and ``v @ a``.  A scipy
+    without that module gets :func:`_scipy_matvec` in their place."""
     import scipy.sparse as sparse
-    from scipy.sparse import _sparsetools
 
-    return (sparse, (sparse.csr_array, sparse.csr_matrix), _sparsetools.csr_matvec,
-            _sparsetools.csc_matvec)
+    try:
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+    except ImportError:
+        csr_matvec, csc_matvec = (functools.partial(_scipy_matvec, kind)
+                                  for kind in (sparse.csr_array, sparse.csc_array))
+    return (sparse, (sparse.csr_array, sparse.csr_matrix), csr_matvec, csc_matvec)
+
+
+def _scipy_matvec(kind, m: int, n: int, indptr, indices, data, v, out) -> None:
+    """``out[:] = A @ v`` by scipy's own product, ``A`` the ``m x n`` matrix
+    ``kind((data, indices, indptr))``: a private kernel's call shape."""
+    out[:] = kind((data, indices, indptr), shape=(m, n)) @ v
 
 
 @functools.cache

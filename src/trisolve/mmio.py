@@ -1,8 +1,9 @@
 """Reader and writer for the NIST Matrix Market exchange format.
 
-Coordinate files become sparse CSR matrices with symmetric or skew-symmetric
-entries expanded to general storage; array files become dense row-major
-matrices.  Pattern entries read as ``1.0``.  One ``np.loadtxt`` call parses all
+Coordinate files become sparse CSR matrices, duplicate entries summed in file
+order and symmetric or skew-symmetric entries expanded to general storage;
+array files become dense row-major matrices.  The reader returns the matrix
+alone.  Pattern entries read as ``1.0``.  One ``np.loadtxt`` call parses all
 entry lines (its C tokenizer skips ``%`` comments and blank lines, rejects a
 wrong token count and rounds correctly); range, finiteness, integer-field and
 triangle checks are array masks.  Failures raise :class:`MatrixMarketError`
@@ -13,7 +14,6 @@ to the same float64, so ``read(write(A))`` reproduces every value bit-exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +29,6 @@ _SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 
 class MatrixMarketError(ValueError):
     """Malformed Matrix Market content; message carries the 1-based line number."""
-
-
-@dataclass
-class MmInfo:
-    """Header facts plus bookkeeping from one read."""
-
-    format: str
-    field: str
-    symmetry: str
-    rows: int
-    cols: int
-    entries: int          # entries as stated in the size line
-    duplicates: int = 0   # coordinate entries that were summed into others
 
 
 def _fail(lineno, message: str):
@@ -90,8 +77,8 @@ def _parse_header(line: str) -> tuple[str, str, str]:
     return fmt, field, symmetry
 
 
-def read_matrix_market_with_info(source):
-    """Parse ``source`` (path or file-like); return ``(matrix, MmInfo)``."""
+def read_matrix_market(source):
+    """Parse ``source`` (path or file-like): sparse CSR (coordinate) or a dense ndarray (array)."""
     lines = _open_lines(source)
     if not lines:
         raise MatrixMarketError("line 1: empty input")
@@ -115,17 +102,11 @@ def read_matrix_market_with_info(source):
     if fmt == "coordinate":
         names = ("i", "j") if field == "pattern" else ("i", "j", "v")
         data = _parse_entries(lines, size_lineno, names, count[0], m, n, field, symmetry)
-        matrix, dups = _coordinate_matrix(data, m, n, symmetry)
-        return matrix, MmInfo(fmt, field, symmetry, m, n, count[0], dups)
+        return _coordinate_matrix(data, m, n, symmetry)
 
     expected = {"general": m * n, "symmetric": m * (m + 1) // 2}.get(symmetry, m * (m - 1) // 2)
     data = _parse_entries(lines, size_lineno, ("v",), expected, m, n, field, symmetry)
-    return _array_matrix(data["v"], m, n, symmetry), MmInfo(fmt, field, symmetry, m, n, m * n)
-
-
-def read_matrix_market(source):
-    """Parse ``source``; return sparse CSR (coordinate) or a dense ndarray (array)."""
-    return read_matrix_market_with_info(source)[0]
+    return _array_matrix(data["v"], m, n, symmetry)
 
 
 def _load(lines, dtype):
@@ -222,8 +203,7 @@ def _coordinate_matrix(data, m, n, symmetry):
         vals = np.column_stack((vals, mirror)).ravel()[keep]
     # The CSR conversion sums duplicate coordinates in entry order.
     sparse = scipy_sparse()[0]
-    csr = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(m, n)))
-    return csr, len(vals) - csr.nnz
+    return sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(m, n)))
 
 
 def _array_matrix(values, m, n, symmetry):

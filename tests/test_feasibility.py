@@ -209,6 +209,22 @@ class TestFeasibilitySolver:
         res = nonnegative_feasibility(1e300 * np.eye(2), 1e300 * np.ones(2), 1e-6)
         assert res.status == "numerical_failure"
 
+    def test_default_rho_max_keeps_its_bits_where_squares_are_subnormal(self):
+        # columns graded by exp(-U(0, 30)): around 2^-520 some squares in the
+        # plain norms are subnormal while the norms stay finite and nonzero
+        rng = np.random.default_rng(20)
+        draws = [(np.array([[1.0, 2.0**-20], [3.0, 0.5]]), np.array([40.0, 7.0]))]
+        for storage in (np.asarray, sparse.csr_array) * 6:
+            m, n = rng.integers(1, 13, 2)
+            grade = np.exp(-rng.uniform(0.0, 30.0, n))
+            draws.append((storage(rng.standard_normal((m, n)) * grade),
+                          10.0 * rng.standard_normal(m)))
+        for a, b in draws:
+            budget = default_rho_max(a, b)
+            for k in range(-900, 901, 5):
+                assert default_rho_max(2.0**k * a, 2.0**k * b) == budget, (k, a, b)
+        assert default_rho_max(*draws[0]) == 358.75122163468495
+
     def test_zero_columns_certify_infeasibility(self):
         # no column: Ax = 0 for every x, so b = 1 is out of reach, and
         # y = b has A^T y = 0 <= 0 < y^T b, a Farkas certificate

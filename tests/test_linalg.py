@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import aslinearoperator
 
 import trisolve
-from conftest import random_sparse
+from conftest import fresh_python, random_sparse
 from trisolve import gallery
 from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.dynamics import phase_portrait
@@ -27,7 +28,9 @@ from trisolve.linalg import (
     matvec,
     matvec_transpose,
     norm2,
+    _scipy_matvec,
     prepare,
+    scipy_sparse,
 )
 from trisolve.triangle import min_norm_solve, solve_adaptive, solve_in_ball
 
@@ -260,6 +263,40 @@ def _with_index_dtype(a, dtype):
     return a
 
 
+# scipy's private kernel module as a scipy without it would have it; scipy's
+# own products keep the kernels they bound at import
+_WITHOUT_SPARSETOOLS = """
+import functools
+import sys
+
+import scipy.sparse
+
+sys.modules["scipy.sparse._sparsetools"] = None
+del scipy.sparse._sparsetools
+
+from trisolve import linalg
+assert isinstance(linalg.scipy_sparse()[2], functools.partial)
+"""
+
+_SPARSE_SOLVES = """
+import numpy as np
+import scipy.sparse as sparse
+from trisolve import (CenteringOptions, HybridOptions, centering_solve, gallery, hybrid_solve,
+                      nonnegative_feasibility, solve_adaptive)
+
+rng = np.random.default_rng(24)
+a = sparse.random(15, 25, density=0.3, random_state=rng, format="csr")
+b = a @ rng.uniform(0.5, 1.5, 25)
+spd = gallery.make("poisson-d", 4)
+for res in (solve_adaptive(a, b, 1e-8),
+            centering_solve(a, b, CenteringOptions(1e-10, h_mode="aat")),
+            centering_solve(spd, gallery.row_sum_rhs(spd), CenteringOptions(1e-10, h_mode="a")),
+            nonnegative_feasibility(a, b, 1e-6),
+            hybrid_solve(a, b, HybridOptions(want_min_norm=True))):
+    print(res.status, res.iterations, res.x.tobytes().hex())
+"""
+
+
 class TestStoredTranspose:
     """Products on CSR storage go straight to scipy's kernels, ``A^T v``
     through the CSC kernel on ``A``'s own arrays, and have the bits of
@@ -346,6 +383,28 @@ class TestStoredTranspose:
             v, w = rng.standard_normal(5), rng.standard_normal(7)
             assert matvec(stored, v).tobytes() == (stored @ v).tobytes()
             assert matvec_transpose(stored, w).tobytes() == (stored.T @ w).tobytes()
+
+    def test_fallback_kernels_have_the_private_kernels_bits(self):
+        rng = np.random.default_rng(23)
+        _, _, csr_kernel, csc_kernel = scipy_sparse()
+        assert not isinstance(csr_kernel, functools.partial)
+        for a in self._cases():
+            m, n = a.shape
+            for kind, kernel, rows, cols in ((sparse.csr_array, csr_kernel, m, n),
+                                             (sparse.csc_array, csc_kernel, n, m)):
+                for v in self._vectors(rng, cols):
+                    private, fallback = np.zeros(rows), np.zeros(rows)
+                    kernel(rows, cols, a.indptr, a.indices, a.data, v, private)
+                    _scipy_matvec(kind, rows, cols, a.indptr, a.indices, a.data, v, fallback)
+                    assert fallback.tobytes() == private.tobytes()
+
+    def test_sparse_solves_keep_their_bits_without_the_private_kernels(self, capsys):
+        # a scipy without _sparsetools still runs every sparse solve, with
+        # its own products in the kernels' place, bit for bit
+        fresh = fresh_python(_WITHOUT_SPARSETOOLS + _SPARSE_SOLVES)
+        exec(_SPARSE_SOLVES, {})
+        assert fresh == capsys.readouterr().out
+        assert len(fresh.splitlines()) == 5
 
     @pytest.mark.parametrize("cls", [sparse.csr_array, sparse.csc_matrix])
     def test_operator_stores_only_the_matrix(self, cls):

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Minimum-norm solutions of underdetermined systems with certificates.
 
-The bisection returns a bracket [rho_lo, rho_hi] around the minimum-norm
-radius: rho_lo comes from witnesses (no exact solution lives strictly inside
-that radius), rho_hi from successful membership tests.  The pseudo-inverse
-provides the reference value.
+The bisection returns a bracket [rho_lo, rho_hi] of two quantities: rho_lo
+comes from witnesses and is certified (no exact solution lives strictly
+inside that radius), rho_hi is the norm of the returned approximate solution
+from a successful membership test, and may lie slightly below the
+minimum norm.  The pseudo-inverse provides the reference value.
 """
 
 import numpy as np

@@ -87,8 +87,12 @@ def _build_parser() -> _Parser:
     source.add_argument("--mtx", metavar="PATH", help="Matrix Market file")
     add_gen(source)
     solve.add_argument("--algo", choices=["cta", "ta", "hybrid", "lpfeas"], default="cta")
-    solve.add_argument("--eps", type=float, default=1e-10)
-    solve.add_argument("--eps-prime", type=float, default=None)
+    solve.add_argument("--eps", type=float, default=1e-10,
+                       help="tolerance relative to ||b||: epsilon for cta, eps ||b|| for ta "
+                            "and lpfeas, eps_ta for hybrid")
+    solve.add_argument("--eps-prime", type=float, default=None,
+                       help="relative to ||b||, default --eps: the normal-equation tolerance "
+                            "of ta, eps_cta of hybrid's stage one; cta and lpfeas ignore it")
     solve.add_argument("--t-max", type=int, default=CenteringOptions.t_max)
     solve.add_argument("--max-iters", type=int, default=CenteringOptions.max_iters)
     solve.add_argument("--h-mode", choices=(H_MODE_SYMMETRIC, H_MODE_GRAM),
@@ -156,9 +160,7 @@ def _run_algorithm(matrix, b, args):
     if algo == "cta":
         return centering_solve(matrix, b, CenteringOptions(
             epsilon=eps, t_max=args.t_max, max_iters=args.max_iters,
-            h_mode=args.h_mode,
-            known_solvable=args.known_solvable,
-        ))
+            h_mode=args.h_mode, known_solvable=args.known_solvable))
     if algo == "ta":
         # absolute tolerances for the membership machinery
         scale = norm2(b)
@@ -171,8 +173,7 @@ def _run_algorithm(matrix, b, args):
             max_iters_stage1=args.max_iters, max_iters_stage2=args.max_iters,
         ))
     # "lpfeas", the last of the --algo choices
-    return nonnegative_feasibility(matrix, b, eps=eps * norm2(b),
-                                   rho_max=args.rho_max,
+    return nonnegative_feasibility(matrix, b, eps=eps * norm2(b), rho_max=args.rho_max,
                                    max_iters=args.max_iters)
 
 

@@ -17,7 +17,8 @@ solves ``Ax = b``; the run ends in a witness.  When ``c+ = 0`` but
 ``(b - b')^T b <= 0``, the apex ``x = 0`` is a strict pivot and the search
 goes on.  The radius growth is capped; hitting the cap is reported as
 inconclusive, never as "infeasible", with a certified lower bound on the
-norm of every ``eps``-feasible point when the last gap gives one.
+norm of every ``eps``-feasible point when the last gap gives one; the
+shared pivot loop sets these statuses and bounds itself.
 
 Before the first pivot, the first check of an LP presolve: a row ``i``
 whose signs alone rule out ``x >= 0`` (every entry of ``A_i`` at most 0
@@ -29,7 +30,6 @@ at iteration 0.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -42,16 +42,7 @@ from .linalg import (
     prepare,
     quiet_floating_point,
 )
-from .results import (
-    APPROX_SOLUTION,
-    FEASIBILITY_TRACE_COLUMNS,
-    FEASIBLE,
-    INCONCLUSIVE,
-    ITERATION_CAP,
-    WITNESS,
-    SolveResult,
-    System,
-)
+from .results import FEASIBILITY_TRACE_COLUMNS, FEASIBLE, WITNESS, SolveResult, System
 from .triangle import _pivot_loop
 
 
@@ -125,8 +116,8 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     ``y = b_i e_i``.  An inconclusive result carries the certified bound
     ``lower_bound = (y^T b - eps ||y||) / ||max(A^T y, 0)||`` for
     ``y = b - b_prime`` when both parts are positive, else ``None``: every
-    ``x >= 0`` with ``||Ax - b|| <= eps`` has ``||x||`` at least that.  Only
-    a passed ``rho_max`` is checked, not :func:`default_rho_max`.
+    ``x >= 0`` with ``||Ax - b|| <= eps`` has ``||x||`` at least that; the
+    pivot loop computes it.  Only a passed ``rho_max`` is checked.
     """
     system = System(a, b, FEASIBILITY_TRACE_COLUMNS)
     if system.b_norm == 0.0:
@@ -149,20 +140,5 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     else:
         check_positive(rho_max=rho_max)
     # eps_prime = -inf: the cone search has no normal-equation stop
-    run = _pivot_loop(system, None, 0.0, eps, -math.inf, max_iters, rho_cap=rho_max,
-                      cone=True)
-    status, detail, bound = run.status, run.detail, run.lower_bound
-    if status == APPROX_SOLUTION:
-        status = FEASIBLE
-    elif status == ITERATION_CAP:
-        status = INCONCLUSIVE
-        detail = (f"radius budget {rho_max:.3e} exhausted" if detail
-                  else "iteration budget exhausted")
-        # for x >= 0 with ||Ax - b|| <= eps and y = b - b':
-        # y^T b <= (A^T y)^T x + eps ||y|| <= ||c+|| ||x|| + eps ||y||
-        y = b - run.b_prime
-        excess = float(y.dot(b)) - eps * norm2(y)
-        c_plus_norm = norm2(np.maximum(op.rmatvec(y), 0.0))
-        bound = excess / c_plus_norm if excess > 0.0 and c_plus_norm > 0.0 else None
-    return replace(run, status=status, detail=detail, lower_bound=bound,
-                   min_x_entry=float(run.x.min()) if run.x.size else 0.0)
+    return _pivot_loop(system, None, 0.0, eps, -math.inf, max_iters, rho_cap=rho_max,
+                       cone=True)

@@ -9,11 +9,12 @@ normal-equation pair ``(A^T A, A^T b)``, with the product applied implicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .centering import CenteringOptions, centering_solve
 from .linalg import GramProduct, check_count, check_positive, norm2, quiet_floating_point
-from .results import APPROX_SOLUTION, NORMAL_EQ_SOLUTION, NUMERICAL_FAILURE, SolveResult, System
+from .results import (APPROX_SOLUTION, ITERATION_CAP, NORMAL_EQ_SOLUTION, NUMERICAL_FAILURE,
+                      SolveResult, System)
 from .triangle import min_norm_solve, solve_adaptive
 
 HYBRID_TRACE_COLUMNS = ("stage", "residual_norm", "normal_residual_norm")
@@ -41,7 +42,9 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     ``numerical_failure`` ends the solve: its iterate and norms cannot seed
     the second stage.  So does a first stage that leaves the normal-equation
     pair with a nonzero ``A^T b`` whose norm underflows to 0; the result
-    then carries stage one's status and a detail naming the underflow."""
+    then carries stage one's status and a detail naming the underflow; both
+    stops leave through ``finish``.  A stage-two normal-equation solution of
+    the pair bounds only ``||A^T A A^T(b - Ax)||``: it ends ``iteration_cap``."""
     opts = options or HybridOptions()
     # both stages' rows go to the system's trace, on its clock
     system = System(a, b, HYBRID_TRACE_COLUMNS)
@@ -60,7 +63,8 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     trace.extend(stage1.trace, stage="stage1")
 
     if stage1.status == NUMERICAL_FAILURE:
-        return replace(stage1, trace=trace, stage_results=[stage1])
+        return system.finish(stage1.status, stage1.x, stage1.iterations,
+                             detail=stage1.detail, stage_results=[stage1])
     if stage1.status == APPROX_SOLUTION and opts.want_min_norm:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.
@@ -68,12 +72,10 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         stage2 = min_norm_solve(op, b, eps2, stage1.x,
                                 inner_cap=opts.min_norm_inner_cap,
                                 max_iters=opts.max_iters_stage2)
-        final_status = stage2.status
         x = stage2.x
     elif stage1.status == APPROX_SOLUTION:
         stage2 = solve_adaptive(op, b, eps=opts.eps_ta * b_norm,
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
-        final_status = stage2.status
         x = stage2.x if stage2.residual_norm <= stage1.residual_norm else stage1.x
     else:
         # No consistent-solution evidence: run the triangle stage on the
@@ -84,20 +86,25 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
             # the pair's right side is nonzero, but its norm underflows:
             # stage two's entry refuses such a right side, and its
             # tolerance, relative to that norm, would be 0
-            return replace(stage1, trace=trace, stage_results=[stage1],
-                           detail="stage two skipped: ||A^T b|| underflows to 0")
+            return system.finish(stage1.status, stage1.x, stage1.iterations,
+                                 detail="stage two skipped: ||A^T b|| underflows to 0",
+                                 stage_results=[stage1])
         stage2 = solve_adaptive(GramProduct(op), g, eps=opts.eps_ta * g_norm,
                                 max_iters=opts.max_iters_stage2, x0=stage1.x)
         # stage two's residual is the pair's, A^T (b - A x): the same
         # quantity as stage one's normal residual
         x = stage2.x if stage2.residual_norm <= stage1.normal_residual_norm else stage1.x
-        # An approximate solution of the pair is a normal-equation solution
-        # of the original system.
-        final_status = (NORMAL_EQ_SOLUTION if stage2.status == APPROX_SOLUTION
-                        else stage2.status)
 
+    final_status, detail = stage2.status, stage2.detail
+    if stage1.status != APPROX_SOLUTION:
+        # the pair's approximate solution is a normal-equation solution of
+        # Ax = b; its normal-equation clause claims nothing of A^T(b - Ax)
+        if final_status == APPROX_SOLUTION:
+            final_status = NORMAL_EQ_SOLUTION
+        elif final_status == NORMAL_EQ_SOLUTION:
+            final_status = ITERATION_CAP
+            detail = "stage two stalled: it certified only the normal equation of (A^T A, A^T b)"
     trace.extend(stage2.trace, stage="stage2")
     return system.finish(final_status, x, stage1.iterations + stage2.iterations,
-                         rho=stage2.rho, rho_interval=stage2.rho_interval,
-                         lower_bound=stage2.lower_bound, detail=stage2.detail,
+                         rho=stage2.rho, rho_interval=stage2.rho_interval, detail=detail,
                          stage_results=[stage1, stage2])

@@ -19,8 +19,8 @@ NORMAL_EQ_SOLUTION = "normal_eq_solution"  # ||A^T A x - A^T b|| within toleranc
 MIN_NORM_SOLUTION = "min_norm_solution"   # approximate solution + certified norm bracket
 WITNESS = "witness"                       # proof that b lies outside the search ellipsoid
 FEASIBLE = "feasible"                     # nonnegative x with ||Ax - b|| within tolerance
-INCONCLUSIVE = "inconclusive"             # feasibility search exhausted its radius budget
-ITERATION_CAP = "iteration_cap"           # iteration budget exhausted, best iterate attached
+INCONCLUSIVE = "inconclusive"             # feasibility search exhausted a budget
+ITERATION_CAP = "iteration_cap"           # a budget ran out or a stage stalled; best x attached
 NUMERICAL_FAILURE = "numerical_failure"   # non-finite values appeared during the solve
 
 _SUCCESS = frozenset({APPROX_SOLUTION, NORMAL_EQ_SOLUTION, MIN_NORM_SOLUTION, FEASIBLE})
@@ -85,12 +85,13 @@ class SolveResult:
     ``x`` is the best iterate available, even for non-success statuses.
     ``residual_norm`` is ``||b - Ax||`` and ``normal_residual_norm``
     ``||A^T(b - Ax)||``, both for the returned ``x``.  Triangle-family extras:
-    ``rho`` is the final search radius, ``lower_bound`` a certified lower bound
-    on the norm of every solution (witnesses), and for an ``inconclusive``
-    feasibility search on the norm of every nonnegative ``x`` within ``eps``
-    of ``b``, ``rho_interval`` the certified ``(lower, upper)`` bracket of the
-    minimum-norm radius, and ``b_prime`` the final ellipsoid iterate, which
-    re-verifies a witness: ``Ax`` as ``op.matvec`` computes it after a
+    ``rho`` is the final search radius; ``lower_bound`` a certified lower
+    bound on the norm of every exact solution (witnesses), or of every ``x``
+    within ``eps`` of ``b``, nonnegative in the cone (a pivot run's budget
+    exits, when positive); ``rho_interval`` the minimum-norm bracket: a
+    certified lower end, and ``||x||`` of the returned ``x`` as the upper;
+    and ``b_prime`` the final ellipsoid iterate, which re-verifies a witness
+    or a budget exit's bound: ``Ax`` as ``op.matvec`` computes it after a
     success, possibly carried otherwise.  For a cone witness ``b_prime`` is
     ``b - y``, ``y`` the Farkas certificate; when the certificate is a sign
     row of ``A``, found before the first pivot, that is not an iterate.

@@ -19,13 +19,14 @@ a success is claimed only on ``b' = Ax'`` measured from the returned ``x'``.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .linalg import as_vector, check_count, check_positive, norm2, quiet_floating_point
 from .results import (
     APPROX_SOLUTION,
+    FEASIBLE,
+    INCONCLUSIVE,
     ITERATION_CAP,
     MIN_NORM_SOLUTION,
     NORMAL_EQ_SOLUTION,
@@ -149,19 +150,24 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
     fixed-radius caller passes an ``x0`` inside the ball.  A stopping clause
     that passes on a carried ``b'`` is tested again on ``b' = op.matvec(x)``,
     which counts no iteration, so a success holds of the returned ``x``.
-    The run returns through ``system.finish``, with the final ``rho``,
-    ``b_prime``, ``detail`` and the witness bound as ``lower_bound``; each
-    iteration adds a row to the system's trace, which the runs of one solve
-    share.
+    The budget is checked after ``y = b - b'`` and ``d`` (``c``, or ``c+``)
+    are measured, so every exit ends on its own iterate's, and the run
+    returns through ``system.finish``, unedited by any caller, with the final
+    ``rho``, ``b_prime``, ``detail`` and ``lower_bound``: ``y^T b / ||c||``
+    for a witness (``inf`` at ``c = 0``), ``(y^T b - eps ||y||) / ||d||`` for
+    a budget exit when both parts are positive.  A cone run ends ``feasible``
+    or ``inconclusive`` and carries ``min_x_entry``.  Each iteration adds a
+    row to the system's trace, which the runs of one solve share.
     """
     op, b, trace = system.op, system.b, system.trace
     m, n = op.shape
     x = np.zeros(n) if x0 is None else x0.copy()
     b_prime = np.zeros(m) if x0 is None else op.matvec(x)
-    status, detail, bound = ITERATION_CAP, "", None
+    solved, capped = (FEASIBLE, INCONCLUSIVE) if cone else (APPROX_SOLUTION, ITERATION_CAP)
+    detail, bound = "", None
     prev = None
     iterations = since_revalidate = 0   # pivots since b' was measured from x
-    while iterations < max_iters:
+    while True:
         if since_revalidate >= _REVALIDATE_EVERY:
             b_prime, since_revalidate = op.matvec(x), 0
         gap = b - b_prime
@@ -173,7 +179,7 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
             if since_revalidate:
                 since_revalidate = _REVALIDATE_EVERY
                 continue
-            status = APPROX_SOLUTION
+            status = solved
             break
         c = op.rmatvec(gap)
         c_norm = norm2(c)
@@ -191,12 +197,14 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(gap.dot(b))
+        if iterations >= max_iters:
+            status, detail = capped, "iteration budget exhausted"
+            break
         stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
             # Farkas: y = b - b' has A^T y <= 0 and y^T b > 0
             event, stop = "witness", WITNESS
             detail = "no ascent direction in the nonnegative cone section"
-            bound = gap_dot_b / c_norm if c_norm > 0.0 else math.inf
         elif d_norm == 0.0:
             b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, gap)
             event = "pivot"
@@ -210,7 +218,6 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
             event = "pivot"
         elif rho_cap is None:
             event, stop = "witness", WITNESS
-            bound = gap_dot_b / c_norm
         else:
             needed = gap_dot_b / d_norm
             if rho == 0.0 and not cone:
@@ -219,7 +226,7 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
                 rho = max(2.0 * rho, needed)
             event = "expand"
             if rho > rho_cap:
-                stop, detail = ITERATION_CAP, f"radius exceeded cap {rho_cap:.3e}"
+                stop, detail = capped, f"radius budget {rho_cap:.3e} exhausted"
         if cone:
             x_min = float(x.min()) if n else 0.0
             if x_min < 0.0:
@@ -236,8 +243,17 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
             break
         if event == "pivot":
             since_revalidate += 1
+    if status == WITNESS:
+        bound = gap_dot_b / c_norm if c_norm > 0.0 else math.inf
+    elif status == capped:
+        # every x with ||Ax - b|| <= eps, nonnegative in the cone, has
+        # y^T b = (A^T y)^T x + y^T (b - Ax) <= ||d|| ||x|| + eps ||y||
+        excess = gap_dot_b - eps * gap_norm
+        if excess > 0.0 and d_norm > 0.0:
+            bound = excess / d_norm
     return system.finish(status, x, iterations, rho=rho, b_prime=b_prime,
-                         lower_bound=bound, detail=detail)
+                         lower_bound=bound, detail=detail,
+                         min_x_entry=(float(x.min()) if n else 0.0) if cone else None)
 
 
 @quiet_floating_point
@@ -290,18 +306,20 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     """Refine an approximate solution ``x_eps`` into an approximate
     minimum-norm solution by bisecting on the ellipsoid radius.
 
-    Maintains a bracket ``rho_lo <= ||x*|| <= rho_hi``: a successful
-    fixed-radius test tightens ``rho_hi``, a witness raises ``rho_lo``
-    through its certified lower bound.  Stops once
-    ``rho_hi - rho_lo <= eps``; the returned result carries the bracket in
-    ``rho_interval``.  Each test warm-starts from the most recent iterate
-    when its norm is at most ``rho (1 + 1e-9)``, and from the origin
-    otherwise.  A vanishing pivot direction ends the search with an exact
-    normal-equation solution instead.  Non-finite ``A x_eps`` (from NaN or
-    Inf in ``A`` or ``x_eps``) or an overflowing ``||x_eps||`` is a
-    numerical failure at iteration 0.  ``b = 0`` is answered before any
-    check: ``x = 0`` at iteration 0, with ``rho = 0`` and
-    ``rho_interval = (0, 0)``.
+    Maintains a bracket ``(rho_lo, rho_hi)``: a witness raises ``rho_lo``
+    through its bound on every exact solution, so ``rho_lo <= ||x*||``; a
+    successful fixed-radius test sets ``rho_hi`` to the norm of its
+    approximate solution, the one returned, clamped to keep the bracket
+    ordered, so ``rho_hi`` may lie below ``||x*||`` by about
+    ``||pinv(A)|| eps``.  Stops once ``rho_hi - rho_lo <= eps``; the result
+    carries the bracket in ``rho_interval`` and ``rho = rho_hi``.  Each test
+    warm-starts from the most recent iterate when its norm is at most
+    ``rho (1 + 1e-9)``, and from the origin otherwise.  A vanishing pivot
+    direction ends the search with that run's normal-equation solution
+    instead.  Non-finite ``A x_eps`` (from NaN or Inf in ``A`` or ``x_eps``)
+    or an overflowing ``||x_eps||`` is a numerical failure at iteration 0.
+    ``b = 0`` is answered before any check: ``x = 0`` at iteration 0, with
+    ``rho = 0`` and ``rho_interval = (0, 0)``.
     """
     system = System(a, b, TRIANGLE_TRACE_COLUMNS)
     if system.b_norm == 0.0:
@@ -322,12 +340,8 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     # Floating-point floor standing in for an exact "||c|| > 0" guard.
     zero_floor = 1e-14 * system.a_fro * system.b_norm
 
-    rho_lo = 0.0
-    best_x = x_eps.copy()
-    warm = None
-    iterations = 0
-    status = MIN_NORM_SOLUTION
-    detail = ""
+    rho_lo, best_x, warm, iterations = 0.0, x_eps.copy(), None, 0
+    status, detail = MIN_NORM_SOLUTION, ""
 
     # log2(rho_hi / eps) bisection steps, in logs so that the ratio cannot overflow
     outer_budget = max(1, math.ceil(math.log2(max(rho_hi, eps)) - math.log2(eps))) + 8
@@ -354,8 +368,9 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
             system.trace.append(rho_lo, run.residual_norm, run.normal_residual_norm, "expand")
         elif run.status == NORMAL_EQ_SOLUTION:
             # the STOP branch: c = 0 within the floating floor
-            return replace(run, iterations=iterations, rho_interval=(rho_lo, rho_hi),
-                           detail="pivot direction vanished during bisection")
+            status, best_x = NORMAL_EQ_SOLUTION, run.x
+            detail = "pivot direction vanished during bisection"
+            break
         else:
             status = run.status
             detail = (run.detail if status == NUMERICAL_FAILURE

@@ -1,6 +1,6 @@
 """Shared helpers: controlled-spectrum operators, instance builders, the
-witness recheck used across suites, and a fresh interpreter to run a script
-in."""
+witness and budget-exit rechecks used across suites, and a fresh interpreter
+to run a script in."""
 
 import os
 import subprocess
@@ -58,6 +58,26 @@ def check_witness(a, b, result, atol=0.0):
     assert lhs < rhs + atol, f"witness recheck failed: {lhs} >= {rhs}"
     if result.lower_bound is not None and norm2(c) > 0:
         assert np.isclose(result.lower_bound, rhs / norm2(c), rtol=1e-9)
+
+
+def check_cap_bound(a, b, result, eps):
+    """Re-verify a pivot run's budget exit from ``b_prime`` alone: with
+    ``y = b - b_prime`` and ``d = A^T y``, or its nonnegative part for an
+    ``inconclusive`` cone run, ``lower_bound`` is
+    ``(y^T b - eps ||y||) / ||d||`` when both parts are positive, else None.
+    Every ``x`` (nonnegative in the cone) within ``eps`` of ``b`` has
+    ``y^T b <= ||d|| ||x|| + eps ||y||``, so none is shorter."""
+    assert result.status in ("iteration_cap", "inconclusive")
+    b = np.asarray(b, dtype=np.float64)
+    y = b - result.b_prime
+    d = matvec_transpose(a, y)
+    if result.status == "inconclusive":
+        d = np.maximum(d, 0.0)
+    excess = float(np.dot(y, b)) - eps * norm2(y)
+    if excess > 0.0 and norm2(d) > 0.0:
+        assert np.isclose(result.lower_bound, excess / norm2(d), rtol=1e-9)
+    else:
+        assert result.lower_bound is None
 
 
 def status_holds(res, a, b, eps, h_mode="aat"):

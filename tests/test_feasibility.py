@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from conftest import check_cap_bound
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
@@ -334,11 +335,18 @@ class TestInconclusiveBound:
         eps = 1e-3
         res = nonnegative_feasibility(a, b, eps=eps, max_iters=200)
         assert res.status == "inconclusive" and res.iterations == 200
+        assert res.detail == "iteration budget exhausted"
         assert 0.0 < res.lower_bound <= 2.0
-        y = b - res.b_prime
-        c_plus = np.maximum(a.T @ y, 0.0)
-        assert np.isclose(res.lower_bound, (y @ b - eps * norm2(y)) / norm2(c_plus),
-                          rtol=1e-9)
+        check_cap_bound(a, b, res, eps)
+
+    def test_boundary_bound_is_pinned(self):
+        # the loop measures the last gap before the budget ends it; the
+        # bound keeps the bits it had when the driver recomputed it after
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((6, 9))
+        res = nonnegative_feasibility(a, a[:, :4].sum(axis=1), eps=1e-3, max_iters=2000)
+        assert res.status == "inconclusive" and res.iterations == 2000
+        assert res.lower_bound == 1.478113952121359
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(m=st.integers(1, 6), n=st.integers(1, 10), iters=st.integers(1, 40),

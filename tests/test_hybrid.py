@@ -91,6 +91,24 @@ class TestHybrid:
         assert "||A^T b|| underflows" in res.detail
         assert set(res.trace.column("stage")) <= {"stage1"}
 
+    def test_stage_two_normal_equation_of_the_pair_is_not_claimed(self):
+        # stage two's normal-equation clause on (A^T A, A^T b) bounds
+        # ||A^T A A^T(b - Ax)||: here it certifies after 103 pivots while
+        # ||A^T(b - Ax)|| stays 424 times above eps_ta ||A^T b||
+        rng = np.random.default_rng(11004)
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        a = rng.standard_normal((m, n)) * np.exp(-rng.uniform(0, 8) * np.arange(n) / n)
+        b = rng.standard_normal(m)
+        a = a * 2.0 ** int(rng.integers(-40, 40))
+        eps_cta, eps_ta = 10.0 ** -rng.uniform(4, 10), 10.0 ** -rng.uniform(3, 12)
+        res = hybrid_solve(a, b, HybridOptions(eps_cta=eps_cta, eps_ta=eps_ta,
+                                               max_iters_stage1=3000, max_iters_stage2=3000))
+        stage1, stage2 = res.stage_results
+        assert (stage1.status, stage2.status) == ("iteration_cap", "normal_eq_solution")
+        assert res.normal_residual_norm > eps_ta * norm2(a.T @ b)
+        assert res.status == "iteration_cap"
+        assert "stage two stalled" in res.detail
+
     def test_least_squares_second_stage_is_unchanged(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((9, 4))

@@ -1,7 +1,7 @@
 """The stable surfaces, pinned: the public names, the ``solve`` flags, the
 option fields and the driver parameters.  A new knob or a removed name shows
-up here as a one-line diff.  One rule of the layout is pinned too: which
-modules read the clock."""
+up here as a one-line diff.  Two rules of the layout are pinned too: which
+modules read the clock, and that no module edits a finished result."""
 
 import argparse
 import ast
@@ -77,3 +77,18 @@ def test_only_the_trace_and_the_cli_read_the_clock():
             if "time" in modules:
                 importers.add(path.name)
     assert importers == {"results.py", "cli.py"}
+
+
+def test_no_module_edits_a_finished_result():
+    # every result is built once, by System.finish or System.zero_rhs, and
+    # returned as built: no driver rewrites one with dataclasses.replace
+    editors = set()
+    for path in sorted(Path(trisolve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                if any(alias.name == "replace" for alias in node.names):
+                    editors.add(path.name)
+            elif (isinstance(node, ast.Attribute) and node.attr == "replace"
+                  and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"):
+                editors.add(path.name)
+    assert editors == set()

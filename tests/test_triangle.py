@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import check_witness, status_holds
+from conftest import check_cap_bound, check_witness, status_holds
 from hypothesis import given, settings, strategies as st
 from trisolve import feasibility, triangle
 from trisolve.centering import CenteringOptions, centering_solve
@@ -190,7 +190,8 @@ class TestSolveAdaptive:
         res = solve_adaptive(a, b, eps=1e-300, eps_prime=eps_prime, max_iters=1)
         (rho,), (event,) = res.trace.column("rho"), res.trace.column("event")
         cap = 4.0 * system.b_norm ** 2 / eps_prime
-        assert event == "expand" and res.status == "iteration_cap" and not res.detail
+        assert event == "expand" and res.status == "iteration_cap"
+        assert res.detail == "iteration budget exhausted"
         assert rho == min(4.0 * float(system.b.dot(system.b)) / c_norm, cap)
         assert rho <= cap
 
@@ -287,6 +288,24 @@ class TestMinNorm:
         assert 0.0 <= lo <= norm2(res.x) + 1e-12
         assert res.residual_norm <= 1e-7
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bracket_bounds_exact_solutions_below_and_the_returned_x_above(self, seed):
+        # the lower end is certified for every exact solution; the upper end
+        # is ||x|| of the returned approximate solution, which may lie below
+        # ||x*|| (it does at seeds 0, 2, 4 and 5, by 1.6e-8 to 4.2e-8)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((12, 20))
+        b = a @ rng.standard_normal(20)
+        eps = 1e-4 * norm2(b)
+        res = min_norm_solve(a, b, eps, solve_adaptive(a, b, eps=1e-8 * norm2(b)).x)
+        lo, hi = res.rho_interval
+        x_star = norm2(np.linalg.pinv(a) @ b)
+        assert res.status == "min_norm_solution" and hi - lo <= eps
+        assert lo <= x_star * (1.0 + 1e-12)
+        assert res.rho == hi == norm2(res.x)
+        if seed == 0:
+            assert hi < x_star - 1e-8
+
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
             min_norm_solve(np.eye(2), np.array([1.0, 0.0]), eps=1e-8,
@@ -310,7 +329,8 @@ class TestMinNorm:
         assert res.status == "normal_eq_solution"
         assert res.detail == "pivot direction vanished during bisection"
         assert res.iterations == 1
-        assert res.rho == pytest.approx(math.sqrt(26.0) / 2, rel=1e-15)
+        # the result reports the bracket's upper end, like every bisection exit
+        assert res.rho == pytest.approx(math.sqrt(26.0), rel=1e-15)
         assert res.rho_interval == pytest.approx((0.0, math.sqrt(26.0)), rel=1e-15)
         assert res.normal_residual_norm == 0.0
 
@@ -503,8 +523,11 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
     cone run after its first pivot to the nearest point of the triangle of
     ``b'`` and the last two pivots (the apex pivot keeps the segment and
     leaves the last pivot as it was), measures ``b' = Ax`` again after every
-    512 pivots and before it claims a success on a carried ``b'``, and
-    returns through ``system.finish``."""
+    512 pivots and before it claims a success on a carried ``b'``, checks
+    the iteration budget only after measuring the gap and the direction,
+    recomputes a budget exit's bound ``(y^T b - eps ||y||) / ||d||`` from
+    ``y = b - b'`` alone, names a cone run's ends ``feasible`` and
+    ``inconclusive``, and returns through ``system.finish``."""
     op, b, trace = system.op, system.b, system.trace
     m, n = op.shape
     if x0 is None:
@@ -547,13 +570,24 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
         return (b_prime + s * d1 + u * d2,
                 w * x + s * preimage + u * preimage_prev)
 
+    solved, capped = ("feasible", "inconclusive") if cone else ("approx_solution",
+                                                                 "iteration_cap")
+
     def done(status, detail="", bound=None):
         return system.finish(status, x, iterations, rho=rho, b_prime=b_prime,
-                             lower_bound=bound, detail=detail)
+                             lower_bound=bound, detail=detail,
+                             min_x_entry=min(x, default=0.0) if cone else None)
+
+    def cap_bound():
+        y = np.asarray(b) - b_prime
+        d = op.rmatvec(y)
+        d_norm = norm2(np.maximum(d, 0.0)) if cone else norm2(d)
+        excess = float(np.dot(y, b)) - eps * norm2(y)
+        return excess / d_norm if excess > 0.0 and d_norm > 0.0 else None
 
     bound = last_pivot = None
     iterations = since_revalidate = 0
-    while iterations < max_iters:
+    while True:
         gap = b - b_prime
         gap_norm = norm2(gap)
         if not math.isfinite(gap_norm):
@@ -562,7 +596,7 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
             if since_revalidate:   # carried b': measure it from x, test again
                 b_prime, since_revalidate = op.matvec(x), 0
                 continue
-            return done("approx_solution")
+            return done(solved)
         c = op.rmatvec(gap)
         c_norm = norm2(c)
         if not math.isfinite(c_norm):
@@ -576,6 +610,8 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(np.dot(gap, b))
+        if iterations >= max_iters:
+            return done(capped, "iteration budget exhausted", cap_bound())
         stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
             event, stop = "witness", "witness"
@@ -604,7 +640,7 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
                 rho = max(2.0 * rho, gap_dot_b / norm2(d))
             event = "expand"
             if rho > rho_cap:
-                stop, detail = "iteration_cap", f"radius exceeded cap {rho_cap:.3e}"
+                stop, detail = capped, f"radius budget {rho_cap:.3e} exhausted"
         if cone:
             x_min = float(x.min()) if n else 0.0
             if x_min < 0.0:
@@ -614,13 +650,60 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
             trace.append(rho, gap_norm, c_norm, event)
         iterations += 1
         if stop is not None:
-            return done(stop, detail, bound)
+            return done(stop, detail, bound if stop == "witness" else cap_bound())
         if event == "pivot":
             since_revalidate += 1
             if since_revalidate >= 512:
                 b_prime = op.matvec(x)
                 since_revalidate = 0
-    return done("iteration_cap")
+
+
+@pytest.mark.parametrize("solve", [
+    lambda a, b: solve_adaptive(a, b, eps=1.0, max_iters=0),
+    lambda a, b: solve_in_ball(a, b, rho=1.0, eps=1.0, max_iters=0),
+    lambda a, b: nonnegative_feasibility(a, b, eps=1.0, max_iters=0),
+], ids=["solve_adaptive", "solve_in_ball", "nonnegative_feasibility"])
+def test_budget_is_checked_after_measuring(solve):
+    # ||b|| <= eps: the one measurement the budget allows meets the residual
+    # clause, so x = 0 is claimed rather than capped
+    res = solve(np.eye(2), np.array([0.6, 0.0]))
+    assert res.success and res.iterations == 0
+    assert np.array_equal(res.x, np.zeros(2))
+
+
+def _graded_draw(seed):
+    """A graded consistent system, columns scaled by ``exp(-g j / n)`` with
+    ``g`` in ``[0, 6)``, dense at even ``seed`` and CSR at odd: ``b = A x``
+    for a planted ``x >= 0``, a small cap and a radius above ``||x*||``."""
+    rng = np.random.default_rng(12000 + seed)
+    m, n = int(rng.integers(2, 25)), int(rng.integers(2, 25))
+    a = rng.standard_normal((m, n)) * np.exp(-rng.uniform(0, 6) * np.arange(n) / n)
+    x = rng.uniform(0.0, 1.0, n)
+    cap, rho_factor = int(rng.integers(1, 200)), rng.uniform(1.0, 3.0)
+    return a, a @ x, x, cap, rho_factor
+
+
+def test_capped_runs_carry_a_certified_bound():
+    # each budget exit's bound is recomputed from b_prime alone; none passes
+    # the norm of a solution it bounds: ||pinv(A) b|| for the ball runs, the
+    # planted ||x|| for the cone
+    carried = {False: 0, True: 0}
+    for seed in range(40):
+        a, b, x, cap, rho_factor = _graded_draw(seed)
+        eps = 1e-6 * norm2(b)
+        x_star = norm2(np.linalg.pinv(a) @ b)
+        op = sparse.csr_array(a) if seed % 2 else a
+        for res, known in ((solve_adaptive(op, b, eps, max_iters=cap), x_star),
+                           (solve_in_ball(op, b, rho_factor * x_star, eps, max_iters=cap),
+                            x_star),
+                           (nonnegative_feasibility(op, b, eps, max_iters=cap), norm2(x))):
+            if res.status in ("iteration_cap", "inconclusive"):
+                check_cap_bound(a, b, res, eps)
+                if res.lower_bound is not None:
+                    carried[res.status == "inconclusive"] += 1
+                    assert res.lower_bound <= known * (1.0 + 1e-9)
+    # 49 of 53 capped ball runs and 25 of 31 cone runs carry one
+    assert carried[False] >= 40 and carried[True] >= 20
 
 
 def _consistent_draw(seed):
@@ -682,13 +765,13 @@ _LOOP_CASES = {
     "min-norm-bisection": (lambda: min_norm_solve(_A, _Bc, eps=1e-4, x_eps=np.repeat(
         [1.0, 0.0], [5, 13])), None),
     "cone-feasible": (lambda: nonnegative_feasibility(*_system(2, 6, 9, cols=4), eps=1e-4),
-                      ["approx_solution"]),
+                      ["feasible"]),
     "farkas-witness": (lambda: nonnegative_feasibility(*_lp(2), eps=1e-6, max_iters=300),
                        ["witness"]),
     "apex-pivot": (lambda: nonnegative_feasibility(*_lp(3), eps=1e-6, max_iters=300),
-                   ["approx_solution"]),
+                   ["feasible"]),
     "radius-budget": (lambda: nonnegative_feasibility(*_system(2, 6, 9, cols=4), eps=1e-4,
-                                                      rho_max=0.5), ["iteration_cap"]),
+                                                      rho_max=0.5), ["inconclusive"]),
     "revalidate": (lambda: solve_in_ball(_ILL, _ILL.sum(axis=1), rho=1e3, eps=1e-12,
                                          max_iters=700), ["iteration_cap"]),
     # the normal-equation clause passes on the carried b' but fails on the
@@ -723,7 +806,7 @@ def _record(loop, runs):
         run = loop(*args, **kwargs)
         runs.append((run.status, run.iterations, run.x.tobytes(), run.b_prime.tobytes(),
                      run.rho, run.lower_bound, run.detail, run.residual_norm,
-                     run.normal_residual_norm))
+                     run.normal_residual_norm, run.min_x_entry))
         return run
     return recording
 

@@ -6,10 +6,16 @@ comes from witnesses and is certified (no exact solution lives strictly
 inside that radius), rho_hi is the norm of the returned approximate solution
 from a successful membership test, and may lie slightly below the
 minimum norm.  The pseudo-inverse provides the reference value.
+
+In the two-stage pipeline the centering stage ends on a dual vector y with
+x = A^T y, and rho_lo starts at that y's bound (y^T b - delta ||y||) / ||A^T y||,
+delta = ||b - A x|| the stage-one residual: the bracket is then often met
+before any bisection step.
 """
 
 import numpy as np
 
+import trisolve.linalg
 from trisolve import HybridOptions, hybrid_solve, min_norm_solve
 
 rng = np.random.default_rng(7)
@@ -36,8 +42,14 @@ res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-8, eps_ta=1e-8,
 stage1, stage2 = res.stage_results
 print(f"stage 1: {stage1.status}, {stage1.iterations} iterations, "
       f"residual {stage1.residual_norm:.2e}")
-print(f"stage 2: {stage2.status}, {stage2.iterations} iterations, "
-      f"bracket width {stage2.rho_interval[1] - stage2.rho_interval[0]:.2e}")
+lo, hi = stage2.rho_interval
+print(f"stage 2: {stage2.status}, {stage2.iterations} pivots, "
+      f"bracket width {hi - lo:.2e}")
+op = trisolve.linalg.prepare(a)
+delta = np.linalg.norm(b - op.matvec(stage1.x))
+dual = (stage1.y @ b - delta * np.linalg.norm(stage1.y)) / np.linalg.norm(op.rmatvec(stage1.y))
+print(f"lower end {lo:.10f} from stage one's y: recomputed {dual:.10f}, "
+      f"x == A^T y: {np.array_equal(stage1.x, op.rmatvec(stage1.y))}")
 print(f"returned ||x|| = {np.linalg.norm(res.x):.8f}  "
       f"(pinv reference {np.linalg.norm(np.linalg.pinv(a) @ b):.8f})")
 

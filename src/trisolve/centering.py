@@ -183,8 +183,11 @@ class CenteringOptions:
     goes on with ``x = A^T y`` and ``H`` as ``A (A^T p)`` once a clause
     passes, once ``sqrt(phi_1)`` (``||A^T r||``, free with ``G``) falls to
     the rounding of ``G``, or once ``y`` drifts beyond the recheck's budget.
-    In symmetric mode, dense ``A`` of at least that many rows that equals
-    ``A^T`` to the bit is applied from one triangle as well (see
+    The result carries that ``y``, with ``x = op.rmatvec(y)`` bit for bit,
+    when no step ran on ``x`` after the switch; otherwise, and for sparse,
+    tall or caller-operator ``A`` and in symmetric mode, its ``y`` is
+    ``None``.  In symmetric mode, dense ``A`` of at least that many rows that
+    equals ``A^T`` to the bit is applied from one triangle as well (see
     :meth:`linalg.HOperator.form_gram`).
 
     ``known_solvable`` disables the normal-equation clause: when the system
@@ -285,11 +288,14 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
     detail = ""
     iterations = 0
 
+    y = None  # y of the returned x = A^T y; None once a step runs on x
+
     def true_residual(x, h):
         """The returned ``x`` (``A^T y`` with ``G`` formed, which ``H``
-        then stops using) and its true residual ``b - A x``."""
+        then stops using, and ``y`` kept) and its true residual ``b - A x``."""
+        nonlocal y
         if h.gram is not None:
-            x, h = op.rmatvec(x), HOperator(op, opts.h_mode)
+            y, x, h = x, op.rmatvec(x), HOperator(op, opts.h_mode)
         return x, b - op.matvec(x), h
 
     fresh = False  # r is b - A x of the returned x: set by true_residual
@@ -337,6 +343,7 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             break
         x, r = x_new, r_new
         fresh = False
+        y = None  # x moved off A^T y; with G still formed the exit sets y again
         iterations += 1
         if iterations % _RECHECK_EVERY == 0:
             x_now, r_now, h_now = true_residual(x, h)
@@ -348,5 +355,6 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
                 x, h = x_now, h_now
             r = r_now
 
-    return system.finish(status, x if h.gram is None else op.rmatvec(x), iterations,
-                         detail=detail)
+    if h.gram is not None:
+        y, x = x, op.rmatvec(x)
+    return system.finish(status, x, iterations, detail=detail, y=y)

@@ -3,8 +3,10 @@ residual down cheaply, then a triangle-family pass finishes the job.
 
 If the first stage reaches an approximate solution, the second stage either
 refines it (adaptive radius) or, on request, certifies an approximate
-minimum-norm solution.  Otherwise the second stage runs on the
-normal-equation pair ``(A^T A, A^T b)``, with the product applied implicitly.
+minimum-norm solution, whose bracket starts from the first stage's dual
+iterate ``y`` (``x = A^T y``) when that stage ended on one.  Otherwise the
+second stage runs on the normal-equation pair ``(A^T A, A^T b)``, with the
+product applied implicitly.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         eps2 = max(opts.eps_ta * b_norm, 1.01 * stage1.residual_norm)
         stage2 = min_norm_solve(op, b, eps2, stage1.x,
                                 inner_cap=opts.min_norm_inner_cap,
-                                max_iters=opts.max_iters_stage2)
+                                max_iters=opts.max_iters_stage2, y=stage1.y)
         x = stage2.x
     elif stage1.status == APPROX_SOLUTION:
         stage2 = solve_adaptive(op, b, eps=opts.eps_ta * b_norm,
@@ -107,4 +109,4 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     trace.extend(stage2.trace, stage="stage2")
     return system.finish(final_status, x, stage1.iterations + stage2.iterations,
                          rho=stage2.rho, rho_interval=stage2.rho_interval, detail=detail,
-                         stage_results=[stage1, stage2])
+                         y=stage2.y, stage_results=[stage1, stage2])

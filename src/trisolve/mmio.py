@@ -177,7 +177,11 @@ def _check(data, m, n, field, symmetry, linenos):
 
 
 def _describe(line, dtype):
-    """Why ``np.loadtxt`` rejects ``line``: its token count, or its first bad token."""
+    """Why ``np.loadtxt`` rejects ``line``: its token count, or its first bad
+    token.  ``np.loadtxt`` splits a line at the whitespace ``str.split``
+    splits at, drops the same ``%`` comment and converts each field alone, as
+    ``_load([token], dtype[name])`` does, so a rejected line with the right
+    count holds a token that fails alone."""
     tokens = line.split("%", 1)[0].split()
     if len(tokens) != len(dtype.names):
         need = "1 value" if len(dtype.names) == 1 else f"{len(dtype.names)} tokens"
@@ -186,9 +190,9 @@ def _describe(line, dtype):
         try:
             _load([token], dtype[name])
         except ValueError:
-            what = "non-numeric token" if name == "v" else "expected an integer, got"
-            return f"{what} {token!r}"
-    return f"cannot parse {line.strip()!r}"
+            break
+    what = "non-numeric token" if name == "v" else "expected an integer, got"
+    return f"{what} {token!r}"
 
 
 def _coordinate_matrix(data, m, n, symmetry):

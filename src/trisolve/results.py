@@ -95,6 +95,13 @@ class SolveResult:
     success, possibly carried otherwise.  For a cone witness ``b_prime`` is
     ``b - y``, ``y`` the Farkas certificate; when the certificate is a sign
     row of ``A``, found before the first pivot, that is not an iterate.
+    ``y`` is a dual vector of length ``m``, exact or ``None``: from
+    :func:`~trisolve.centering.centering_solve`, the iterate with
+    ``x = op.rmatvec(y)`` bit for bit, when the solve ended on it; from
+    :func:`~trisolve.triangle.min_norm_solve` (and ``hybrid_solve``, which
+    passes stage two's on), the ``y`` whose bound started ``rho_interval``'s
+    lower end, so that end can be computed again from ``A``, ``b``, ``x_eps``
+    and ``y``.
     """
 
     status: str
@@ -107,6 +114,7 @@ class SolveResult:
     lower_bound: float | None = None
     rho_interval: tuple[float, float] | None = None
     b_prime: np.ndarray | None = None
+    y: np.ndarray | None = None
     min_x_entry: float | None = None
     detail: str = ""
     stage_results: list = field(default_factory=list)

@@ -301,12 +301,40 @@ def solve_adaptive(a, b, eps, eps_prime=None, max_iters=100_000, x0=None) -> Sol
                        rho_cap=4.0 * system.b_norm ** 2 / eps_prime)
 
 
+def _dual_bound(op, b, delta, y):
+    """``(y^T b - delta ||y||) / ||A^T y||``, a lower bound on ``||z||`` for
+    every ``z`` with ``||Az - b|| <= delta``, or None when ``y`` gives none:
+    a non-finite entry, ``||y||`` or ``||A^T y||`` 0, or a non-finite
+    quotient."""
+    y_norm = norm2(y)
+    if not (math.isfinite(y_norm) and y_norm > 0.0):
+        return None
+    aty_norm = norm2(op.rmatvec(y))
+    if not aty_norm > 0.0:
+        return None
+    bound = (float(y.dot(b)) - delta * y_norm) / aty_norm
+    return bound if math.isfinite(bound) else None
+
+
 @quiet_floating_point
-def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> SolveResult:
+def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000,
+                   y=None) -> SolveResult:
     """Refine an approximate solution ``x_eps`` into an approximate
     minimum-norm solution by bisecting on the ellipsoid radius.
 
-    Maintains a bracket ``(rho_lo, rho_hi)``: a witness raises ``rho_lo``
+    Maintains a bracket ``(rho_lo, rho_hi)``.  It starts at
+    ``(0, ||x_eps||)``, or, given a dual vector ``y`` of length ``m`` (such
+    as the ``y`` of :func:`~trisolve.centering.centering_solve`, with
+    ``x_eps = A^T y``), at ``rho_lo = min(max(0, L), ||x_eps||)`` with
+    ``L = (y^T b - delta ||y||) / ||A^T y||`` and
+    ``delta = ||b - A x_eps||``: since
+    ``y^T b = (A^T y)^T z + y^T (b - A z)``, every ``z`` with
+    ``||Az - b|| <= delta`` has ``||z|| >= L``, so ``L`` bounds ``||x*||``,
+    and ``||x_LS||`` when ``b`` is slightly inconsistent, for any ``y``.
+    That start adds an ``expand`` row to the trace and puts ``y`` on the
+    result; a start bracket no wider than ``eps`` runs no bisection step.  A
+    ``y`` with a non-finite entry, or with ``||y||`` or ``||A^T y||`` 0, is
+    skipped: the result is that of ``y = None``.  A witness raises ``rho_lo``
     through its bound on every exact solution, so ``rho_lo <= ||x*||``; a
     successful fixed-radius test sets ``rho_hi`` to the norm of its
     approximate solution, the one returned, clamped to keep the bracket
@@ -326,8 +354,12 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
         return system.zero_rhs(MIN_NORM_SOLUTION, rho=0.0, rho_interval=(0.0, 0.0))
     check_positive(eps=eps)
     check_count(inner_cap=inner_cap, max_iters=max_iters)
-    x_eps = as_vector("x_eps", x_eps, system.op.shape[1])
-    start_gap = norm2(system.b - system.op.matvec(x_eps))
+    op, b = system.op, system.b
+    x_eps = as_vector("x_eps", x_eps, op.shape[1])
+    if y is not None:
+        y = as_vector("y", y, op.shape[0])
+    start = b - op.matvec(x_eps)
+    start_gap = norm2(start)
     if not math.isfinite(start_gap):
         return system.finish(NUMERICAL_FAILURE, x_eps, 0, detail="non-finite start residual")
     rho_hi = norm2(x_eps)
@@ -342,6 +374,12 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
 
     rho_lo, best_x, warm, iterations = 0.0, x_eps.copy(), None, 0
     status, detail = MIN_NORM_SOLUTION, ""
+    bound = None if y is None else _dual_bound(op, b, start_gap, y)
+    if bound is None:
+        y = None
+    else:
+        rho_lo = min(max(0.0, bound), rho_hi)
+        system.trace.append(rho_lo, start_gap, norm2(op.rmatvec(start)), "expand")
 
     # log2(rho_hi / eps) bisection steps, in logs so that the ratio cannot overflow
     outer_budget = max(1, math.ceil(math.log2(max(rho_hi, eps)) - math.log2(eps))) + 8
@@ -380,4 +418,4 @@ def min_norm_solve(a, b, eps, x_eps, inner_cap=250_000, max_iters=4_000_000) -> 
     if status == MIN_NORM_SOLUTION and rho_hi - rho_lo > eps:
         status, detail = ITERATION_CAP, "bisection budget exhausted"
     return system.finish(status, best_x, iterations,
-                         rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail)
+                         rho=rho_hi, rho_interval=(rho_lo, rho_hi), detail=detail, y=y)

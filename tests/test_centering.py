@@ -19,7 +19,8 @@ from trisolve.centering import (
     _step_arrays,
 )
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2
+from trisolve.linalg import (GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2,
+                             prepare)
 from trisolve.results import CENTERING_TRACE_COLUMNS, SolveResult, System, Trace
 
 
@@ -754,6 +755,11 @@ class TestExplicitGram:
         assert formed == [True]
         assert res.status == status
         assert status_holds(res, a, b, eps)
+        # y is exact, or absent once steps ran on x (the rank-40 solves)
+        if spec.startswith("gaussian-rank"):
+            assert res.y is None
+        else:
+            assert np.array_equal(res.x, prepare(a).rmatvec(res.y))
 
     @pytest.mark.parametrize("spec, eps", [("clement:301", 1e-9), ("convdiff:12", 1e-8)])
     def test_transpose_products_counted(self, spec, eps, transposes):
@@ -806,6 +812,7 @@ class TestExplicitGram:
         res = centering_solve(a, b, opts)
         assert formed == [False]
         assert res.success
+        assert res.y is None  # no y of x = A^T y without G
 
 
 class TestDriftRecheck:
@@ -847,6 +854,7 @@ class TestDriftRecheck:
         assert formed.index(False) == 250 and not any(formed[250:])
         assert res.iterations > 250 and res.success
         assert status_holds(res, a, b, 1e-10)
+        assert res.y is None  # steps ran on x after the move
 
 
 class TestClaimRule:

@@ -1,8 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import GramProduct, norm2
+from trisolve.linalg import GramProduct, norm2, prepare
 from trisolve.triangle import solve_adaptive
 
 
@@ -170,3 +175,86 @@ def test_non_finite_matrix_stops_after_stage_one(shape, bad, want_min_norm, capf
     assert res.status == "numerical_failure"
     assert [s.status for s in res.stage_results] == ["numerical_failure"]
     assert capfd.readouterr().err == ""
+
+
+def _bench_min_norm(seed):
+    """The benchmark's ``hybrid-min-norm/dense-200x300`` problem at ``seed``,
+    solved by the benchmark's own call: ``(A, b, result)``."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    problem, = [p for p in sys.modules[name].workload("triangle-rect", lambda: "")
+                if p.label == "hybrid-min-norm/dense-200x300"]
+    inst = problem.build(seed)
+    return inst.a, inst.b, problem.solve(inst)
+
+
+def _wide_draw(kind, seed):
+    """A consistent wide dense system: 30 x 50 with singular values
+    ``geomspace(1, 0.3)``, or 40 x 60 Gaussian."""
+    rng = np.random.default_rng(seed)
+    if kind == "graded":
+        u, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        v, _ = np.linalg.qr(rng.standard_normal((50, 30)))
+        a = (u * np.geomspace(1.0, 0.3, 30)) @ v.T
+    else:
+        a = rng.standard_normal((40, 60))
+    return a, a @ rng.standard_normal(a.shape[1])
+
+
+def _dual_lower_end(a, b, x_eps, y):
+    """``rho_interval``'s lower end as ``min_norm_solve`` starts it from
+    ``y``, computed again from ``(A, b, x_eps, y)`` alone."""
+    op = prepare(a)
+    delta = norm2(b - op.matvec(x_eps))
+    bound = (float(y.dot(b)) - delta * norm2(y)) / norm2(op.rmatvec(y))
+    return min(max(0.0, bound), norm2(x_eps))
+
+
+@pytest.mark.parametrize("case", [
+    ("bench", 7, None), ("bench", 31, None),
+    ("graded", 1, 1e-6), ("graded", 1, 1e-8), ("gaussian", 1, 1e-10),
+], ids=["bench-seed-7", "bench-seed-31", "graded-1e-6", "graded-1e-8", "gaussian-1e-10"])
+def test_min_norm_bracket_starts_from_stage_one_y(case):
+    # stage one ends on y with x = A^T y; stage two's lower end is the dual
+    # bound of that y, which already meets the target: no bisection step
+    kind, seed, eps_ta = case
+    if kind == "bench":
+        a, b, res = _bench_min_norm(seed)
+    else:
+        a, b = _wide_draw(kind, seed)
+        res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-8, eps_ta=eps_ta, want_min_norm=True))
+    stage1, stage2 = res.stage_results
+    assert np.array_equal(stage1.x, prepare(a).rmatvec(stage1.y))
+    assert res.status == stage2.status == "min_norm_solution"
+    assert stage2.iterations == 0 and res.iterations == stage1.iterations
+    lo, hi = res.rho_interval
+    assert lo == _dual_lower_end(a, b, stage1.x, stage1.y)
+    assert lo <= norm2(np.linalg.pinv(a) @ b) * (1.0 + 1e-9)
+    assert hi == norm2(stage1.x) and np.array_equal(res.x, stage1.x)
+    assert res.y is stage2.y is not None and np.array_equal(stage2.y, stage1.y)
+    assert stage2.trace.column("event") == ["expand"]
+
+
+def test_dual_bracket_keeps_its_bits_under_power_of_two_scaling():
+    # A and b scaled by 2^40: y scales by 2^-40, and L keeps its bits
+    a, b = _wide_draw("gaussian", 1)
+    opts = HybridOptions(eps_cta=1e-8, eps_ta=1e-10, want_min_norm=True)
+    plain, scaled = hybrid_solve(a, b, opts), hybrid_solve(2.0 ** 40 * a, 2.0 ** 40 * b, opts)
+    assert scaled.status == plain.status == "min_norm_solution"
+    assert scaled.rho_interval == plain.rho_interval
+    assert scaled.x.tobytes() == plain.x.tobytes()
+    assert scaled.stage_results[1].iterations == 0
+
+
+def test_min_norm_without_y_bisects_from_zero():
+    # sparse input carries no y: stage two bisects from the bracket (0, ||x||)
+    a, b = _wide_draw("gaussian", 1)
+    res = hybrid_solve(sparse.csr_array(a), b, HybridOptions(
+        eps_cta=1e-8, eps_ta=1e-6, want_min_norm=True))
+    stage1, stage2 = res.stage_results
+    assert stage1.y is None and stage2.y is None and res.y is None
+    assert res.status == "min_norm_solution" and stage2.iterations > 0

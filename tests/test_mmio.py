@@ -252,6 +252,20 @@ class TestErrorLineNumbers:
         text = COORD + "% c\n\n3 3 3\n% c\n1 1 1.0\n\n   \n% c\n2 2 2.0\n\n3 3 x\n"
         assert error_line(text) == "line 12"
 
+    @pytest.mark.parametrize("entry, message", [
+        ("x 1 1.0", "expected an integer, got 'x'"),
+        ("1 1.5 1.0", "expected an integer, got '1.5'"),
+        ("1 1 1,0", "non-numeric token '1,0'"),
+    ])
+    def test_bad_token_is_named(self, entry, message):
+        with pytest.raises(mmio.MatrixMarketError, match=f"^line 3: {message}$"):
+            read_str(COORD + f"2 2 1\n{entry}\n")
+
+    def test_tokens_split_at_unicode_whitespace(self):
+        # the reader counts tokens at the whitespace np.loadtxt splits at, so a
+        # line with the right count holds a token that fails alone
+        assert read_str(COORD + "2 2 1\n1\u00a01\u30001.0\n").toarray()[0, 0] == 1.0
+
     def test_short_then_long_entry_names_the_short_one(self):
         # 2 + 4 tokens match 2 x 3 in total; only a per-line count sees it
         text = COORD + "3 3 3\n1 1 1.0\n% c\n2 2\n3 3 3.0 4\n"

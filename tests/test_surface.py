@@ -57,7 +57,7 @@ def test_driver_parameters():
         "centering_solve": ["a", "b", "options"],
         "solve_in_ball": ["a", "b", "rho", "eps", "max_iters"],
         "solve_adaptive": ["a", "b", "eps", "eps_prime", "max_iters", "x0"],
-        "min_norm_solve": ["a", "b", "eps", "x_eps", "inner_cap", "max_iters"],
+        "min_norm_solve": ["a", "b", "eps", "x_eps", "inner_cap", "max_iters", "y"],
         "nonnegative_feasibility": ["a", "b", "eps", "rho_max", "max_iters"],
         "hybrid_solve": ["a", "b", "options"],
     }

@@ -335,6 +335,64 @@ class TestMinNorm:
         assert res.normal_residual_norm == 0.0
 
 
+class TestMinNormDualStart:
+    """``min_norm_solve(..., y=...)`` starts its bracket's lower end at the
+    dual bound ``(y^T b - delta ||y||) / ||A^T y||``, ``delta = ||b - A x_eps||``."""
+
+    @staticmethod
+    def _wide(seed=0):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((12, 20))
+        b = a @ rng.standard_normal(20)
+        eps = 1e-4 * norm2(b)
+        return a, b, eps, solve_adaptive(a, b, eps=1e-8 * norm2(b)).x
+
+    @pytest.mark.parametrize("weak", ["b", "random"])
+    def test_weak_y_bisects_from_its_bound(self, weak):
+        a, b, eps, x_eps = self._wide()
+        y = b.copy() if weak == "b" else np.random.default_rng(5).standard_normal(12)
+        delta = norm2(b - a @ x_eps)
+        bound = (float(y @ b) - delta * norm2(y)) / norm2(a.T @ y)
+        assert norm2(x_eps) - bound > eps   # the start misses the target
+        res = min_norm_solve(a, b, eps, x_eps, y=y)
+        lo, hi = res.rho_interval
+        assert res.status == "min_norm_solution" and res.iterations > 0
+        assert hi - lo <= eps and lo >= max(0.0, bound)
+        assert lo <= norm2(np.linalg.pinv(a) @ b) * (1.0 + 1e-12)
+        assert res.trace.column("event")[0] == "expand"
+        assert res.trace.column("rho")[0] == pytest.approx(max(0.0, bound), rel=1e-12)
+        assert np.array_equal(res.y, y)
+
+    def test_y_of_the_wrong_length_is_refused(self):
+        a, b, eps, x_eps = self._wide()
+        with pytest.raises(ValueError, match=r"^y has shape \(11,\), expected \(12,\)"):
+            min_norm_solve(a, b, eps, x_eps, y=np.ones(11))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero", "null-space"])
+    def test_y_without_a_bound_is_skipped(self, bad, capfd):
+        if bad == "null-space":
+            # tall A with two zero rows: A^T y = 0 exactly for y on them
+            rng = np.random.default_rng(3)
+            a = np.vstack([rng.standard_normal((3, 3)), np.zeros((2, 3))])
+            b = a @ rng.standard_normal(3)
+            eps, x_eps = 1e-4 * norm2(b), np.linalg.solve(a[:3], b[:3])
+            y = np.array([0.0, 0.0, 0.0, 1.0, -2.0])
+        else:
+            a, b, eps, x_eps = self._wide()
+            y = b.copy()
+            if bad == "zero":
+                y[:] = 0.0
+            else:
+                y[4] = np.nan if bad == "nan" else np.inf
+        plain = min_norm_solve(a, b, eps, x_eps)
+        res = min_norm_solve(a, b, eps, x_eps, y=y)
+        assert (res.status, res.iterations, res.rho_interval) == (
+            plain.status, plain.iterations, plain.rho_interval)
+        assert res.x.tobytes() == plain.x.tobytes()
+        assert len(res.trace) == len(plain.trace) and res.y is None
+        assert capfd.readouterr().err == ""
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("solve", [
     lambda a, b: solve_in_ball(a, b, rho=1.0, eps=1e-8),

@@ -22,7 +22,7 @@ for trial in range(5):
     b = a @ x0
     res = nonnegative_feasibility(a, b, eps=1e-8)
     print(f"trial {trial}: {res.status:10s} iters={res.iterations:<5d} "
-          f"||Ax-b||={res.residual_norm:.2e} min(x)={res.min_x_entry:+.2e}")
+          f"||Ax-b||={res.residual_norm:.2e} min(x)={res.x.min():+.2e}")
 
 print("\n=== a sign-obstructed infeasible instance ===\n")
 # one all-nonpositive row with a positive target: no nonnegative x can work

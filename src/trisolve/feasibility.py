@@ -107,21 +107,21 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
     """Search for nonnegative ``x`` with ``||Ax - b|| <= eps`` (absolute).
 
     Returns ``feasible`` with such an ``x``; ``witness`` with a Farkas
-    certificate of infeasibility ``y = b - b_prime`` (``A^T y <= 0`` and
-    ``y^T b > 0``); ``inconclusive`` when the radius or iteration budget
-    runs out.  For ``b = 0`` the feasible point ``x = 0`` is returned at
-    iteration 0.  A row of ``A`` whose signs alone rule out ``x >= 0``
-    (:func:`_sign_row`; checked when ``||b||`` and ``A``'s stored values are
-    finite) ends in a witness at iteration 0: ``x = 0``, ``rho = 0`` and
-    ``y = b_i e_i``.  An inconclusive result carries the certified bound
-    ``lower_bound = (y^T b - eps ||y||) / ||max(A^T y, 0)||`` for
-    ``y = b - b_prime`` when both parts are positive, else ``None``: every
-    ``x >= 0`` with ``||Ax - b|| <= eps`` has ``||x||`` at least that; the
-    pivot loop computes it.  Only a passed ``rho_max`` is checked.
+    certificate of infeasibility ``y`` (``A^T y <= 0`` and ``y^T b > 0``);
+    ``inconclusive`` when the radius or iteration budget runs out.  For
+    ``b = 0`` the feasible point ``x = 0`` is returned at iteration 0.  A
+    row of ``A`` whose signs alone rule out ``x >= 0`` (:func:`_sign_row`;
+    checked when ``||b||`` and ``A``'s stored values are finite) ends in a
+    witness at iteration 0: ``x = 0``, ``rho = 0`` and ``y = b_i e_i``.  An
+    inconclusive result carries its last iterate's gap ``y = b - b'`` and the
+    certified bound ``lower_bound = (y^T b - eps ||y||) / ||max(A^T y, 0)||``
+    when both parts are positive, else ``None``: every ``x >= 0`` with
+    ``||Ax - b|| <= eps`` has ``||x||`` at least that; the pivot loop
+    computes it.  Only a passed ``rho_max`` is checked.
     """
     system = System(a, b, FEASIBILITY_TRACE_COLUMNS)
     if system.b_norm == 0.0:
-        return system.zero_rhs(FEASIBLE, rho=0.0, min_x_entry=0.0)
+        return system.zero_rhs(FEASIBLE, rho=0.0)
     check_positive(eps=eps)
     check_count(max_iters=max_iters)
     op, b = system.op, system.b
@@ -132,9 +132,9 @@ def nonnegative_feasibility(a, b, eps, rho_max=None, max_iters=100_000) -> Solve
         y[row] = b[row]
         c_norm = norm2(op.rmatvec(y))
         return system.finish(
-            WITNESS, np.zeros(op.shape[1]), 0, rho=0.0, b_prime=b - y,
+            WITNESS, np.zeros(op.shape[1]), 0, rho=0.0, y=y,
             lower_bound=float(y.dot(b)) / c_norm if c_norm > 0.0 else math.inf,
-            min_x_entry=0.0, detail=f"row {row} of A has no entry of the sign of b[{row}]")
+            detail=f"row {row} of A has no entry of the sign of b[{row}]")
     if rho_max is None:
         rho_max = default_rho_max(op, b)
     else:

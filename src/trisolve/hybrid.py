@@ -67,7 +67,8 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     if stage1.status == NUMERICAL_FAILURE:
         return system.finish(stage1.status, stage1.x, stage1.iterations,
                              detail=stage1.detail, stage_results=[stage1])
-    if stage1.status == APPROX_SOLUTION and opts.want_min_norm:
+    min_norm = stage1.status == APPROX_SOLUTION and opts.want_min_norm
+    if min_norm:
         # Certify a minimum-norm bracket; the gap target cannot be tighter
         # than the residual the first stage actually delivered.
         eps2 = max(opts.eps_ta * b_norm, 1.01 * stage1.residual_norm)
@@ -109,4 +110,4 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     trace.extend(stage2.trace, stage="stage2")
     return system.finish(final_status, x, stage1.iterations + stage2.iterations,
                          rho=stage2.rho, rho_interval=stage2.rho_interval, detail=detail,
-                         y=stage2.y, stage_results=[stage1, stage2])
+                         y=stage2.y if min_norm else None, stage_results=[stage1, stage2])

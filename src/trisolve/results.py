@@ -89,19 +89,19 @@ class SolveResult:
     bound on the norm of every exact solution (witnesses), or of every ``x``
     within ``eps`` of ``b``, nonnegative in the cone (a pivot run's budget
     exits, when positive); ``rho_interval`` the minimum-norm bracket: a
-    certified lower end, and ``||x||`` of the returned ``x`` as the upper;
-    and ``b_prime`` the final ellipsoid iterate, which re-verifies a witness
-    or a budget exit's bound: ``Ax`` as ``op.matvec`` computes it after a
-    success, possibly carried otherwise.  For a cone witness ``b_prime`` is
-    ``b - y``, ``y`` the Farkas certificate; when the certificate is a sign
-    row of ``A``, found before the first pivot, that is not an iterate.
-    ``y`` is a dual vector of length ``m``, exact or ``None``: from
-    :func:`~trisolve.centering.centering_solve`, the iterate with
-    ``x = op.rmatvec(y)`` bit for bit, when the solve ended on it; from
+    certified lower end, and ``||x||`` of the returned ``x`` as the upper.
+    ``y`` is the certificate's one dual vector, of length ``m``, or
+    ``None``; the result's bound follows from it, ``A`` and ``b``: for a
+    witness, ``y^T b / ||A^T y||`` with ``y = b - b'`` the last iterate's gap
+    (in the cone, a Farkas certificate), or ``y = b_i e_i`` for a sign row;
+    for a budget exit, ``(y^T b - eps ||y||) / ||d||``, ``d = A^T y`` or its
+    nonnegative part in the cone; from
     :func:`~trisolve.triangle.min_norm_solve` (and ``hybrid_solve``, which
-    passes stage two's on), the ``y`` whose bound started ``rho_interval``'s
-    lower end, so that end can be computed again from ``A``, ``b``, ``x_eps``
-    and ``y``.
+    passes on that stage's alone), the ``y`` whose bound started
+    ``rho_interval``'s lower end, so that end can be computed again from
+    ``A``, ``b``, ``x_eps`` and ``y``; from
+    :func:`~trisolve.centering.centering_solve`, its dual iterate, with
+    ``x = op.rmatvec(y)`` bit for bit, when the solve ended on it.
     """
 
     status: str
@@ -113,9 +113,7 @@ class SolveResult:
     rho: float | None = None
     lower_bound: float | None = None
     rho_interval: tuple[float, float] | None = None
-    b_prime: np.ndarray | None = None
     y: np.ndarray | None = None
-    min_x_entry: float | None = None
     detail: str = ""
     stage_results: list = field(default_factory=list)
 

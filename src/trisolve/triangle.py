@@ -151,13 +151,15 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
     that passes on a carried ``b'`` is tested again on ``b' = op.matvec(x)``,
     which counts no iteration, so a success holds of the returned ``x``.
     The budget is checked after ``y = b - b'`` and ``d`` (``c``, or ``c+``)
-    are measured, so every exit ends on its own iterate's, and the run
-    returns through ``system.finish``, unedited by any caller, with the final
-    ``rho``, ``b_prime``, ``detail`` and ``lower_bound``: ``y^T b / ||c||``
-    for a witness (``inf`` at ``c = 0``), ``(y^T b - eps ||y||) / ||d||`` for
-    a budget exit when both parts are positive.  A cone run ends ``feasible``
-    or ``inconclusive`` and carries ``min_x_entry``.  Each iteration adds a
-    row to the system's trace, which the runs of one solve share.
+    are measured and the step chosen, so every exit ends on its own
+    iterate's and a witness at the budget stands, with no row or counted
+    iteration.  The run returns through ``system.finish``, unedited by any
+    caller, with the final ``rho``, ``detail`` and ``lower_bound``, and after
+    a witness or a budget exit the ``y`` it comes from: ``y^T b / ||c||`` for
+    a witness (``inf`` at ``c = 0``), ``(y^T b - eps ||y||) / ||d||`` for a
+    budget exit when both parts are positive.  A cone run ends ``feasible``
+    or ``inconclusive``.  Each iteration adds a row to the system's trace,
+    which the runs of one solve share.
     """
     op, b, trace = system.op, system.b, system.trace
     m, n = op.shape
@@ -197,34 +199,33 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
         d = np.maximum(c, 0.0) if cone else c
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(gap.dot(b))
-        if iterations >= max_iters:
-            status, detail = capped, "iteration budget exhausted"
-            break
-        stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
             # Farkas: y = b - b' has A^T y <= 0 and y^T b > 0
-            event, stop = "witness", WITNESS
-            detail = "no ascent direction in the nonnegative cone section"
-        elif d_norm == 0.0:
-            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, gap)
+            event, detail = "witness", "no ascent direction in the nonnegative cone section"
+        elif d_norm == 0.0 or rho > 0.0 and rho >= gap_dot_b / d_norm:
             event = "pivot"
-        elif rho > 0.0 and rho >= gap_dot_b / d_norm:
+        else:
+            event = "witness" if rho_cap is None else "expand"
+        stop = WITNESS if event == "witness" else None
+        if iterations >= max_iters:
+            # a witness in hand at the last allowed measurement stands
+            status, detail = (stop, detail) if stop else (capped, "iteration budget exhausted")
+            break
+        if event == "pivot" and d_norm == 0.0:
+            b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, gap)
+        elif event == "pivot":
             # v = rho A d / ||d||, the maximizer of d^T x over E_rho
             preimage = (rho / d_norm) * d
             v = op.matvec(preimage)
             b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, gap, prev)
             if cone:
                 prev = (v, preimage)
-            event = "pivot"
-        elif rho_cap is None:
-            event, stop = "witness", WITNESS
-        else:
+        elif event == "expand":
             needed = gap_dot_b / d_norm
             if rho == 0.0 and not cone:
                 rho = min(_FIRST_RADIUS_FACTOR * needed, rho_cap)
             else:
                 rho = max(2.0 * rho, needed)
-            event = "expand"
             if rho > rho_cap:
                 stop, detail = capped, f"radius budget {rho_cap:.3e} exhausted"
         if cone:
@@ -251,9 +252,8 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
         excess = gap_dot_b - eps * gap_norm
         if excess > 0.0 and d_norm > 0.0:
             bound = excess / d_norm
-    return system.finish(status, x, iterations, rho=rho, b_prime=b_prime,
-                         lower_bound=bound, detail=detail,
-                         min_x_entry=(float(x.min()) if n else 0.0) if cone else None)
+    return system.finish(status, x, iterations, rho=rho, lower_bound=bound, detail=detail,
+                         y=gap if status in (WITNESS, capped) else None)
 
 
 @quiet_floating_point

@@ -48,28 +48,28 @@ def random_sparse(rng, max_mn=50, density=0.3):
 
 def check_witness(a, b, result, atol=0.0):
     """Re-verify a witness outcome: recompute the pivot inequality from the
-    returned state and confirm it fails strictly."""
+    returned ``y`` and ``rho`` and confirm it fails strictly."""
     assert result.status == "witness"
-    assert result.b_prime is not None and result.rho is not None
-    gap = np.asarray(b, dtype=np.float64) - result.b_prime
-    c = matvec_transpose(a, gap)
+    assert result.y is not None and result.rho is not None
+    y = result.y
+    c = matvec_transpose(a, y)
     lhs = result.rho * norm2(c)
-    rhs = float(np.dot(gap, b))
+    rhs = float(np.dot(y, b))
     assert lhs < rhs + atol, f"witness recheck failed: {lhs} >= {rhs}"
     if result.lower_bound is not None and norm2(c) > 0:
         assert np.isclose(result.lower_bound, rhs / norm2(c), rtol=1e-9)
 
 
 def check_cap_bound(a, b, result, eps):
-    """Re-verify a pivot run's budget exit from ``b_prime`` alone: with
-    ``y = b - b_prime`` and ``d = A^T y``, or its nonnegative part for an
-    ``inconclusive`` cone run, ``lower_bound`` is
-    ``(y^T b - eps ||y||) / ||d||`` when both parts are positive, else None.
+    """Re-verify a pivot run's budget exit from its ``y`` alone: with
+    ``d = A^T y``, or its nonnegative part for an ``inconclusive`` cone run,
+    ``lower_bound`` is ``(y^T b - eps ||y||) / ||d||`` when both parts are
+    positive, else None.
     Every ``x`` (nonnegative in the cone) within ``eps`` of ``b`` has
     ``y^T b <= ||d|| ||x|| + eps ||y||``, so none is shorter."""
     assert result.status in ("iteration_cap", "inconclusive")
     b = np.asarray(b, dtype=np.float64)
-    y = b - result.b_prime
+    y = result.y
     d = matvec_transpose(a, y)
     if result.status == "inconclusive":
         d = np.maximum(d, 0.0)

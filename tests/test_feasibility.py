@@ -22,10 +22,10 @@ def lp_oracle_feasible(a, b):
 
 
 def assert_farkas_witness(a, b, res):
-    """Check a witness from the result alone: ``y = b - b'`` has
+    """Check a witness from the result alone: its ``y`` has
     ``A^T y <= 0 < y^T b``, and the bound is ``y^T b / ||A^T y||``."""
     assert res.status == "witness"
-    y = b - res.b_prime
+    y = res.y
     c = matvec_transpose(a, y)
     assert c.max(initial=0.0) <= 0.0 < float(y @ b)
     c_norm = norm2(c)
@@ -156,7 +156,7 @@ class TestFeasibilitySolver:
         assert res.status == "feasible"
         min_entries = res.trace.column("min_x_entry")
         assert all(v >= 0.0 for v in min_entries)
-        assert res.min_x_entry >= 0.0
+        assert res.x.min(initial=0.0) >= 0.0
 
     def test_normal_equation_variant(self):
         # a feasible system solved through the implicit (A^T A, A^T b) pair:
@@ -272,12 +272,12 @@ class TestSignRowWitness:
         res = nonnegative_feasibility(a, b, eps=1e-3)
         assert res.iterations == 0 and len(res.trace) == 0
         assert np.array_equal(res.x, np.zeros(4))
-        assert res.rho == 0.0 and res.min_x_entry == 0.0
+        assert res.rho == 0.0 and res.x.min(initial=0.0) == 0.0
         assert res.detail == f"row {row} of A has no entry of the sign of b[{row}]"
         assert res.residual_norm == norm2(b)
         assert_farkas_witness(a, b, res)
-        # the certificate is the one row: b' = b - b_i e_i
-        assert np.array_equal(b - res.b_prime, np.where(np.arange(3) == row, b, 0.0))
+        # the certificate is the one row: y = b_i e_i, to the bit
+        assert np.array_equal(res.y, np.where(np.arange(3) == row, b, 0.0))
 
     @pytest.mark.parametrize("storage", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
     def test_empty_row(self, storage):
@@ -437,7 +437,7 @@ class TestTriangleStep:
         a, b = _lp_system(kind, np.random.default_rng(seed), m, n)
         res, _ = _checked_pivots(sparse.csr_array(a) if csr else a, b, 1e-6 * norm2(b),
                                  max_iters=300)
-        assert res.min_x_entry >= 0.0
+        assert res.x.min(initial=0.0) >= 0.0
 
     def test_apex_pivots_are_checked(self):
         # a positive A: c+ = 0 with (b - b')^T b <= 0 sends the search to the

@@ -297,6 +297,44 @@ for res in (solve_adaptive(a, b, 1e-8),
 """
 
 
+# numpy's private LAPACK gufuncs blocked, as a numpy that moved them would
+# leave them: argv[1] "module" removes the module, "attribute" leaves one
+# with neither ``lstsq`` nor ``lstsq_m``.  numpy.testing imports the module
+# itself, so it and the scipy modules that import it come first.
+_WITHOUT_UMATH_LINALG = """
+import sys
+
+import numpy.testing
+import scipy.linalg
+import scipy.sparse
+import numpy.linalg
+
+if sys.argv[1] == "module":
+    sys.modules["numpy.linalg._umath_linalg"] = None
+    del numpy.linalg._umath_linalg
+else:
+    numpy.linalg._umath_linalg = object()
+
+from trisolve import centering
+assert not isinstance(centering._gelsd, numpy.ufunc)
+"""
+
+_MOMENT_SOLVES = """
+import numpy as np
+from trisolve import CenteringOptions, HybridOptions, centering_solve, gallery, hybrid_solve
+
+for family, n, h_mode in (("convdiff", 12, "aat"), ("clement", 101, "aat"),
+                          ("poisson-d", 20, "a"), ("ode", 600, "aat")):
+    a = gallery.make(family, n)
+    res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(1e-9, h_mode=h_mode))
+    print(res.status, res.iterations, res.x.tobytes().hex())
+rng = np.random.default_rng(7)
+a = rng.standard_normal((60, 90))
+res = hybrid_solve(a, a @ rng.standard_normal(90), HybridOptions(want_min_norm=True))
+print(res.status, res.iterations, res.x.tobytes().hex())
+"""
+
+
 class TestStoredTranspose:
     """Products on CSR storage go straight to scipy's kernels, ``A^T v``
     through the CSC kernel on ``A``'s own arrays, and have the bits of
@@ -412,6 +450,18 @@ class TestStoredTranspose:
         for op in (Operator(a), HOperator(a, "aat").operator):
             held = [value for value in vars(op).values() if sparse.issparse(value)]
             assert len(held) == 1 and held[0] is op.matrix
+
+
+@pytest.mark.parametrize("gone", ["module", "attribute"])
+def test_moment_solves_keep_their_bits_without_the_private_gufuncs(gone, capsys):
+    # a numpy without _umath_linalg's kernels still runs the centering
+    # moment solves, through np.linalg.lstsq, bit for bit: sparse and dense,
+    # in both H modes, with G = A A^T formed (ode), and hybrid_solve's
+    # min-norm stage after them
+    fresh = fresh_python(_WITHOUT_UMATH_LINALG + _MOMENT_SOLVES, gone)
+    exec(_MOMENT_SOLVES, {})
+    assert fresh == capsys.readouterr().out
+    assert len(fresh.splitlines()) == 5
 
 
 class TestIndexStorage:

@@ -1,7 +1,8 @@
 """The stable surfaces, pinned: the public names, the ``solve`` flags, the
-option fields and the driver parameters.  A new knob or a removed name shows
-up here as a one-line diff.  Two rules of the layout are pinned too: which
-modules read the clock, and that no module edits a finished result."""
+option and result fields and the driver parameters.  A new knob or a
+removed name shows up here as a one-line diff.  Two rules of the layout are
+pinned too: which modules read the clock, and that no module edits a
+finished result."""
 
 import argparse
 import ast
@@ -47,6 +48,12 @@ def test_option_fields():
     assert names(trisolve.HybridOptions) == [
         "eps_cta", "eps_ta", "want_min_norm", "t_max", "h_mode",
         "max_iters_stage1", "max_iters_stage2", "min_norm_inner_cap"]
+
+
+def test_result_fields():
+    assert [field.name for field in dataclasses.fields(trisolve.SolveResult)] == [
+        "status", "x", "residual_norm", "normal_residual_norm", "iterations", "trace",
+        "rho", "lower_bound", "rho_interval", "y", "detail", "stage_results"]
 
 
 def test_driver_parameters():

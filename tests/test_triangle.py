@@ -11,7 +11,7 @@ from trisolve import feasibility, triangle
 from trisolve.centering import CenteringOptions, centering_solve
 from trisolve.feasibility import nonnegative_feasibility
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import GramProduct, matvec, norm2
+from trisolve.linalg import GramProduct, matvec_transpose, norm2
 from trisolve.results import TRIANGLE_TRACE_COLUMNS, System
 from trisolve.triangle import (
     min_norm_solve,
@@ -199,8 +199,6 @@ class TestSolveAdaptive:
         res = solve_adaptive(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), eps=1e-10)
         assert res.status == "approx_solution"
         assert np.abs(res.x - 1.0).max() <= 1e-9
-        # the final ellipsoid iterate b' = Ax comes back with the run
-        assert np.allclose(res.b_prime, np.diag([1.0, 2.0]) @ res.x, rtol=0, atol=1e-12)
 
     def test_inconsistent_reaches_normal_equation(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -526,8 +524,6 @@ class TestClaimRule:
         res = solve_adaptive(a, b, eps=eps, max_iters=3000)
         assert res.status == "normal_eq_solution"
         assert status_holds(res, a, b, eps / norm2(b))
-        # the claim was made on b' = Ax as the solve's own product gives it
-        assert np.array_equal(res.b_prime, matvec(a, res.x))
 
     def test_fixed_radius_claim_becomes_a_witness(self):
         # a 2 x 6 CSR system that claimed a normal-equation solution after
@@ -582,7 +578,8 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
     ``b'`` and the last two pivots (the apex pivot keeps the segment and
     leaves the last pivot as it was), measures ``b' = Ax`` again after every
     512 pivots and before it claims a success on a carried ``b'``, checks
-    the iteration budget only after measuring the gap and the direction,
+    the iteration budget only after measuring the gap and the direction and
+    testing for a witness, which stands at the budget without a row,
     recomputes a budget exit's bound ``(y^T b - eps ||y||) / ||d||`` from
     ``y = b - b'`` alone, names a cone run's ends ``feasible`` and
     ``inconclusive``, and returns through ``system.finish``."""
@@ -632,9 +629,10 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
                                                                  "iteration_cap")
 
     def done(status, detail="", bound=None):
-        return system.finish(status, x, iterations, rho=rho, b_prime=b_prime,
-                             lower_bound=bound, detail=detail,
-                             min_x_entry=min(x, default=0.0) if cone else None)
+        # a witness or a budget exit hands back the gap its bound came from
+        y = np.asarray(b) - b_prime if status in ("witness", capped) else None
+        return system.finish(status, x, iterations, rho=rho, lower_bound=bound,
+                             detail=detail, y=y)
 
     def cap_bound():
         y = np.asarray(b) - b_prime
@@ -669,6 +667,12 @@ def _reference_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None, co
         d_norm = norm2(d) if cone else c_norm
         gap_dot_b = float(np.dot(gap, b))
         if iterations >= max_iters:
+            if d_norm == 0.0 and gap_dot_b > 0.0:
+                return done("witness", "no ascent direction in the nonnegative cone section",
+                            gap_dot_b / c_norm if c_norm > 0.0 else math.inf)
+            if rho_cap is None and d_norm > 0.0 and not (rho > 0.0
+                                                         and rho >= gap_dot_b / norm2(d)):
+                return done("witness", "", gap_dot_b / c_norm)
             return done(capped, "iteration budget exhausted", cap_bound())
         stop = None
         if d_norm == 0.0 and gap_dot_b > 0.0:
@@ -729,6 +733,44 @@ def test_budget_is_checked_after_measuring(solve):
     assert np.array_equal(res.x, np.zeros(2))
 
 
+def _witness_draw(kind):
+    """Two draws whose witness falls at a small budget: a consistent
+    Gaussian system whose cone search ends in a Farkas witness at its
+    seventh measurement, and a 20 x 30 one whose ball, of half the
+    minimum-norm solution's radius, rules ``b`` out at its second."""
+    if kind == "cone":
+        rng = np.random.default_rng(5000)
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(m + 1, 3 * m + 4))
+        a = rng.standard_normal((m, n))
+        b = a @ rng.standard_normal(n)
+        return a, b, 6, lambda cap: nonnegative_feasibility(a, b, 1e-6 * norm2(b),
+                                                            max_iters=cap)
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((20, 30))
+    b = a @ rng.standard_normal(30)
+    rho = 0.5 * norm2(np.linalg.pinv(a) @ b)
+    return a, b, 0, lambda cap: solve_in_ball(a, b, rho, 1e-6, max_iters=cap)
+
+
+@pytest.mark.parametrize("kind", ["cone", "ball"])
+def test_a_witness_at_the_budget_stands(kind):
+    # the witness is decided before the budget: at the budget it is claimed
+    # as it stands, on the same y and bound, without a row or an iteration
+    a, b, budget, solve = _witness_draw(kind)
+    free, capped = solve(100_000), solve(budget)
+    assert free.status == capped.status == "witness"
+    assert free.iterations == budget + 1
+    assert capped.iterations == len(capped.trace) == budget
+    assert capped.y.tobytes() == free.y.tobytes()
+    assert capped.lower_bound == free.lower_bound
+    assert capped.detail == free.detail
+    if kind == "ball":
+        check_witness(a, b, capped)
+    else:   # Farkas: A^T y <= 0 < y^T b
+        assert matvec_transpose(a, capped.y).max() <= 0.0 < float(capped.y @ b)
+
+
 def _graded_draw(seed):
     """A graded consistent system, columns scaled by ``exp(-g j / n)`` with
     ``g`` in ``[0, 6)``, dense at even ``seed`` and CSR at odd: ``b = A x``
@@ -742,7 +784,7 @@ def _graded_draw(seed):
 
 
 def test_capped_runs_carry_a_certified_bound():
-    # each budget exit's bound is recomputed from b_prime alone; none passes
+    # each budget exit's bound is recomputed from its y alone; none passes
     # the norm of a solution it bounds: ||pinv(A) b|| for the ball runs, the
     # planted ||x|| for the cone
     carried = {False: 0, True: 0}
@@ -830,6 +872,9 @@ _LOOP_CASES = {
                    ["feasible"]),
     "radius-budget": (lambda: nonnegative_feasibility(*_system(2, 6, 9, cols=4), eps=1e-4,
                                                       rho_max=0.5), ["inconclusive"]),
+    # a witness in hand at the last measurement the budget allows
+    "ball-witness-at-budget": (lambda: _witness_draw("ball")[3](0), ["witness"]),
+    "farkas-witness-at-budget": (lambda: _witness_draw("cone")[3](6), ["witness"]),
     "revalidate": (lambda: solve_in_ball(_ILL, _ILL.sum(axis=1), rho=1e3, eps=1e-12,
                                          max_iters=700), ["iteration_cap"]),
     # the normal-equation clause passes on the carried b' but fails on the
@@ -862,9 +907,9 @@ def test_trace_rows_are_numbered_and_timed_in_order(name):
 def _record(loop, runs):
     def recording(*args, **kwargs):
         run = loop(*args, **kwargs)
-        runs.append((run.status, run.iterations, run.x.tobytes(), run.b_prime.tobytes(),
-                     run.rho, run.lower_bound, run.detail, run.residual_norm,
-                     run.normal_residual_norm, run.min_x_entry))
+        runs.append((run.status, run.iterations, run.x.tobytes(),
+                     None if run.y is None else run.y.tobytes(), run.rho, run.lower_bound,
+                     run.detail, run.residual_norm, run.normal_residual_norm))
         return run
     return recording
 

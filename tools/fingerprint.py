@@ -6,7 +6,7 @@
 
 The first form solves every problem of every ``perfbench`` workload once per
 seed, untimed, and writes one row per solve: its status, iterations, trace
-length, a SHA-1 of ``x`` and of ``b_prime``, both residual norms,
+length, a SHA-1 of ``x`` and of the dual vector ``y``, both residual norms,
 ``rho_interval`` and ``lower_bound``.  The file also records what the bits
 depend on (numpy, scipy, the BLAS build and thread count, the CPU), and
 holds one row per line, so a diff of two fingerprints shows which solves
@@ -85,7 +85,7 @@ def fingerprint(seeds) -> list[dict]:
                         "status": res.status, "iterations": int(res.iterations),
                         "trace_rows": None if res.trace is None else len(res.trace),
                         "x_sha1": _sha1(res.x),
-                        "b_prime_sha1": _sha1(getattr(res, "b_prime", None)),
+                        "y_sha1": _sha1(getattr(res, "y", None)),
                         "residual_norm": _float(res.residual_norm),
                         "normal_residual_norm": _float(res.normal_residual_norm),
                         "rho_interval": None if interval is None else list(map(float, interval)),

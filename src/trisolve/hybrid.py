@@ -1,12 +1,17 @@
 """Two-stage pipeline for rectangular systems: a centering pass takes the
 residual down cheaply, then a triangle-family pass finishes the job.
 
-If the first stage reaches an approximate solution, the second stage either
-refines it (adaptive radius) or, on request, certifies an approximate
-minimum-norm solution, whose bracket starts from the first stage's dual
-iterate ``y`` (``x = A^T y``) when that stage ended on one.  Otherwise the
-second stage runs on the normal-equation pair ``(A^T A, A^T b)``, with the
-product applied implicitly.
+Stage two's equation is chosen once, from stage one's status: ``Ax = b``
+when stage one reached an approximate solution of it, and otherwise the
+normal-equation pair ``(A^T A, A^T b)``, with the product applied
+implicitly.  Stage two runs on that equation at ``eps_ta`` times the norm
+of its right side, warm-started from stage one's ``x``, and its own iterate
+is kept only if that iterate's residual on the equation is no larger than
+stage one's.
+On request, stage two on ``Ax = b`` certifies an approximate minimum-norm
+solution instead, at a gap target no tighter than stage one's residual,
+with a bracket that starts from stage one's dual iterate ``y``
+(``x = A^T y``) when that stage ended on one.
 """
 
 from __future__ import annotations
@@ -39,14 +44,14 @@ class HybridOptions:
 
 @quiet_floating_point
 def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
-    """Run the centering stage, then the triangle stage, warm-started.  Both
-    stages apply the one operator prepared here.  A first stage that ends in
-    ``numerical_failure`` ends the solve: its iterate and norms cannot seed
-    the second stage.  So does a first stage that leaves the normal-equation
-    pair with a nonzero ``A^T b`` whose norm underflows to 0; the result
-    then carries stage one's status and a detail naming the underflow; both
-    stops leave through ``finish``.  A stage-two normal-equation solution of
-    the pair bounds only ``||A^T A A^T(b - Ax)||``: it ends ``iteration_cap``."""
+    """Run the centering stage, then one triangle-family call on stage two's
+    equation, warm-started; both apply the one operator prepared here.  A
+    first stage that ends in ``numerical_failure`` ends the solve, and so
+    does a nonzero ``A^T b`` whose norm underflows to 0: the result carries
+    stage one's status, through ``finish``.  On the pair, stage two's
+    approximate solution is a ``normal_eq_solution`` of ``Ax = b``; its
+    normal-equation solution bounds only ``||A^T A A^T(b - Ax)||`` and ends
+    ``iteration_cap``."""
     opts = options or HybridOptions()
     # both stages' rows go to the system's trace, on its clock
     system = System(a, b, HYBRID_TRACE_COLUMNS)
@@ -67,39 +72,33 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     if stage1.status == NUMERICAL_FAILURE:
         return system.finish(stage1.status, stage1.x, stage1.iterations,
                              detail=stage1.detail, stage_results=[stage1])
-    min_norm = stage1.status == APPROX_SOLUTION and opts.want_min_norm
+    # stage two's equation (operator, right side, stage one's residual on it)
+    consistent = stage1.status == APPROX_SOLUTION
+    if consistent:
+        op2, rhs, before = op, b, stage1.residual_norm
+    else:
+        op2, rhs, before = GramProduct(op), op.rmatvec(b), stage1.normal_residual_norm
+    rhs_norm = norm2(rhs)
+    if rhs_norm == 0.0 and rhs.any():
+        # only A^T b can be such a right side (System refuses such a b);
+        # stage two's entry refuses it, and a tolerance from its norm is 0
+        return system.finish(stage1.status, stage1.x, stage1.iterations,
+                             detail="stage two skipped: ||A^T b|| underflows to 0",
+                             stage_results=[stage1])
+    eps2 = opts.eps_ta * rhs_norm
+    min_norm = consistent and opts.want_min_norm
     if min_norm:
-        # Certify a minimum-norm bracket; the gap target cannot be tighter
-        # than the residual the first stage actually delivered.
-        eps2 = max(opts.eps_ta * b_norm, 1.01 * stage1.residual_norm)
-        stage2 = min_norm_solve(op, b, eps2, stage1.x,
+        # the gap target cannot be tighter than the residual stage one delivered
+        stage2 = min_norm_solve(op2, rhs, max(eps2, 1.01 * before), stage1.x,
                                 inner_cap=opts.min_norm_inner_cap,
                                 max_iters=opts.max_iters_stage2, y=stage1.y)
-        x = stage2.x
-    elif stage1.status == APPROX_SOLUTION:
-        stage2 = solve_adaptive(op, b, eps=opts.eps_ta * b_norm,
-                                max_iters=opts.max_iters_stage2, x0=stage1.x)
-        x = stage2.x if stage2.residual_norm <= stage1.residual_norm else stage1.x
     else:
-        # No consistent-solution evidence: run the triangle stage on the
-        # normal-equation pair, applied implicitly.
-        g = op.rmatvec(b)
-        g_norm = norm2(g)
-        if g_norm == 0.0 and g.any():
-            # the pair's right side is nonzero, but its norm underflows:
-            # stage two's entry refuses such a right side, and its
-            # tolerance, relative to that norm, would be 0
-            return system.finish(stage1.status, stage1.x, stage1.iterations,
-                                 detail="stage two skipped: ||A^T b|| underflows to 0",
-                                 stage_results=[stage1])
-        stage2 = solve_adaptive(GramProduct(op), g, eps=opts.eps_ta * g_norm,
-                                max_iters=opts.max_iters_stage2, x0=stage1.x)
-        # stage two's residual is the pair's, A^T (b - A x): the same
-        # quantity as stage one's normal residual
-        x = stage2.x if stage2.residual_norm <= stage1.normal_residual_norm else stage1.x
+        stage2 = solve_adaptive(op2, rhs, eps=eps2, max_iters=opts.max_iters_stage2,
+                                x0=stage1.x)
+    x = stage2.x if min_norm or stage2.residual_norm <= before else stage1.x
 
     final_status, detail = stage2.status, stage2.detail
-    if stage1.status != APPROX_SOLUTION:
+    if not consistent:
         # the pair's approximate solution is a normal-equation solution of
         # Ax = b; its normal-equation clause claims nothing of A^T(b - Ax)
         if final_status == APPROX_SOLUTION:

@@ -99,7 +99,9 @@ class SolveResult:
     :func:`~trisolve.triangle.min_norm_solve` (and ``hybrid_solve``, which
     passes on that stage's alone), the ``y`` whose bound started
     ``rho_interval``'s lower end, so that end can be computed again from
-    ``A``, ``b``, ``x_eps`` and ``y``; from
+    ``A``, ``b``, ``x_eps`` and ``y`` when no bisection witness raised it
+    (a raised end is certified by that witness's bound, which the result
+    does not carry); from
     :func:`~trisolve.centering.centering_solve`, its dual iterate, with
     ``x = op.rmatvec(y)`` bit for bit, when the solve ended on it.
     """

@@ -56,6 +56,11 @@ _FIRST_RADIUS_FACTOR = 4.0
 # small against the bracket width.
 _INNER_EPS_FACTOR = 0.25
 
+# The smallest normal float64.  A pivot's step rho / ||d|| below it loses
+# bits, or underflows to 0 (a tiny first radius against a huge ||A^T b||),
+# so the pivot normalizes d first instead.
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def move_to_pivot(b_prime, x_prime, v, preimage, gap, prev=None):
     """Advance to the point of segment ``[b', v]``, or of the triangle
@@ -214,8 +219,10 @@ def _pivot_loop(system, x0, rho, eps, eps_prime, max_iters, rho_cap=None,
         if event == "pivot" and d_norm == 0.0:
             b_prime, x, _ = move_to_pivot(b_prime, x, 0.0, 0.0, gap)
         elif event == "pivot":
-            # v = rho A d / ||d||, the maximizer of d^T x over E_rho
-            preimage = (rho / d_norm) * d
+            # v = rho A d / ||d||, the maximizer of d^T x over E_rho; a
+            # quotient rho / ||d|| that underflows would make v = 0 = b'
+            scale = rho / d_norm
+            preimage = scale * d if scale >= _TINY else rho * (d / d_norm)
             v = op.matvec(preimage)
             b_prime, x, _ = move_to_pivot(b_prime, x, v, preimage, gap, prev)
             if cone:

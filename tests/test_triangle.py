@@ -332,6 +332,21 @@ class TestMinNorm:
         assert res.rho_interval == pytest.approx((0.0, math.sqrt(26.0)), rel=1e-15)
         assert res.normal_residual_norm == 0.0
 
+    def test_capped_inner_run_ends_the_bisection(self):
+        # one pivot per membership test: the first test witnesses, the
+        # second runs out of its budget; the bracket raised so far stands
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((12, 20))
+        b = a @ rng.standard_normal(20)
+        eps = 1e-4 * norm2(b)
+        x_eps = solve_adaptive(a, b, eps=1e-8 * norm2(b)).x
+        res = min_norm_solve(a, b, eps, x_eps, inner_cap=1)
+        lo, hi = res.rho_interval
+        assert res.status == "iteration_cap" and res.iterations == 2
+        assert res.detail == "inner membership test exhausted its budget"
+        assert 0.0 < lo <= hi and hi - lo > eps
+        assert lo <= norm2(np.linalg.pinv(a) @ b) * (1.0 + 1e-12)
+
 
 class TestMinNormDualStart:
     """``min_norm_solve(..., y=...)`` starts its bracket's lower end at the
@@ -562,6 +577,23 @@ class TestClaimRule:
             runs.append(min_norm_solve(a, b, eps, adaptive.x, inner_cap=300, max_iters=1500))
         for res in runs:
             assert status_holds(res, a, b, eps / norm2(b)), res
+
+    @pytest.mark.parametrize("scale_a, scale_b", [(540, -100), (558, -155)])
+    def test_underflowing_pivot_step_keeps_its_direction(self, scale_a, scale_b):
+        # ||A^T b|| near 1e134 against a first radius near 1e-192: the step
+        # rho / ||d|| underflows to 0, which once put v on b' = 0 and raised
+        # "degenerate pivot"
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((9, 10))
+        b = a @ rng.standard_normal(10)
+        a, b = np.ldexp(a, scale_a), np.ldexp(b, scale_b)
+        eps = 1e-6 * norm2(b)
+        res = solve_adaptive(a, b, eps=eps)
+        assert res.status == "approx_solution" and status_holds(res, a, b, 1e-6)
+        res = nonnegative_feasibility(a, b, eps)
+        # Farkas: A^T y <= 0 and y^T b > eps ||y||, so no x >= 0 is within eps
+        assert res.status == "witness" and res.y is not None
+        assert (a.T @ res.y).max() <= 0.0 < float(res.y @ b) - eps * norm2(res.y)
 
 
 # --- the lean iteration gives the bits of the plain one ----------------------

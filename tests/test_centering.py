@@ -772,6 +772,17 @@ class TestExplicitGram:
         certifying = res.trace.column("t")[-1] if res.status == "normal_eq_solution" else 0
         assert len(transposes) == res.iterations // 250 + 2 + certifying
 
+    @pytest.mark.parametrize("spec, eps", [("clement:301", 1e-9), ("convdiff:12", 1e-8)])
+    def test_transpose_products_counted_on_sparse_storage(self, spec, eps, transposes):
+        # H = A A^T on CSR storage runs both kernels it bound when built, so
+        # the one Operator.rmatvec call is the exit's ||A^T r||
+        family, n = spec.split(":")
+        a = gallery.make(family, int(n))
+        assert sparse.issparse(a) and a.format == "csr"
+        res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=eps))
+        assert res.iterations >= 500
+        assert len(transposes) == 1
+
     @pytest.mark.parametrize("case", ["gram", "sparse", "tall", "symmetric"])
     def test_false_certificate_is_refused(self, case, monkeypatch):
         # a first step whose ||A^T r|| (sqrt(phi_1) with G formed, ||A r||

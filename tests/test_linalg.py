@@ -335,6 +335,20 @@ print(res.status, res.iterations, res.x.tobytes().hex())
 """
 
 
+@pytest.fixture
+def module_products(monkeypatch):
+    """One entry per call of ``linalg.matvec`` or ``linalg.matvec_transpose``,
+    the module functions that ``Operator`` products go through."""
+    calls = []
+    for name in ("matvec", "matvec_transpose"):
+        def counted(*args, _name=name, _product=getattr(trisolve.linalg, name), **kwargs):
+            calls.append(_name)
+            return _product(*args, **kwargs)
+
+        monkeypatch.setattr(trisolve.linalg, name, counted)
+    return calls
+
+
 class TestStoredTranspose:
     """Products on CSR storage go straight to scipy's kernels, ``A^T v``
     through the CSC kernel on ``A``'s own arrays, and have the bits of
@@ -435,6 +449,52 @@ class TestStoredTranspose:
                     kernel(rows, cols, a.indptr, a.indices, a.data, v, private)
                     _scipy_matvec(kind, rows, cols, a.indptr, a.indices, a.data, v, fallback)
                     assert fallback.tobytes() == private.tobytes()
+
+    def test_gram_mode_on_csr_storage_binds_both_kernels(self, module_products):
+        # int32 and narrowed int64 indices, csr_array and csr_matrix,
+        # unsorted and duplicate entries, tall, wide, empty-row and empty
+        # shapes: H applies A (A^T r) by the two kernels it bound when built,
+        # with the bits of the operator's own products
+        calls = module_products
+        rng = np.random.default_rng(25)
+        for a in self._cases():
+            h = HOperator(a, "aat")
+            op = h.operator
+            for r in self._vectors(rng, a.shape[0]):
+                at_r = op.rmatvec(r)
+                expected = (op.matvec(at_r).tobytes(), at_r.tobytes())
+                assert calls == ["matvec_transpose", "matvec"]
+                calls.clear()
+                hr, direction = h.apply_with_transpose(r)
+                assert (hr.tobytes(), direction.tobytes()) == expected
+                assert h.apply(r).tobytes() == expected[0]
+                assert calls == []
+            with pytest.raises(ValueError, match="^matvec_transpose: vector has length"):
+                h.apply(np.ones(a.shape[0] + 1))
+            calls.clear()
+
+    @pytest.mark.parametrize("case, products", [
+        ("symmetric-csr", ["matvec"]),
+        ("csc", ["matvec_transpose", "matvec"]),
+        ("coo", ["matvec_transpose", "matvec"]),
+        ("dense", ["matvec_transpose", "matvec"]),
+        # GramProduct.rmatvec is its matvec, A^T (A v), applied twice
+        ("gram-product", ["matvec", "matvec_transpose"] * 2),
+    ])
+    def test_other_storage_and_modes_keep_the_module_products(self, case, products,
+                                                             module_products):
+        rng = np.random.default_rng(26)
+        base = sparse.random(9, 9, density=0.4, random_state=rng, format="csr")
+        a, mode = {"symmetric-csr": ((base + base.T).tocsr(), "a"), "csc": (base.tocsc(), "aat"),
+                   "coo": (base.tocoo(), "aat"), "dense": (base.toarray(), "aat"),
+                   "gram-product": (GramProduct(base), "aat")}[case]
+        h = HOperator(a, mode)
+        op = h.operator
+        r = rng.standard_normal(9)
+        expected = op.matvec(r) if mode == "a" else op.matvec(op.rmatvec(r))
+        module_products.clear()
+        assert h.apply(r).tobytes() == expected.tobytes()
+        assert module_products == products
 
     def test_sparse_solves_keep_their_bits_without_the_private_kernels(self, capsys):
         # a scipy without _sparsetools still runs every sparse solve, with

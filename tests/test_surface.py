@@ -1,8 +1,8 @@
 """The stable surfaces, pinned: the public names, the ``solve`` flags, the
 option and result fields and the driver parameters.  A new knob or a
-removed name shows up here as a one-line diff.  Two rules of the layout are
-pinned too: which modules read the clock, and that no module edits a
-finished result."""
+removed name shows up here as a one-line diff.  Three rules of the layout are
+pinned too: which modules read the clock, that no module edits a finished
+result, and that one function names scipy's private sparse kernels."""
 
 import argparse
 import ast
@@ -99,3 +99,30 @@ def test_no_module_edits_a_finished_result():
                   and isinstance(node.value, ast.Name) and node.value.id == "dataclasses"):
                 editors.add(path.name)
     assert editors == set()
+
+
+def _names_sparsetools(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return "_sparsetools" in (node.module or "")
+    if isinstance(node, ast.Import):
+        return any("_sparsetools" in alias.name for alias in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_sparsetools"
+    if isinstance(node, ast.Name):
+        return node.id == "_sparsetools"
+    return isinstance(node, ast.Constant) and "_sparsetools" in str(node.value)
+
+
+def test_only_scipy_sparse_names_the_private_kernels():
+    # scipy's private _sparsetools is reached through linalg.scipy_sparse
+    # alone, so every product that binds its kernels, a Gram-mode H's
+    # included, gets scipy_sparse's fallback on a scipy without that module
+    named = inside = 0
+    for path in sorted(Path(trisolve.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named += sum(map(_names_sparsetools, ast.walk(tree)))
+        for node in ast.walk(tree):
+            if (path.name == "linalg.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "scipy_sparse"):
+                inside += sum(map(_names_sparsetools, ast.walk(node)))
+    assert named == inside > 0

@@ -14,6 +14,14 @@ driver to that true residual, where it is tested again.
 
 In Gram mode on dense ``A`` with ``m <= n`` the driver forms ``G = A A^T``
 once and carries ``y`` with ``x = A^T y`` (see :class:`CenteringOptions`).
+
+The driver carries ``x`` (or ``y``) and ``r`` as one stacked vector
+``s = [-x; r]``.  :func:`moments` writes a step's products into one block
+laid out so that term ``i`` of the update is one slice ``z_i`` (see
+:class:`Moments`), and the step is one chain
+``s - alpha_1 z_1 - alpha_2 z_2 - ...``, with the bits of the two chains
+on ``x`` and ``r`` it replaces.  ``x`` is read as ``0.0 - s[:-m]`` only at
+the rechecks and the exit, so no ``-0.0`` reaches a result.
 """
 
 from __future__ import annotations
@@ -68,6 +76,11 @@ if _gelsd is None:
 # Accept a step as monotone up to this relative slack.
 _MONOTONE_SLACK = 1e-13
 
+# A stacked state longer than this many entries is updated a chunk of this
+# length at a time, so that the chunk and its scaled term stay in cache from
+# one term to the next; a shorter one in one piece.
+_CHUNK = 1 << 15
+
 # Recompute r = b - A x this often and fail on drift beyond the budget.
 _RECHECK_EVERY = 250
 
@@ -82,25 +95,46 @@ class Moments:
     """Moments ``phi_1..phi_2t`` of ``r`` under ``H``, with the Krylov
     vectors ``p_i = H^i r`` and, when ``H`` is applied as ``A (A^T p)``, the
     directions ``q_i = A^T p_{i-1}`` that produced them (else ``None``),
-    kept for reuse in the residual and solution updates."""
+    kept for reuse in the residual and solution updates.
+
+    The products live in ``block``, laid out in the order a step uses them:
+    ``[q_1 p_1 q_2 p_2 ...]`` when ``H`` is applied as ``A (A^T p)``, else
+    ``[r p_1 ... p_t]``.  Term ``i`` of the update of the stacked state
+    ``[-x; r]`` is then the one slice ``z_i = [q_i; p_i]``, or
+    ``[p_{i-1}; p_i]`` (``p_{i-1}`` moves ``x`` in symmetric mode and ``y``
+    with ``G`` formed): ``z_i`` starts at ``(i - 1) * stride`` and is
+    ``width`` long."""
 
     t: int
     phi: np.ndarray
     krylov: list
     transposed: list | None
+    block: np.ndarray | None = None
+    stride: int = 0  # offset from z_i to z_{i+1} in block
+    width: int = 0   # length of z_i, that of the stacked state
 
 
 def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     """Compute ``phi_i = r^T H^i r`` for ``i = 1..2t`` from ``t``
-    applications of ``H``; the high moments come from inner products of the
+    applications of ``H``, written into one zeroed block (see
+    :class:`Moments`); the high moments come from inner products of the
     stored powers (``phi_{i+j} = p_i^T p_j``, exact for symmetric ``H``).
     Raises ``FloatingPointError`` when a moment is not finite."""
     if not 1 <= t <= h.dim:
         raise ValueError(f"order t={t} outside 1..{h.dim}")
+    m, size = h.dim, h.out_length
     p = [np.asarray(r, dtype=np.float64)]
     q = []
-    for _ in range(t):
-        hp, at_p = h.apply_with_transpose(p[-1])
+    if size == m:  # [r p_1 ... p_t]
+        block = np.zeros((t + 1) * m)
+        block[:m] = p[0]
+        first, stride, width = m, m, 2 * m
+    else:  # [q_1 p_1 ... q_t p_t]
+        block = np.zeros(t * size)
+        first, stride, width = 0, size, size
+    for i in range(t):
+        start = first + i * stride
+        hp, at_p = h.apply_with_transpose(p[-1], block[start:start + size])
         p.append(hp)
         if at_p is not None:
             q.append(at_p)
@@ -112,7 +146,7 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
             # checked here so that LAPACK never sees (and reports) it
             raise FloatingPointError("non-finite moments")
         phi[k - 1] = value
-    return Moments(t, phi, p, q or None)
+    return Moments(t, phi, p, q or None, block, stride, width)
 
 
 @functools.cache
@@ -203,19 +237,49 @@ class CenteringOptions:
     known_solvable: bool = False
 
 
-def _step_arrays(x, r, t, h, r_norm=None):
-    """One order-``t`` step on raw arrays; ``r_norm`` is ``||r||`` when the
-    caller has it.  With ``h.gram`` formed, ``x`` is ``y`` of ``x = A^T y``.
+def _stacked(x, r):
+    """The state ``[-x; r]`` that a step advances as one vector."""
+    return np.concatenate((np.negative(x), r))
 
-    Returns ``(x_new, r_new, used_order, atr_norm)`` where ``atr_norm`` is
-    ``||A^T r||`` (``||A r||`` in symmetric mode) of the incoming residual;
-    with ``h.gram`` formed it is ``sqrt(phi_1)``, whose ``phi_1`` carries
-    rounding of size ``u ||A||^2 ||r||^2``.
+
+def _chain(out, s, block, stride, alpha, scratch):
+    """``out = s - alpha_1 z_1 - alpha_2 z_2 - ...``, where ``z_i`` is the
+    slice of ``block`` of ``out``'s length at ``(i - 1) * stride``.  It
+    starts from the first term, with no copy of ``s`` (one pass fewer), and
+    subtracts the terms from ``s`` one by one, each scaled into ``scratch``
+    (tests/test_centering.py pins the bits)."""
+    size = out.size
+    np.multiply(block[:size], alpha[0], out=out)
+    np.subtract(s, out, out=out)
+    for i in range(1, alpha.size):
+        start = i * stride
+        out -= np.multiply(block[start:start + size], alpha[i], out=scratch)
+
+
+def _step(s, t, h, r_norm):
+    """One order-``t`` step on the stacked state ``s = [-x; r]``, whose last
+    ``h.dim`` entries are ``r``, of norm ``r_norm``; with ``h.gram`` formed,
+    ``x`` is ``y`` of ``x = A^T y``.
+
+    Returns ``(s_new, used_order, atr_norm, new_norm)`` where ``new_norm``
+    is ``||r_new||`` and ``atr_norm`` is ``||A^T r||`` (``||A r||`` in
+    symmetric mode) of the incoming residual; with ``h.gram`` formed it is
+    ``sqrt(phi_1)``, whose ``phi_1`` carries rounding of size
+    ``u ||A||^2 ||r||^2``.
+
+    The update is one chain ``s - alpha_1 z_1 - alpha_2 z_2 - ...`` over the
+    terms ``z_i`` of the moment block (see :class:`Moments`), each scaled
+    into one scratch vector, over ``s`` in one piece or, past ``_CHUNK``
+    entries, a chunk at a time.  It has the bits of ``r - alpha_i p_i`` and
+    ``x + alpha_i d_i`` applied term by term, since
+    ``fl(-x - fl(alpha d)) = -fl(x + fl(alpha d))``; only the sign of a zero
+    of ``x`` may differ, and ``0.0 - s`` reads every zero as ``+0.0``.
     If a step at order ``t`` fails to shrink the residual numerically, it is
     retried at lower orders on the same Krylov vectors; the best candidate
     wins.
     """
-    mom = moments(h, r, t)
+    k = s.size - h.dim
+    mom = moments(h, s[k:], t)
     if mom.phi[1] == 0.0:  # phi_2 = ||H r||^2, so H r = 0 exactly
         raise NormalEquationReached
     if h.gram is not None:
@@ -223,33 +287,39 @@ def _step_arrays(x, r, t, h, r_norm=None):
     elif mom.transposed is not None:
         atr_norm = norm2(mom.transposed[0])
     else:
-        atr_norm = norm2(mom.krylov[1])
+        atr_norm = math.sqrt(mom.phi[1])  # p_1 . p_1, the dot norm2(p_1) takes
 
-    if r_norm is None:
-        r_norm = norm2(r)
+    block, stride, width = mom.block, mom.stride, mom.width
+    scratch = np.empty(min(width, _CHUNK))
     best = None
     for order in range(t, 0, -1):
         alpha = min_norm_coefficients(mom, order)
-        # r - alpha_1 p_1 - ... - alpha_k p_k from its first term, with no
-        # copy of r: one pass fewer, and the roundings of subtracting the
-        # terms from r one by one (tests/test_centering.py pins the bits)
-        r_new = alpha[0] * mom.krylov[1]
-        np.subtract(r, r_new, out=r_new)
-        for i in range(1, order):
-            r_new -= alpha[i] * mom.krylov[i + 1]
-        cand_norm = norm2(r_new)
-        if best is None or cand_norm < best[0]:
-            best = (cand_norm, order, alpha, r_new)
-        if cand_norm <= r_norm * (1.0 + _MONOTONE_SLACK):
+        s_new = np.empty(width)
+        if width <= _CHUNK:
+            _chain(s_new, s, block, stride, alpha, scratch)
+        else:
+            for lo in range(0, width, _CHUNK):
+                hi = min(lo + _CHUNK, width)
+                _chain(s_new[lo:hi], s[lo:hi], block[lo:], stride, alpha, scratch[:hi - lo])
+        new_norm = norm2(s_new[k:])
+        if best is None or new_norm < best[0]:
+            best = (new_norm, order, s_new)
+        if new_norm <= r_norm * (1.0 + _MONOTONE_SLACK):
             break
-    _, order, alpha, r_new = best
-    # A^T p_i, or else p_i itself: x in symmetric mode, y with G formed
-    directions = mom.transposed if mom.transposed is not None else mom.krylov
-    x_new = alpha[0] * directions[0]
-    np.add(x, x_new, out=x_new)
-    for i in range(1, order):
-        x_new += alpha[i] * directions[i]
-    return x_new, r_new, order, atr_norm
+    new_norm, order, s_new = best
+    return s_new, order, atr_norm, new_norm
+
+
+def _step_arrays(x, r, t, h, r_norm=None):
+    """:func:`_step` on separate arrays ``x`` and ``r``; ``r_norm`` is
+    ``||r||`` when the caller has it.  Returns
+    ``(x_new, r_new, used_order, atr_norm)``, ``x_new`` without ``-0.0``."""
+    r = np.asarray(r, dtype=np.float64)
+    if r_norm is None:
+        r_norm = norm2(r)
+    s_new, order, atr_norm, _ = _step(_stacked(x, r), t, h, r_norm)
+    k = s_new.size - r.size
+    return np.subtract(0.0, s_new[:k]), s_new[k:], order, atr_norm
 
 
 def _order_schedule(t_max: int):
@@ -273,8 +343,9 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
 
     h = HOperator(op, opts.h_mode)
     h.form_gram()
-    x = np.zeros(n if h.gram is None else m)  # y of x = A^T y while G is formed
-    r = b.copy()
+    # x (y of x = A^T y while G is formed) and r advance as one vector,
+    # s = [-x; r]; x is read as 0.0 - s[:-m] only at rechecks and the exit
+    s = _stacked(np.zeros(n if h.gram is None else m), b)
 
     eps_abs = opts.epsilon * b_norm
     drift_budget = 1e-10
@@ -290,17 +361,19 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
 
     y = None  # y of the returned x = A^T y; None once a step runs on x
 
-    def true_residual(x, h):
+    def true_residual(s, h):
         """The returned ``x`` (``A^T y`` with ``G`` formed, which ``H``
-        then stops using, and ``y`` kept) and its true residual ``b - A x``."""
+        then stops using, and ``y`` kept), its true residual ``b - A x``
+        and the ``H`` to go on with."""
         nonlocal y
+        x = np.subtract(0.0, s[:-m])
         if h.gram is not None:
             y, x, h = x, op.rmatvec(x), HOperator(op, opts.h_mode)
         return x, b - op.matvec(x), h
 
+    r_norm = norm2(s[-m:])  # ||r||, from each accepted step on
     fresh = False  # r is b - A x of the returned x: set by true_residual
     while iterations < opts.max_iters:
-        r_norm = norm2(r)
         if not math.isfinite(r_norm):
             status, detail = NUMERICAL_FAILURE, "non-finite residual"
             break
@@ -308,18 +381,18 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             if fresh:
                 status = APPROX_SOLUTION
                 break
-            x, r, h = true_residual(x, h)
-            fresh = True
+            x, r, h = true_residual(s, h)
+            s, r_norm, fresh = _stacked(x, r), norm2(r), True
             continue
         t = next(schedule)
         try:
-            x_new, r_new, _, atr_norm = _step_arrays(x, r, t, h, r_norm)
+            s_new, _, atr_norm, new_norm = _step(s, t, h, r_norm)
         except NormalEquationReached:
             if fresh:
                 status = NORMAL_EQ_SOLUTION
                 break
-            x, r, h = true_residual(x, h)
-            fresh = True
+            x, r, h = true_residual(s, h)
+            s, r_norm, fresh = _stacked(x, r), norm2(r), True
             continue
         except FloatingPointError as exc:
             status, detail = NUMERICAL_FAILURE, str(exc)
@@ -333,28 +406,31 @@ def centering_solve(a, b, options: CenteringOptions | None = None) -> SolveResul
             # sqrt(phi_1) is down to the rounding of G, where steps on y
             # stall (rank-deficient A, b outside its range): the step is
             # dropped and the next one measures the true residual
-            x, r, h = true_residual(x, h)
-            fresh = True
+            x, r, h = true_residual(s, h)
+            s, r_norm, fresh = _stacked(x, r), norm2(r), True
             continue
         trace.append(t, r_norm, atr_norm)
         if certified:
             status = NORMAL_EQ_SOLUTION
             detail = f"certified ||A^T A x - A^T b|| <= {eps_abs:.3e}"
             break
-        x, r = x_new, r_new
+        s, r_norm = s_new, new_norm
         fresh = False
         y = None  # x moved off A^T y; with G still formed the exit sets y again
         iterations += 1
         if iterations % _RECHECK_EVERY == 0:
-            x_now, r_now, h_now = true_residual(x, h)
-            if norm2(r_now - r) > drift_budget * (b_norm + system.a_fro * norm2(x_now)):
+            x_now, r_now, h_now = true_residual(s, h)
+            if norm2(r_now - s[-m:]) > drift_budget * (b_norm + system.a_fro * norm2(x_now)):
                 if h.gram is None:
                     status, detail = NUMERICAL_FAILURE, "residual drift exceeded budget"
                     break
                 # y drifts faster than x would, by up to the condition of A
-                x, h = x_now, h_now
-            r = r_now
+                s, h = _stacked(x_now, r_now), h_now
+            else:
+                s[-m:] = r_now
+            r_norm = norm2(r_now)
 
+    x = np.subtract(0.0, s[:-m])
     if h.gram is not None:
         y, x = x, op.rmatvec(x)
     return system.finish(status, x, iterations, detail=detail, y=y)

@@ -23,13 +23,13 @@ skipping the per-call dispatch of ``A @ v``: ``csr_matvec``, and for
 ``A^T v`` ``csc_matvec`` on the same arrays, the CSC arrays of ``A^T``.
 Scipy's own products run these kernels, so the bits are the same, and each
 is one template for both index types, so int32 storage keeps the bits of
-int64 storage as well.  A Gram-mode :class:`HOperator` on such storage
-binds both kernels and their arguments once, when it is built, so each
-application of ``H`` is two kernel calls and no Python frame more: 3.2 to
-3.7 us instead of 4.7 to 5.2 us on ``clement:301`` and ``convdiff:12``,
-with the same bits.  Symmetric mode keeps the per-call path, since its
-sparse products in the benchmark cost 13 to 370 us, of which the dispatch
-is under 6 %.  Other sparse formats, CSR storage of another dtype and dense
+int64 storage as well.  An :class:`HOperator` on such storage binds its
+kernels and their arguments once, when it is built, so each application of
+``H`` is two kernel calls in Gram mode, one in symmetric mode, and no
+Python frame more (3.2 to 3.7 us instead of 4.7 to 5.2 us on
+``clement:301`` and ``convdiff:12``), with the same bits; the kernels add
+into a caller's zeroed buffer, so a solve's products can go straight into
+one block.  Other sparse formats, CSR storage of another dtype and dense
 matrices go through scipy's and numpy's own ``@``, a BLAS ``gemv`` for
 dense storage.
 The exception is a symmetric dense ``H`` of ``SYMMETRIC_MIN_ROWS`` rows or
@@ -365,16 +365,19 @@ class HOperator:
     ``gram``.  The constructor never forms it: ``gram`` starts as ``None``,
     and ``exactly_symmetric`` as ``False``.
 
-    In Gram mode on float64 CSR storage of an :class:`Operator` the
-    constructor reads ``m, n``, ``A``'s three arrays and the kernels
-    ``csc_matvec`` and ``csr_matvec`` once; :meth:`apply_with_transpose`
-    then calls those two kernels with the arguments :func:`matvec_transpose`
-    and :func:`matvec` would pass, so the bits are the same and the four
-    Python frames between them go (3.2 to 3.7 us instead of 4.7 to 5.2 us
-    per application on centering's small gallery systems).  Symmetric mode,
-    other storage and caller-supplied operators keep the operator's own
-    products: a symmetric sparse product in the benchmark costs 13 us or
-    more, of which that dispatch is under 6 %.
+    On float64 CSR storage of an :class:`Operator` the constructor reads
+    ``m, n``, ``A``'s three arrays and the kernels ``csc_matvec`` and
+    ``csr_matvec`` once; :meth:`apply_with_transpose` then calls those
+    kernels (both in Gram mode, ``csr_matvec`` alone in symmetric mode) with
+    the arguments :func:`matvec_transpose` and :func:`matvec` would pass, so
+    the bits are the same and the four Python frames between them go (3.2
+    to 3.7 us instead of 4.7 to 5.2 us per Gram-mode application on
+    centering's small gallery systems).  Other storage and caller-supplied
+    operators keep the operator's own products.
+
+    ``out_length`` is the length of the buffer :meth:`apply_with_transpose`
+    fills when given one: ``n + m`` while it computes ``A^T r`` as well,
+    else ``m``.
     """
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
@@ -388,11 +391,12 @@ class HOperator:
         self.dim = m  # H acts on residuals of length m
         self.gram = None
         self.exactly_symmetric = False
-        # Gram mode on float64 CSR storage, the test _product makes on every
-        # call: both kernels and their arguments, read once
+        self.out_length = n + m if mode == H_MODE_GRAM else m
+        # float64 CSR storage, the test _product makes on every call: the
+        # kernels and their arguments, read once
         self._kernels = None
         op = self.operator
-        if mode == H_MODE_GRAM and isinstance(op, Operator) and issparse(op.matrix):
+        if isinstance(op, Operator) and issparse(op.matrix):
             a = op.matrix
             _, csr_types, csr_matvec, csc_matvec = scipy_sparse()
             if isinstance(a, csr_types) and a.dtype == np.float64:
@@ -420,6 +424,7 @@ class HOperator:
         dense = isinstance(op, Operator) and type(op.matrix) is np.ndarray
         if self.mode == H_MODE_GRAM and dense and m <= n:
             self.gram = op.matrix @ op.matrix.T
+            self.out_length = m
         elif self.mode == H_MODE_SYMMETRIC and dense and m >= SYMMETRIC_MIN_ROWS:
             self.exactly_symmetric = np.array_equal(op.matrix, op.matrix.T)
         return self.gram is not None
@@ -428,25 +433,44 @@ class HOperator:
         """``H r``."""
         return self.apply_with_transpose(r)[0]
 
-    def apply_with_transpose(self, r: np.ndarray):
+    def apply_with_transpose(self, r: np.ndarray, out: np.ndarray | None = None):
         """``(H r, A^T r)`` when ``H`` is applied as ``A (A^T r)``, whose
         intermediate comes for free; ``(H r, None)`` when no ``A^T`` product
-        was computed: in symmetric mode, and with ``gram`` formed."""
+        was computed: in symmetric mode, and with ``gram`` formed.
+
+        ``out``, a zero-filled float64 vector of :attr:`out_length`, takes
+        the products: ``[A^T r; H r]``, or ``H r`` alone, and the results
+        are views of it.  The kernels bound on CSR storage add into it in
+        place; every other product is copied into it."""
         if self._kernels is not None:
             m, n, indptr, indices, data, csr_matvec, csc_matvec = self._kernels
             r = np.asarray(r, dtype=np.float64)
-            if r.shape == (m,):  # else Operator.rmatvec names the length
-                at_r = np.zeros(n)
+            if r.shape == (m,):  # else the operator's own product names the length
+                if out is None:
+                    out = np.zeros(self.out_length)
+                if self.mode == H_MODE_SYMMETRIC:
+                    csr_matvec(m, n, indptr, indices, data, r, out)
+                    return out, None
+                at_r, hr = out[:n], out[n:]
                 csc_matvec(n, m, indptr, indices, data, r, at_r)
-                hr = np.zeros(m)
                 csr_matvec(m, n, indptr, indices, data, at_r, hr)
                 return hr, at_r
-        if self.gram is not None:
-            return matvec(self.gram, r, symmetric=True), None
         op = self.operator
-        if self.exactly_symmetric:
-            return matvec(op.matrix, r, symmetric=True), None
-        if self.mode == H_MODE_SYMMETRIC:
-            return op.matvec(r), None
-        at_r = op.rmatvec(r)
-        return op.matvec(at_r), at_r
+        at_r = None
+        if self.gram is not None:
+            hr = matvec(self.gram, r, symmetric=True)
+        elif self.exactly_symmetric:
+            hr = matvec(op.matrix, r, symmetric=True)
+        elif self.mode == H_MODE_SYMMETRIC:
+            hr = op.matvec(r)
+        else:
+            at_r = op.rmatvec(r)
+            hr = op.matvec(at_r)
+        if out is None:
+            return hr, at_r
+        if at_r is None:
+            out[:] = hr
+            return out, None
+        n = at_r.size
+        out[:n], out[n:] = at_r, hr
+        return out[n:], out[:n]

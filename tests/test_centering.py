@@ -19,8 +19,8 @@ from trisolve.centering import (
     _step_arrays,
 )
 from trisolve.hybrid import HybridOptions, hybrid_solve
-from trisolve.linalg import (GramProduct, HOperator, Operator, matvec, matvec_transpose, norm2,
-                             prepare)
+from trisolve.linalg import (SYMMETRIC_MIN_ROWS, GramProduct, HOperator, Operator, matvec,
+                             matvec_transpose, norm2, prepare)
 from trisolve.results import CENTERING_TRACE_COLUMNS, SolveResult, System, Trace
 
 
@@ -99,9 +99,9 @@ def _count_applications(h):
     calls = []
     apply = h.apply_with_transpose
 
-    def counted(r):
+    def counted(r, out=None):
         calls.append(r)
-        return apply(r)
+        return apply(r, out)
 
     h.apply_with_transpose = counted
     return calls
@@ -385,6 +385,164 @@ class TestStepBits:
             assert order == order_ref
             assert r_new.tobytes() == r_ref.tobytes()
             assert x_new.tobytes() == x_ref.tobytes()
+
+
+def _two_chain_step(x, r, t, h, r_norm):
+    """The step as two chains of numpy calls, one on ``r`` and one on ``x``,
+    each term through a temporary of its own, on Krylov vectors in arrays of
+    their own: the step before ``x`` and ``r`` were stacked."""
+    p, q = [r], []
+    for _ in range(t):
+        hp, at_p = h.apply_with_transpose(p[-1])
+        p.append(hp)
+        if at_p is not None:
+            q.append(at_p)
+    phi = np.array([float(p[k // 2].dot(p[k - k // 2])) for k in range(1, 2 * t + 1)])
+    mom = Moments(t, phi, p, q or None)
+    if phi[1] == 0.0:
+        raise NormalEquationReached
+    if h.gram is not None:
+        atr_norm = float(np.sqrt(abs(phi[0])))
+    elif q:
+        atr_norm = norm2(q[0])
+    else:
+        atr_norm = norm2(p[1])
+    best = None
+    for order in range(t, 0, -1):
+        alpha = min_norm_coefficients(mom, order)
+        r_new = alpha[0] * p[1]
+        np.subtract(r, r_new, out=r_new)
+        for i in range(1, order):
+            r_new -= alpha[i] * p[i + 1]
+        cand_norm = norm2(r_new)
+        if best is None or cand_norm < best[0]:
+            best = (cand_norm, order, alpha, r_new)
+        if cand_norm <= r_norm * (1.0 + centering._MONOTONE_SLACK):
+            break
+    _, order, alpha, r_new = best
+    directions = q or p
+    x_new = alpha[0] * directions[0]
+    np.add(x, x_new, out=x_new)
+    for i in range(1, order):
+        x_new += alpha[i] * directions[i]
+    return x_new, r_new, order, atr_norm
+
+
+def _solve_two_chain(a, b, opts, monkeypatch):
+    """``centering_solve`` whose steps run :func:`_two_chain_step` on the
+    ``x`` and ``r`` of the stacked state, and hand the driver ``norm2`` of
+    the fresh ``r_new``, as the loop once measured it."""
+
+    def two_chain(s, t, h, r_norm):
+        k = s.size - h.dim
+        x_new, r_new, order, atr_norm = _two_chain_step(0.0 - s[:k], s[k:].copy(), t, h, r_norm)
+        # no zero of x_new is -0.0, so -x_new stacks it exactly
+        assert not np.signbit(x_new[x_new == 0.0]).any()
+        return np.concatenate((-x_new, r_new)), order, atr_norm, norm2(r_new)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(centering, "_step", two_chain)
+        return centering_solve(a, b, opts)
+
+
+class TestStackedSolveBits:
+    """``x`` and ``r`` advance as one vector ``[-x; r]`` over one block of
+    products.  Whole solves must return the ``x``, ``y``, status, iterations
+    and trace of the two-chain step, byte for byte and signed zeros
+    included, on every path of the products and the driver."""
+
+    @staticmethod
+    def _case(case):
+        rng = np.random.default_rng(41)
+        if case.startswith("csr-"):
+            a = gallery.make("convdiff", 8)
+            index = np.int32 if case == "csr-int32" else np.int64
+            a = sparse.csr_array((a.data, a.indices.astype(index), a.indptr.astype(index)),
+                                 shape=a.shape)
+            return a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=1e-10), None
+        if case in ("tall-dense", "empty-column-dense"):
+            a = rng.standard_normal((40, 25))
+            empty = None
+            if case == "empty-column-dense":
+                empty = 3
+                a[:, empty] = 0.0
+            return a, rng.standard_normal(40), CenteringOptions(epsilon=1e-10), empty
+        if case == "empty-column-csr":
+            a = gallery.make("convdiff", 8).tolil()
+            a[:, 5] = 0.0
+            a = sparse.csr_array(a)
+            a.eliminate_zeros()
+            # capped past a recheck: x is read off the recurrence at the exit
+            opts = CenteringOptions(epsilon=1e-10, max_iters=260)
+            return a, rng.standard_normal(a.shape[0]), opts, 5
+        if case in ("formed", "formed-dsymv"):
+            m = 30 if case == "formed" else SYMMETRIC_MIN_ROWS + 8
+            a = rng.standard_normal((m, m + 40))
+            return a, rng.standard_normal(m), CenteringOptions(epsilon=1e-10, max_iters=300), None
+        if case == "symmetric-csr":
+            a = gallery.make("poisson-d", 12)
+            return a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=1e-10, h_mode="a"), None
+        if case == "dsymv":
+            half = rng.standard_normal((SYMMETRIC_MIN_ROWS + 8, 260))
+            a = half @ half.T
+            assert np.array_equal(a, a.T)  # applied from one triangle
+            opts = CenteringOptions(epsilon=1e-10, h_mode="a", max_iters=300)
+            return a, gallery.row_sum_rhs(a), opts, None
+        assert case == "gram-product"
+        wide = rng.standard_normal((10, 15))
+        return GramProduct(wide), wide.T @ rng.standard_normal(10), CenteringOptions(1e-8), None
+
+    @pytest.mark.parametrize("case", [
+        "csr-int32", "csr-int64", "tall-dense", "formed", "formed-dsymv", "symmetric-csr",
+        "dsymv", "gram-product", "empty-column-csr", "empty-column-dense"])
+    def test_solves_keep_the_bits_of_the_two_chain_step(self, case, monkeypatch):
+        a, b, opts, empty = self._case(case)
+        got = centering_solve(a, b, opts)
+        ref = _solve_two_chain(a, b, opts, monkeypatch)
+        assert (got.status, got.iterations, got.detail) == (ref.status, ref.iterations, ref.detail)
+        assert got.x.tobytes() == ref.x.tobytes()
+        assert (got.y is None) == (ref.y is None)
+        if got.y is not None:
+            assert got.y.tobytes() == ref.y.tobytes()
+        for column in CENTERING_TRACE_COLUMNS:
+            assert got.trace.column(column) == ref.trace.column(column)
+        assert not np.signbit(got.x[got.x == 0.0]).any()
+        if empty is not None:
+            assert got.x[empty] == 0.0  # no step moves the column A does not have
+        assert (got.y is not None) == case.startswith("formed")  # G formed, y returned
+
+    @pytest.mark.parametrize("case", ["csr-int32", "formed", "symmetric-csr", "empty-column-csr"])
+    def test_chunked_updates_keep_the_bits(self, case, monkeypatch):
+        # a state longer than _CHUNK entries is updated a chunk at a time:
+        # here chunks of 7, the last one shorter
+        a, b, opts, _ = self._case(case)
+        whole = centering_solve(a, b, opts)
+        monkeypatch.setattr(centering, "_CHUNK", 7)
+        chunked = centering_solve(a, b, opts)
+        assert (chunked.status, chunked.iterations) == (whole.status, whole.iterations)
+        assert chunked.x.tobytes() == whole.x.tobytes()
+        assert (chunked.y is None) == (whole.y is None)
+        if whole.y is not None:
+            assert chunked.y.tobytes() == whole.y.tobytes()
+
+    @pytest.mark.parametrize("case", ["dense", "dsymv", "csr"])
+    def test_symmetric_mode_reads_its_normal_residual_off_the_moments(self, case):
+        # ||A r|| is sqrt(phi_2): the ddot norm2(A r) takes, on the same p_1
+        rng = np.random.default_rng(43)
+        m = {"dense": 40, "dsymv": SYMMETRIC_MIN_ROWS + 8, "csr": 144}[case]
+        if case == "csr":
+            a = gallery.make("poisson-d", 12)
+        else:
+            half = rng.standard_normal((m, m // 2))
+            a = half @ half.T
+        h = HOperator(a, "a")
+        h.form_gram()
+        assert h.exactly_symmetric is (case == "dsymv")
+        for t in (1, 3):
+            x, r = rng.standard_normal(m), rng.standard_normal(m)
+            _, _, _, atr_norm = _step_arrays(x, r, t, h)
+            expected = norm2(h.operator.matvec(r) if case != "dsymv" else h.apply(r))
+            assert np.float64(atr_norm).tobytes() == np.float64(expected).tobytes()
 
 
 class TestSchedule:
@@ -789,16 +947,16 @@ class TestExplicitGram:
         # in symmetric mode) passes the clause while the true one fails: the
         # solve goes to the true residual of x and measures it itself
         a, b, opts = _claim_case(case)
-        step, lies = centering._step_arrays, []
+        step, lies = centering._step, []
 
-        def lying(x, r, t, h, r_norm=None):
-            x_new, r_new, order, atr_norm = step(x, r, t, h, r_norm)
+        def lying(s, t, h, r_norm):
+            s_new, order, atr_norm, new_norm = step(s, t, h, r_norm)
             if not lies:
                 lies.append(atr_norm)
                 atr_norm = 0.0
-            return x_new, r_new, order, atr_norm
+            return s_new, order, atr_norm, new_norm
 
-        monkeypatch.setattr(centering, "_step_arrays", lying)
+        monkeypatch.setattr(centering, "_step", lying)
         faked = centering_solve(a, b, opts)
         assert len(lies) == 1 and lies[0] > opts.epsilon * norm2(b)
         assert faked.success and status_holds(faked, a, b, opts.epsilon, opts.h_mode)
@@ -836,16 +994,17 @@ class TestDriftRecheck:
     @staticmethod
     def _drift_once(monkeypatch):
         """One entry per step: whether ``G`` was formed."""
-        step, formed = centering._step_arrays, []
+        step, formed = centering._step, []
 
-        def drifting(x, r, t, h, r_norm=None):
-            x_new, r_new, order, atr_norm = step(x, r, t, h, r_norm)
+        def drifting(s, t, h, r_norm):
+            s_new, order, atr_norm, new_norm = step(s, t, h, r_norm)
             if not formed:
-                r_new *= 1.0 + 1e-6
+                s_new[-h.dim:] *= 1.0 + 1e-6
+                new_norm = norm2(s_new[-h.dim:])
             formed.append(h.gram is not None)
-            return x_new, r_new, order, atr_norm
+            return s_new, order, atr_norm, new_norm
 
-        monkeypatch.setattr(centering, "_step_arrays", drifting)
+        monkeypatch.setattr(centering, "_step", drifting)
         return formed
 
     def test_drift_on_x_ends_the_solve(self, monkeypatch):

@@ -208,6 +208,60 @@ class TestSymmetricKernel:
         assert hr.tobytes() == matvec(h.gram, r, symmetric=True).tobytes()
 
 
+class TestProductsIntoOut:
+    """``HOperator.apply_with_transpose(r, out)`` writes ``[A^T r; H r]``,
+    or ``H r`` alone, into a zeroed ``out`` of ``out_length`` entries and
+    returns views of it, with the bytes of ``out=None``, on every storage and
+    mode."""
+
+    @staticmethod
+    def _operator(case):
+        rng = np.random.default_rng(31)
+        base = sparse.random(9, 12, density=0.4, random_state=rng, format="csr")
+        square = (base[:, :9] + base[:, :9].T).tocsr()
+        wide = rng.standard_normal((SYMMETRIC_MIN_ROWS + 4, SYMMETRIC_MIN_ROWS + 20))
+        mode = "a" if case.startswith("symmetric") else "aat"
+        a = {"csr": base, "csr-int64": _with_index_dtype(base, np.int64),
+             "csc": base.tocsc(), "coo": base.tocoo(), "dense": base.toarray(),
+             "tall-dense": base.toarray().T, "formed": base.toarray(), "formed-dsymv": wide,
+             "gram-product": GramProduct(base), "symmetric-csr": square,
+             "symmetric-dense": square.toarray(), "symmetric-dsymv": _exactly_symmetric(600),
+             }[case]
+        h = HOperator(a, mode)
+        if case in ("formed", "formed-dsymv", "symmetric-dsymv"):
+            h.form_gram()
+        assert (h.gram is not None) is case.startswith("formed")
+        assert h.exactly_symmetric is (case == "symmetric-dsymv")
+        return h
+
+    @pytest.mark.parametrize("case", [
+        "csr", "csr-int64", "csc", "coo", "dense", "tall-dense", "formed", "formed-dsymv",
+        "gram-product", "symmetric-csr", "symmetric-dense", "symmetric-dsymv"])
+    def test_products_are_views_of_out_with_the_same_bytes(self, case):
+        h = self._operator(case)
+        m, n = h.operator.shape
+        rng = np.random.default_rng(32)
+        for r in (rng.standard_normal(m), rng.standard_normal(2 * m)[::2]):
+            hr, at_r = h.apply_with_transpose(r)
+            out = np.zeros(h.out_length)
+            into, at_into = h.apply_with_transpose(r, out)
+            assert np.shares_memory(into, out) and into.tobytes() == hr.tobytes()
+            if at_r is None:
+                assert at_into is None and h.out_length == m
+                assert out.tobytes() == hr.tobytes()
+            else:
+                assert np.shares_memory(at_into, out) and at_into.tobytes() == at_r.tobytes()
+                assert out.tobytes() == np.concatenate((at_r, hr)).tobytes()
+        for bad in (np.ones(m + 1), np.ones(max(m - 1, 0))):
+            with pytest.raises(ValueError) as plain:
+                h.apply_with_transpose(bad)
+            out = np.zeros(h.out_length)
+            with pytest.raises(ValueError) as into:
+                h.apply_with_transpose(bad, out)
+            assert str(into.value) == str(plain.value)
+            assert not out.any()  # nothing was written
+
+
 class TestNorm2:
     def test_three_four_five(self):
         assert norm2(np.array([3.0, 4.0])) == 5.0
@@ -473,8 +527,28 @@ class TestStoredTranspose:
                 h.apply(np.ones(a.shape[0] + 1))
             calls.clear()
 
+    def test_symmetric_mode_on_csr_storage_binds_its_kernel(self, module_products):
+        # H = A on square CSR storage, int32 and narrowed int64 indices:
+        # one call of the csr_matvec kernel H bound when it was built, with
+        # the bits of the operator's own product
+        calls = module_products
+        rng = np.random.default_rng(27)
+        square = [a for a in self._cases() if a.shape[0] == a.shape[1]]
+        assert len(square) == 4
+        for a in square:
+            h = HOperator(a, "a")
+            for r in self._vectors(rng, a.shape[0]):
+                expected = h.operator.matvec(r).tobytes()
+                calls.clear()
+                hr, direction = h.apply_with_transpose(r)
+                assert direction is None and hr.tobytes() == expected
+                assert calls == []
+            with pytest.raises(ValueError, match="^matvec: vector has length"):
+                h.apply(np.ones(a.shape[0] + 1))
+
     @pytest.mark.parametrize("case, products", [
-        ("symmetric-csr", ["matvec"]),
+        # symmetric mode on CSR storage: the kernel H bound when it was built
+        ("symmetric-csr", []),
         ("csc", ["matvec_transpose", "matvec"]),
         ("coo", ["matvec_transpose", "matvec"]),
         ("dense", ["matvec_transpose", "matvec"]),

@@ -76,11 +76,6 @@ if _gelsd is None:
 # Accept a step as monotone up to this relative slack.
 _MONOTONE_SLACK = 1e-13
 
-# A stacked state longer than this many entries is updated a chunk of this
-# length at a time, so that the chunk and its scaled term stay in cache from
-# one term to the next; a shorter one in one piece.
-_CHUNK = 1 << 15
-
 # Recompute r = b - A x this often and fail on drift beyond the budget.
 _RECHECK_EVERY = 250
 
@@ -97,43 +92,34 @@ class Moments:
     directions ``q_i = A^T p_{i-1}`` that produced them (else ``None``),
     kept for reuse in the residual and solution updates.
 
-    The products live in ``block``, laid out in the order a step uses them:
-    ``[q_1 p_1 q_2 p_2 ...]`` when ``H`` is applied as ``A (A^T p)``, else
-    ``[r p_1 ... p_t]``.  Term ``i`` of the update of the stacked state
-    ``[-x; r]`` is then the one slice ``z_i = [q_i; p_i]``, or
-    ``[p_{i-1}; p_i]`` (``p_{i-1}`` moves ``x`` in symmetric mode and ``y``
-    with ``G`` formed): ``z_i`` starts at ``(i - 1) * stride`` and is
-    ``width`` long."""
+    ``p_0 = r`` and the products are views of ``block``, laid out in the
+    order a step uses them: ``[r q_1 p_1 q_2 p_2 ...]`` when ``H`` is
+    applied as ``A (A^T p)``, else ``[r p_1 ... p_t]``.  Term ``i`` of the
+    update of the stacked state ``[-x; r]`` is then the one slice of
+    ``block`` of the state's length that ends with ``p_i``: ``[q_i; p_i]``,
+    or ``[p_{i-1}; p_i]`` (``p_{i-1}`` moves ``x`` in symmetric mode and
+    ``y`` with ``G`` formed)."""
 
     t: int
     phi: np.ndarray
     krylov: list
     transposed: list | None
-    block: np.ndarray | None = None
-    stride: int = 0  # offset from z_i to z_{i+1} in block
-    width: int = 0   # length of z_i, that of the stacked state
+    block: np.ndarray
 
 
 def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     """Compute ``phi_i = r^T H^i r`` for ``i = 1..2t`` from ``t``
-    applications of ``H``, written into one zeroed block (see
+    applications of ``H``, written into one zeroed block after ``r`` (see
     :class:`Moments`); the high moments come from inner products of the
     stored powers (``phi_{i+j} = p_i^T p_j``, exact for symmetric ``H``).
     Raises ``FloatingPointError`` when a moment is not finite."""
     if not 1 <= t <= h.dim:
         raise ValueError(f"order t={t} outside 1..{h.dim}")
     m, size = h.dim, h.out_length
-    p = [np.asarray(r, dtype=np.float64)]
-    q = []
-    if size == m:  # [r p_1 ... p_t]
-        block = np.zeros((t + 1) * m)
-        block[:m] = p[0]
-        first, stride, width = m, m, 2 * m
-    else:  # [q_1 p_1 ... q_t p_t]
-        block = np.zeros(t * size)
-        first, stride, width = 0, size, size
-    for i in range(t):
-        start = first + i * stride
+    block = np.zeros(m + t * size)
+    block[:m] = r
+    p, q = [block[:m]], []
+    for start in range(m, block.size, size):
         hp, at_p = h.apply_with_transpose(p[-1], block[start:start + size])
         p.append(hp)
         if at_p is not None:
@@ -146,7 +132,7 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
             # checked here so that LAPACK never sees (and reports) it
             raise FloatingPointError("non-finite moments")
         phi[k - 1] = value
-    return Moments(t, phi, p, q or None, block, stride, width)
+    return Moments(t, phi, p, q or None, block)
 
 
 @functools.cache
@@ -242,20 +228,6 @@ def _stacked(x, r):
     return np.concatenate((np.negative(x), r))
 
 
-def _chain(out, s, block, stride, alpha, scratch):
-    """``out = s - alpha_1 z_1 - alpha_2 z_2 - ...``, where ``z_i`` is the
-    slice of ``block`` of ``out``'s length at ``(i - 1) * stride``.  It
-    starts from the first term, with no copy of ``s`` (one pass fewer), and
-    subtracts the terms from ``s`` one by one, each scaled into ``scratch``
-    (tests/test_centering.py pins the bits)."""
-    size = out.size
-    np.multiply(block[:size], alpha[0], out=out)
-    np.subtract(s, out, out=out)
-    for i in range(1, alpha.size):
-        start = i * stride
-        out -= np.multiply(block[start:start + size], alpha[i], out=scratch)
-
-
 def _step(s, t, h, r_norm):
     """One order-``t`` step on the stacked state ``s = [-x; r]``, whose last
     ``h.dim`` entries are ``r``, of norm ``r_norm``; with ``h.gram`` formed,
@@ -268,10 +240,10 @@ def _step(s, t, h, r_norm):
     ``u ||A||^2 ||r||^2``.
 
     The update is one chain ``s - alpha_1 z_1 - alpha_2 z_2 - ...`` over the
-    terms ``z_i`` of the moment block (see :class:`Moments`), each scaled
-    into one scratch vector, over ``s`` in one piece or, past ``_CHUNK``
-    entries, a chunk at a time.  It has the bits of ``r - alpha_i p_i`` and
-    ``x + alpha_i d_i`` applied term by term, since
+    terms ``z_i`` of the moment block (see :class:`Moments`): it starts from
+    the first term, with no copy of ``s``, and subtracts the others one by
+    one, each scaled into one scratch vector.  It has the bits of
+    ``r - alpha_i p_i`` and ``x + alpha_i d_i`` applied term by term, since
     ``fl(-x - fl(alpha d)) = -fl(x + fl(alpha d))``; only the sign of a zero
     of ``x`` may differ, and ``0.0 - s`` reads every zero as ``+0.0``.
     If a step at order ``t`` fails to shrink the residual numerically, it is
@@ -289,18 +261,18 @@ def _step(s, t, h, r_norm):
     else:
         atr_norm = math.sqrt(mom.phi[1])  # p_1 . p_1, the dot norm2(p_1) takes
 
-    block, stride, width = mom.block, mom.stride, mom.width
-    scratch = np.empty(min(width, _CHUNK))
+    # z_i: the s.size entries of the block that end with p_i
+    block, width = mom.block, s.size
+    terms = [block[end - width:end] for end in range(h.dim + h.out_length, block.size + 1,
+                                                     h.out_length)]
+    scratch = np.empty(width)
     best = None
     for order in range(t, 0, -1):
         alpha = min_norm_coefficients(mom, order)
-        s_new = np.empty(width)
-        if width <= _CHUNK:
-            _chain(s_new, s, block, stride, alpha, scratch)
-        else:
-            for lo in range(0, width, _CHUNK):
-                hi = min(lo + _CHUNK, width)
-                _chain(s_new[lo:hi], s[lo:hi], block[lo:], stride, alpha, scratch[:hi - lo])
+        s_new = np.multiply(terms[0], alpha[0])
+        np.subtract(s, s_new, out=s_new)
+        for i in range(1, order):
+            s_new -= np.multiply(terms[i], alpha[i], out=scratch)
         new_norm = norm2(s_new[k:])
         if best is None or new_norm < best[0]:
             best = (new_norm, order, s_new)

@@ -29,9 +29,9 @@ kernels and their arguments once, when it is built, so each application of
 Python frame more (3.2 to 3.7 us instead of 4.7 to 5.2 us on
 ``clement:301`` and ``convdiff:12``), with the same bits; the kernels add
 into a caller's zeroed buffer, so a solve's products can go straight into
-one block.  Other sparse formats, CSR storage of another dtype and dense
-matrices go through scipy's and numpy's own ``@``, a BLAS ``gemv`` for
-dense storage.
+one block.  Other sparse formats and CSR storage of another dtype go
+through scipy's own ``@``, and dense matrices through numpy's ``matmul``, a
+BLAS ``gemv``, which writes into a caller's buffer as well.
 The exception is a symmetric dense ``H`` of ``SYMMETRIC_MIN_ROWS`` rows or
 more: a formed Gram matrix, or in symmetric mode an ``A`` equal to ``A^T``
 to the bit.  :func:`matvec` applies it with BLAS ``dsymv``, which reads one
@@ -138,29 +138,41 @@ def shape_of(a) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def _product(a, v: np.ndarray, m: int, n: int) -> np.ndarray:
+def _product(a, v: np.ndarray, m: int, n: int, out=None) -> np.ndarray:
     """``a @ v`` as a vector of length ``m``, for an ``m x n`` matrix ``a``
-    and a float64 vector ``v`` of length ``n``; float64 CSR storage goes
-    straight to the kernel, with the output buffer that ``a @ v`` would
-    allocate.  Other storage keeps its own ``@``, whose result for one row
-    of n-d COO storage is a numpy scalar, hence the reshape."""
+    and a float64 vector ``v`` of length ``n``, in ``out`` when given (see
+    :func:`matvec`).  Dense storage is numpy's ``matmul`` into ``out``;
+    float64 CSR storage goes straight to the kernel, with the output buffer
+    that ``a @ v`` would allocate.  Other storage keeps its own ``@``, whose
+    result for one row of n-d COO storage is a numpy scalar, hence the
+    reshape, and is copied into ``out``."""
     if type(a) is np.ndarray:
-        return a @ v
+        return np.matmul(a, v, out=out)
     _, csr_types, csr_matvec, _ = scipy_sparse()
     if isinstance(a, csr_types) and a.dtype == np.float64:
-        out = np.zeros(m)
+        if out is None:
+            out = np.zeros(m)
         csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
         return out
-    return np.asarray(a @ v).reshape(m)
+    product = np.asarray(a @ v).reshape(m)
+    if out is None:
+        return product
+    out[:] = product
+    return out
 
 
-def matvec(a, v: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
+def matvec(a, v: np.ndarray, *, symmetric: bool = False, out=None) -> np.ndarray:
     """``A @ v`` for a stored matrix, with a deterministic summation order
     for fixed storage.  ``symmetric`` asserts that ``a`` is exactly
     symmetric: a float64 square ndarray of at least ``SYMMETRIC_MIN_ROWS``
     rows then goes to BLAS ``dsymv``, which reads one triangle, half the
     bytes of ``a @ v``, and rounds differently.  Anything else keeps
-    ``a @ v`` and its bits."""
+    ``a @ v`` and its bits.
+
+    ``out``, a zero-filled contiguous float64 vector of ``A``'s row count,
+    takes the product and is returned: dense and float64 CSR products write
+    into it in place, other sparse storage is copied in.  A wrong-length
+    ``v`` raises ``ValueError`` before ``out`` is touched."""
     v = np.asarray(v, dtype=np.float64)
     m, n = a.shape
     if v.shape != (n,):
@@ -168,19 +180,24 @@ def matvec(a, v: np.ndarray, *, symmetric: bool = False) -> np.ndarray:
     if (symmetric and m == n and m >= SYMMETRIC_MIN_ROWS and type(a) is np.ndarray
             and a.dtype == np.float64):
         # the Fortran-ordered one of a and a.T, equal by symmetry: scipy
-        # copies a C-ordered argument, about 7x the product at 1000 rows
-        return blas_dsymv()(1.0, a.T if a.flags.c_contiguous else a, v, lower=1)
-    return _product(a, v, m, n)
+        # copies a C-ordered argument, about 7x the product at 1000 rows;
+        # y is the zero vector dsymv would otherwise allocate
+        if out is None:
+            out = np.zeros(m)
+        return blas_dsymv()(1.0, a.T if a.flags.c_contiguous else a, v, y=out,
+                            overwrite_y=True, lower=1)
+    return _product(a, v, m, n, out)
 
 
-def matvec_transpose(a, v: np.ndarray) -> np.ndarray:
+def matvec_transpose(a, v: np.ndarray, out=None) -> np.ndarray:
     """``A.T @ v`` for a stored matrix, read from ``a``'s own storage: a
     float64 CSR ``a`` goes to ``csc_matvec`` on its arrays, anything else to
     the product :func:`_product` makes on the view ``a.T``.  A CSC ``a`` has
     a CSR view, which goes to ``csr_matvec``; other sparse views run
     scipy's ``@``, and dense ``a`` BLAS ``a.T @ v``.  For CSR or CSC ``a``
     each entry of the result adds the terms ``A_ji v_j`` in ascending ``j``,
-    duplicates in storage order: the bits of ``v @ a``.
+    duplicates in storage order: the bits of ``v @ a``.  ``out`` is that of
+    :func:`matvec`, of ``A``'s column count.
     """
     v = np.asarray(v, dtype=np.float64)
     m, n = a.shape
@@ -189,10 +206,11 @@ def matvec_transpose(a, v: np.ndarray) -> np.ndarray:
     if type(a) is not np.ndarray:
         _, csr_types, _, csc_matvec = scipy_sparse()
         if isinstance(a, csr_types) and a.dtype == np.float64:
-            out = np.zeros(n)
+            if out is None:
+                out = np.zeros(n)
             csc_matvec(n, m, a.indptr, a.indices, a.data, v, out)
             return out
-    return _product(a.T, v, n, m)
+    return _product(a.T, v, n, m, out)
 
 
 def norm2(v: np.ndarray) -> float:
@@ -259,11 +277,11 @@ class Operator:
         self.matrix = matrix
         self.shape = shape_of(matrix)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return matvec(self.matrix, v)
+    def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
+        return matvec(self.matrix, v, out=out)
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return matvec_transpose(self.matrix, v)
+    def rmatvec(self, v: np.ndarray, out=None) -> np.ndarray:
+        return matvec_transpose(self.matrix, v, out)
 
     def entries(self) -> np.ndarray:
         """Values whose Euclidean norm is ``||A||_F``: the dense matrix, the
@@ -373,7 +391,8 @@ class HOperator:
     the bits are the same and the four Python frames between them go (3.2
     to 3.7 us instead of 4.7 to 5.2 us per Gram-mode application on
     centering's small gallery systems).  Other storage and caller-supplied
-    operators keep the operator's own products.
+    operators keep the operator's own products; dense ones write into the
+    caller's buffer, the others are copied into it.
 
     ``out_length`` is the length of the buffer :meth:`apply_with_transpose`
     fills when given one: ``n + m`` while it computes ``A^T r`` as well,
@@ -441,7 +460,9 @@ class HOperator:
         ``out``, a zero-filled float64 vector of :attr:`out_length`, takes
         the products: ``[A^T r; H r]``, or ``H r`` alone, and the results
         are views of it.  The kernels bound on CSR storage add into it in
-        place; every other product is copied into it."""
+        place, and dense products (``gemv``, ``dsymv``, a formed ``gram``)
+        write into it (see :func:`matvec`); other sparse storage and caller
+        operators are copied into it."""
         if self._kernels is not None:
             m, n, indptr, indices, data, csr_matvec, csc_matvec = self._kernels
             r = np.asarray(r, dtype=np.float64)
@@ -456,21 +477,23 @@ class HOperator:
                 csr_matvec(m, n, indptr, indices, data, at_r, hr)
                 return hr, at_r
         op = self.operator
-        at_r = None
         if self.gram is not None:
-            hr = matvec(self.gram, r, symmetric=True)
-        elif self.exactly_symmetric:
-            hr = matvec(op.matrix, r, symmetric=True)
-        elif self.mode == H_MODE_SYMMETRIC:
-            hr = op.matvec(r)
-        else:
-            at_r = op.rmatvec(r)
-            hr = op.matvec(at_r)
+            return matvec(self.gram, r, symmetric=True, out=out), None
+        if self.exactly_symmetric:
+            return matvec(op.matrix, r, symmetric=True, out=out), None
+        if self.mode == H_MODE_SYMMETRIC:
+            return self._product(op.matvec, r, out), None
+        n = op.shape[1]
+        at_r = self._product(op.rmatvec, r, None if out is None else out[:n])
+        return self._product(op.matvec, at_r, None if out is None else out[n:]), at_r
+
+    def _product(self, product, v, out):
+        """``product(v)``, in ``out`` when given: an :class:`Operator`'s
+        products write into it themselves, a caller operator's result is
+        copied in."""
         if out is None:
-            return hr, at_r
-        if at_r is None:
-            out[:] = hr
-            return out, None
-        n = at_r.size
-        out[:n], out[n:] = at_r, hr
-        return out[n:], out[:n]
+            return product(v)
+        if isinstance(self.operator, Operator):
+            return product(v, out)
+        out[:] = product(v)
+        return out

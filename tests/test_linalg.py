@@ -262,6 +262,34 @@ class TestProductsIntoOut:
             assert not out.any()  # nothing was written
 
 
+    def test_dense_products_write_into_out_with_the_bits_of_matmul(self):
+        # gemv into a slice of a larger zeroed block, on C- and F-ordered and
+        # strided storage, with contiguous and strided vectors: the bytes of
+        # a @ v and a.T @ v; dsymv into it has the bytes of its own result
+        rng = np.random.default_rng(33)
+        base = rng.standard_normal((70, 90))
+        for a in (base, np.asfortranarray(base), base[::2, 1::3], base.T):
+            m, n = a.shape
+            for v, w in ((rng.standard_normal(n), rng.standard_normal(m)),
+                         (rng.standard_normal(2 * n)[::2], rng.standard_normal(2 * m)[::2])):
+                for product, vector, length, expected in (
+                        (lambda v, out: matvec(a, v, out=out), v, m, a @ v),
+                        (lambda v, out: matvec_transpose(a, v, out), w, n, a.T @ w),
+                        (lambda v, out: Operator(a).matvec(v, out), v, m, a @ v),
+                        (lambda v, out: Operator(a).rmatvec(v, out), w, n, a.T @ w)):
+                    block = np.zeros(length + 5)
+                    got = product(vector, block[3:3 + length])
+                    assert np.shares_memory(got, block) and got.tobytes() == expected.tobytes()
+                    assert not block[:3].any() and not block[3 + length:].any()
+        g = _exactly_symmetric(SYMMETRIC_MIN_ROWS + 3)
+        m = g.shape[0]
+        v = rng.standard_normal(m)
+        block = np.zeros(m + 4)
+        got = matvec(g, v, symmetric=True, out=block[2:2 + m])
+        assert np.shares_memory(got, block)
+        assert got.tobytes() == matvec(g, v, symmetric=True).tobytes()
+
+
 class TestNorm2:
     def test_three_four_five(self):
         assert norm2(np.array([3.0, 4.0])) == 5.0

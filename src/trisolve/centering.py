@@ -87,23 +87,20 @@ class NormalEquationReached(Exception):
 
 @dataclass
 class Moments:
-    """Moments ``phi_1..phi_2t`` of ``r`` under ``H``, with the Krylov
-    vectors ``p_i = H^i r`` and, when ``H`` is applied as ``A (A^T p)``, the
-    directions ``q_i = A^T p_{i-1}`` that produced them (else ``None``),
-    kept for reuse in the residual and solution updates.
+    """Moments ``phi_1..phi_2t`` of ``r`` under ``H``, and ``block``, the one
+    holder of the products they came from, kept for the updates.
 
-    ``p_0 = r`` and the products are views of ``block``, laid out in the
-    order a step uses them: ``[r q_1 p_1 q_2 p_2 ...]`` when ``H`` is
-    applied as ``A (A^T p)``, else ``[r p_1 ... p_t]``.  Term ``i`` of the
-    update of the stacked state ``[-x; r]`` is then the one slice of
-    ``block`` of the state's length that ends with ``p_i``: ``[q_i; p_i]``,
-    or ``[p_{i-1}; p_i]`` (``p_{i-1}`` moves ``x`` in symmetric mode and
-    ``y`` with ``G`` formed)."""
+    ``block`` holds ``p_0 = r`` and the Krylov vectors ``p_i = H^i r`` in
+    the order a step uses them: ``[r q_1 p_1 q_2 p_2 ...]`` when ``H`` is
+    applied as ``A (A^T p)`` (``h.out_length > h.dim``), with
+    ``q_i = A^T p_{i-1}`` the direction that produced ``p_i``, else
+    ``[r p_1 ... p_t]``.  Term ``i`` of the update of the stacked state
+    ``[-x; r]`` is then the one slice of ``block`` of the state's length
+    that ends with ``p_i``: ``[q_i; p_i]``, or ``[p_{i-1}; p_i]``
+    (``p_{i-1}`` moves ``x`` in symmetric mode and ``y`` with ``G`` formed)."""
 
     t: int
     phi: np.ndarray
-    krylov: list
-    transposed: list | None
     block: np.ndarray
 
 
@@ -111,19 +108,17 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
     """Compute ``phi_i = r^T H^i r`` for ``i = 1..2t`` from ``t``
     applications of ``H``, written into one zeroed block after ``r`` (see
     :class:`Moments`); the high moments come from inner products of the
-    stored powers (``phi_{i+j} = p_i^T p_j``, exact for symmetric ``H``).
+    powers, read as views of the block (``phi_{i+j} = p_i^T p_j``, exact
+    for symmetric ``H``).
     Raises ``FloatingPointError`` when a moment is not finite."""
     if not 1 <= t <= h.dim:
         raise ValueError(f"order t={t} outside 1..{h.dim}")
     m, size = h.dim, h.out_length
     block = np.zeros(m + t * size)
     block[:m] = r
-    p, q = [block[:m]], []
+    p = [block[:m]]
     for start in range(m, block.size, size):
-        hp, at_p = h.apply_with_transpose(p[-1], block[start:start + size])
-        p.append(hp)
-        if at_p is not None:
-            q.append(at_p)
+        p.append(h.apply_with_transpose(p[-1], block[start:start + size])[0])
     phi = np.empty(2 * t)
     for k in range(1, 2 * t + 1):
         i = k // 2
@@ -132,7 +127,7 @@ def moments(h: HOperator, r: np.ndarray, t: int) -> Moments:
             # checked here so that LAPACK never sees (and reports) it
             raise FloatingPointError("non-finite moments")
         phi[k - 1] = value
-    return Moments(t, phi, p, q or None, block)
+    return Moments(t, phi, block)
 
 
 @functools.cache
@@ -237,7 +232,7 @@ def _step(s, t, h, r_norm):
     is ``||r_new||`` and ``atr_norm`` is ``||A^T r||`` (``||A r||`` in
     symmetric mode) of the incoming residual; with ``h.gram`` formed it is
     ``sqrt(phi_1)``, whose ``phi_1`` carries rounding of size
-    ``u ||A||^2 ||r||^2``.
+    ``u ||A||^2 ||r||^2``, else ``||q_1||`` off the block or ``sqrt(phi_2)``.
 
     The update is one chain ``s - alpha_1 z_1 - alpha_2 z_2 - ...`` over the
     terms ``z_i`` of the moment block (see :class:`Moments`): it starts from
@@ -256,8 +251,8 @@ def _step(s, t, h, r_norm):
         raise NormalEquationReached
     if h.gram is not None:
         atr_norm = math.sqrt(abs(mom.phi[0]))  # phi_1 = r^T A A^T r
-    elif mom.transposed is not None:
-        atr_norm = norm2(mom.transposed[0])
+    elif h.out_length > h.dim:
+        atr_norm = norm2(mom.block[h.dim:h.out_length])  # q_1 = A^T r
     else:
         atr_norm = math.sqrt(mom.phi[1])  # p_1 . p_1, the dot norm2(p_1) takes
 
@@ -282,14 +277,12 @@ def _step(s, t, h, r_norm):
     return s_new, order, atr_norm, new_norm
 
 
-def _step_arrays(x, r, t, h, r_norm=None):
-    """:func:`_step` on separate arrays ``x`` and ``r``; ``r_norm`` is
-    ``||r||`` when the caller has it.  Returns
-    ``(x_new, r_new, used_order, atr_norm)``, ``x_new`` without ``-0.0``."""
+def _step_arrays(x, r, t, h):
+    """:func:`_step` on separate arrays ``x`` and ``r``, of norm
+    ``norm2(r)``.  Returns ``(x_new, r_new, used_order, atr_norm)``,
+    ``x_new`` without ``-0.0``."""
     r = np.asarray(r, dtype=np.float64)
-    if r_norm is None:
-        r_norm = norm2(r)
-    s_new, order, atr_norm, _ = _step(_stacked(x, r), t, h, r_norm)
+    s_new, order, atr_norm, _ = _step(_stacked(x, r), t, h, norm2(r))
     k = s_new.size - r.size
     return np.subtract(0.0, s_new[:k]), s_new[k:], order, atr_norm
 

@@ -196,6 +196,11 @@ def _summary_dict(result, matrix, family, wall_ms, b_norm):
 
 
 def _cmd_solve(args) -> int:
+    # a flag that the chosen algorithm would drop is refused, not ignored
+    if args.min_norm and args.algo != "hybrid":
+        raise ValueError(f"--min-norm needs --algo hybrid, got --algo {args.algo}")
+    if args.known_solvable and args.algo != "cta":
+        raise ValueError(f"--known-solvable needs --algo cta, got --algo {args.algo}")
     matrix, family = _load_matrix(args)
     b = gallery.row_sum_rhs(matrix)
     start = time.perf_counter()

@@ -1,17 +1,20 @@
 """Two-stage pipeline for rectangular systems: a centering pass takes the
 residual down cheaply, then a triangle-family pass finishes the job.
 
-Stage two's equation is chosen once, from stage one's status: ``Ax = b``
-when stage one reached an approximate solution of it, and otherwise the
-normal-equation pair ``(A^T A, A^T b)``, with the product applied
-implicitly.  Stage two runs on that equation at ``eps_ta`` times the norm
-of its right side, warm-started from stage one's ``x``, and its own iterate
-is kept only if that iterate's residual on the equation is no larger than
-stage one's.
+Stage two's equation is chosen once, after stage one: ``Ax = b`` when
+stage one reached an approximate solution of it, or when a minimum-norm
+solution is asked for and stage one's measured ``||b - A x||`` is at most
+``eps_ta ||b||``, and otherwise the normal-equation pair
+``(A^T A, A^T b)``, with the product applied implicitly.  Stage two runs on
+that equation at ``eps_ta`` times the norm of its right side, warm-started
+from stage one's ``x``, and its own iterate is kept only if that iterate's
+residual on the equation is no larger than stage one's.
 On request, stage two on ``Ax = b`` certifies an approximate minimum-norm
 solution instead, at a gap target no tighter than stage one's residual,
 with a bracket that starts from stage one's dual iterate ``y``
-(``x = A^T y``) when that stage ended on one.
+(``x = A^T y``) when that stage ended on one.  A request that stage two
+does not run on ``Ax = b`` is named in the result's ``detail``, with stage
+one's residual and ``eps_ta ||b||``.
 """
 
 from __future__ import annotations
@@ -72,8 +75,12 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
     if stage1.status == NUMERICAL_FAILURE:
         return system.finish(stage1.status, stage1.x, stage1.iterations,
                              detail=stage1.detail, stage_results=[stage1])
-    # stage two's equation (operator, right side, stage one's residual on it)
-    consistent = stage1.status == APPROX_SOLUTION
+    # stage two's equation (operator, right side, stage one's residual on it);
+    # a min-norm request needs Ax = b, which a measured residual under stage
+    # two's tolerance vouches for whichever clause stopped stage one
+    approx = stage1.status == APPROX_SOLUTION
+    min_norm = opts.want_min_norm and (approx or stage1.residual_norm <= opts.eps_ta * b_norm)
+    consistent = approx or min_norm
     if consistent:
         op2, rhs, before = op, b, stage1.residual_norm
     else:
@@ -86,7 +93,6 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
                              detail="stage two skipped: ||A^T b|| underflows to 0",
                              stage_results=[stage1])
     eps2 = opts.eps_ta * rhs_norm
-    min_norm = consistent and opts.want_min_norm
     if min_norm:
         # the gap target cannot be tighter than the residual stage one delivered
         stage2 = min_norm_solve(op2, rhs, max(eps2, 1.01 * before), stage1.x,
@@ -106,6 +112,10 @@ def hybrid_solve(a, b, options: HybridOptions | None = None) -> SolveResult:
         elif final_status == NORMAL_EQ_SOLUTION:
             final_status = ITERATION_CAP
             detail = "stage two stalled: it certified only the normal equation of (A^T A, A^T b)"
+        if opts.want_min_norm:
+            detail = "; ".join(filter(None, (
+                detail, f"min-norm not run: stage one's ||b - A x|| = "
+                f"{stage1.residual_norm:.3e} > eps_ta ||b|| = {opts.eps_ta * b_norm:.3e}")))
     trace.extend(stage2.trace, stage="stage2")
     return system.finish(final_status, x, stage1.iterations + stage2.iterations,
                          rho=stage2.rho, rho_interval=stage2.rho_interval, detail=detail,

@@ -392,11 +392,11 @@ class HOperator:
     to 3.7 us instead of 4.7 to 5.2 us per Gram-mode application on
     centering's small gallery systems).  Other storage and caller-supplied
     operators keep the operator's own products; dense ones write into the
-    caller's buffer, the others are copied into it.
+    buffer, the others are copied into it.
 
-    ``out_length`` is the length of the buffer :meth:`apply_with_transpose`
-    fills when given one: ``n + m`` while it computes ``A^T r`` as well,
-    else ``m``.
+    ``out_length`` is the length of the one buffer
+    :meth:`apply_with_transpose` fills, the caller's or its own: ``n + m``
+    while it computes ``A^T r`` as well, else ``m``.
     """
 
     def __init__(self, a, mode: str = H_MODE_GRAM):
@@ -457,18 +457,18 @@ class HOperator:
         intermediate comes for free; ``(H r, None)`` when no ``A^T`` product
         was computed: in symmetric mode, and with ``gram`` formed.
 
-        ``out``, a zero-filled float64 vector of :attr:`out_length`, takes
-        the products: ``[A^T r; H r]``, or ``H r`` alone, and the results
-        are views of it.  The kernels bound on CSR storage add into it in
-        place, and dense products (``gemv``, ``dsymv``, a formed ``gram``)
-        write into it (see :func:`matvec`); other sparse storage and caller
-        operators are copied into it."""
+        ``out``, a zero-filled float64 vector of :attr:`out_length` that is
+        allocated here when not given, takes the products: ``[A^T r; H r]``,
+        or ``H r`` alone, and the results are views of it.  The kernels bound
+        on CSR storage add into it in place, and dense products (``gemv``,
+        ``dsymv``, a formed ``gram``) write into it (see :func:`matvec`);
+        other sparse storage and caller operators are copied into it."""
+        if out is None:
+            out = np.zeros(self.out_length)
         if self._kernels is not None:
             m, n, indptr, indices, data, csr_matvec, csc_matvec = self._kernels
             r = np.asarray(r, dtype=np.float64)
             if r.shape == (m,):  # else the operator's own product names the length
-                if out is None:
-                    out = np.zeros(self.out_length)
                 if self.mode == H_MODE_SYMMETRIC:
                     csr_matvec(m, n, indptr, indices, data, r, out)
                     return out, None
@@ -484,15 +484,12 @@ class HOperator:
         if self.mode == H_MODE_SYMMETRIC:
             return self._product(op.matvec, r, out), None
         n = op.shape[1]
-        at_r = self._product(op.rmatvec, r, None if out is None else out[:n])
-        return self._product(op.matvec, at_r, None if out is None else out[n:]), at_r
+        at_r = self._product(op.rmatvec, r, out[:n])
+        return self._product(op.matvec, at_r, out[n:]), at_r
 
     def _product(self, product, v, out):
-        """``product(v)``, in ``out`` when given: an :class:`Operator`'s
-        products write into it themselves, a caller operator's result is
-        copied in."""
-        if out is None:
-            return product(v)
+        """``product(v)`` in ``out``: an :class:`Operator`'s products write
+        into it themselves, a caller operator's result is copied in."""
         if isinstance(self.operator, Operator):
             return product(v, out)
         out[:] = product(v)

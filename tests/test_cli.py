@@ -181,7 +181,13 @@ class TestSolve:
                   "--eps", "1e-6", "--min-norm", "--summary", str(summary)])
         assert rc == 0
         data = json.loads(summary.read_text())
-        assert data["outcome"] in ("min_norm_solution", "approx_solution")
+        assert data["outcome"] == "min_norm_solution"
+
+    @pytest.mark.parametrize("flag, algo, needed", [
+        ("--min-norm", "cta", "hybrid"), ("--known-solvable", "hybrid", "cta")])
+    def test_flags_the_algorithm_would_drop_are_refused(self, flag, algo, needed, capsys):
+        assert run(["solve", "--gen", "diag-pd:30", "--algo", algo, flag]) == 1
+        assert f"error: {flag} needs --algo {needed}, got --algo {algo}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from trisolve import gallery
 from trisolve.hybrid import HybridOptions, hybrid_solve
 from trisolve.linalg import GramProduct, norm2, prepare
 from trisolve.triangle import solve_adaptive
@@ -113,6 +115,38 @@ class TestHybrid:
         assert res.normal_residual_norm > eps_ta * norm2(a.T @ b)
         assert res.status == "iteration_cap"
         assert "stage two stalled" in res.detail
+
+    def test_min_norm_runs_on_a_measured_residual_under_eps_ta(self):
+        # on the ill-conditioned Lotkin matrix stage one stops on its
+        # normal-equation clause, with ||b - A x|| = 8.6e-8 under
+        # eps_ta ||b||: stage two brackets the minimum norm on (A, b), whose
+        # exact solution is x = ones, of norm sqrt(8)
+        a = gallery.make("lotkin", 8)
+        b = gallery.row_sum_rhs(a)
+        res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-8, eps_ta=1e-4, want_min_norm=True))
+        stage1 = res.stage_results[0]
+        assert stage1.status == "normal_eq_solution"
+        assert stage1.residual_norm <= 1e-4 * norm2(b)
+        assert res.status == "min_norm_solution" and res.detail == ""
+        low, high = res.rho_interval
+        # rho_hi is the norm of an approximate solution, so it may lie below
+        # ||x*||, here by 3.9e-10: within the bracket's own width of 3.0e-8
+        assert low <= math.sqrt(8) <= high + (high - low)
+        assert res.residual_norm <= 1e-4 * norm2(b)
+
+    def test_min_norm_not_run_is_named_with_both_numbers(self):
+        # inconsistent: stage one's residual stays far above eps_ta ||b||, so
+        # stage two runs on the pair and the result says why it is not min-norm
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((5, 2))
+        b = rng.standard_normal(5)
+        res = hybrid_solve(a, b, HybridOptions(eps_cta=1e-8, want_min_norm=True,
+                                               max_iters_stage2=50))
+        stage1 = res.stage_results[0]
+        assert res.status == "normal_eq_solution"
+        assert res.detail == (f"min-norm not run: stage one's ||b - A x|| = "
+                              f"{stage1.residual_norm:.3e} > eps_ta ||b|| = "
+                              f"{1e-15 * norm2(b):.3e}")
 
     def test_least_squares_second_stage_is_unchanged(self):
         rng = np.random.default_rng(6)

@@ -212,7 +212,7 @@ class TestProductsIntoOut:
     """``HOperator.apply_with_transpose(r, out)`` writes ``[A^T r; H r]``,
     or ``H r`` alone, into a zeroed ``out`` of ``out_length`` entries and
     returns views of it, with the bytes of ``out=None``, on every storage and
-    mode."""
+    mode; with ``out=None`` it fills one buffer of its own the same way."""
 
     @staticmethod
     def _operator(case):
@@ -243,6 +243,9 @@ class TestProductsIntoOut:
         rng = np.random.default_rng(32)
         for r in (rng.standard_normal(m), rng.standard_normal(2 * m)[::2]):
             hr, at_r = h.apply_with_transpose(r)
+            own = hr if hr.base is None else hr.base
+            assert own.shape == (h.out_length,) and own.flags.owndata
+            assert at_r is None or at_r.base is own
             out = np.zeros(h.out_length)
             into, at_into = h.apply_with_transpose(r, out)
             assert np.shares_memory(into, out) and into.tobytes() == hr.tobytes()

@@ -1,8 +1,9 @@
 """The stable surfaces, pinned: the public names, the ``solve`` flags, the
-option and result fields and the driver parameters.  A new knob or a
-removed name shows up here as a one-line diff.  Three rules of the layout are
-pinned too: which modules read the clock, that no module edits a finished
-result, and that one function names scipy's private sparse kernels."""
+option and result fields, the driver parameters and the centering step's
+holders.  A new knob or a removed name shows up here as a one-line diff.
+Three rules of the layout are pinned too: which modules read the clock,
+that no module edits a finished result, and that one function names scipy's
+private sparse kernels."""
 
 import argparse
 import ast
@@ -11,7 +12,7 @@ import inspect
 from pathlib import Path
 
 import trisolve
-from trisolve import cli
+from trisolve import centering, cli
 
 
 def test_public_names():
@@ -68,6 +69,14 @@ def test_driver_parameters():
         "nonnegative_feasibility": ["a", "b", "eps", "rho_max", "max_iters"],
         "hybrid_solve": ["a", "b", "options"],
     }
+
+
+def test_centering_step_holders():
+    # a step's vectors live in Moments.block alone, and the step on separate
+    # x and r measures ||r|| itself
+    assert [field.name for field in dataclasses.fields(centering.Moments)] == [
+        "t", "phi", "block"]
+    assert list(inspect.signature(centering._step_arrays).parameters) == ["x", "r", "t", "h"]
 
 
 def test_only_the_trace_and_the_cli_read_the_clock():

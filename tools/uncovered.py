@@ -11,7 +11,7 @@ pytest in place of the default paths.  It exits with pytest's status.
 A statement counts as run when the interpreter reported any of the lines
 that compile to its own code (a compound statement's header, not its body).
 Code that runs only in a subprocess, such as the scripts that
-``conftest.fresh_python`` starts or a ``python -m trisolve`` call, is not
+``conftest.fresh_python`` starts or a ``python -m trisolve.cli`` call, is not
 seen: a statement reached only there is listed as never run.  Tracing makes
 the suite several times slower than without it.
 """

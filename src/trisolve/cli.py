@@ -92,13 +92,14 @@ def _build_parser() -> _Parser:
                             "and lpfeas, eps_ta for hybrid")
     solve.add_argument("--eps-prime", type=float, default=None,
                        help="relative to ||b||, default --eps: the normal-equation tolerance "
-                            "of ta, eps_cta of hybrid's stage one; cta and lpfeas ignore it")
+                            "of ta, eps_cta of hybrid's stage one; cta and lpfeas refuse it")
     solve.add_argument("--t-max", type=int, default=CenteringOptions.t_max)
     solve.add_argument("--max-iters", type=int, default=CenteringOptions.max_iters)
     solve.add_argument("--h-mode", choices=(H_MODE_SYMMETRIC, H_MODE_GRAM),
                        default=CenteringOptions.h_mode)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--rho-max", type=float, default=None)
+    solve.add_argument("--rho-max", type=float, default=None,
+                       help="lpfeas only: the radius budget")
     solve.add_argument("--min-norm", action="store_true",
                        help="hybrid only: certify a minimum-norm bracket")
     solve.add_argument("--known-solvable", action="store_true",
@@ -197,10 +198,12 @@ def _summary_dict(result, matrix, family, wall_ms, b_norm):
 
 def _cmd_solve(args) -> int:
     # a flag that the chosen algorithm would drop is refused, not ignored
-    if args.min_norm and args.algo != "hybrid":
-        raise ValueError(f"--min-norm needs --algo hybrid, got --algo {args.algo}")
-    if args.known_solvable and args.algo != "cta":
-        raise ValueError(f"--known-solvable needs --algo cta, got --algo {args.algo}")
+    for flag, given, algos in (("--min-norm", args.min_norm, ("hybrid",)),
+                               ("--known-solvable", args.known_solvable, ("cta",)),
+                               ("--rho-max", args.rho_max is not None, ("lpfeas",)),
+                               ("--eps-prime", args.eps_prime is not None, ("ta", "hybrid"))):
+        if given and args.algo not in algos:
+            raise ValueError(f"{flag} needs --algo {' or '.join(algos)}, got --algo {args.algo}")
     matrix, family = _load_matrix(args)
     b = gallery.row_sum_rhs(matrix)
     start = time.perf_counter()

@@ -12,37 +12,29 @@ int64 indices that scipy's coordinate constructors give.
 Objects with all four of ``matvec``, ``rmatvec``, ``shape`` and
 ``frobenius_norm`` (e.g. :class:`GramProduct`) are used as they are; anything
 else that is not a 2-D real matrix raises ``ValueError`` naming ``A``.
-``H`` is either the matrix itself, for symmetric positive semidefinite
-input, or the Gram operator ``A A^T``.  :class:`HOperator` applies the Gram
-operator as ``A (A^T r)``; on request (:meth:`HOperator.form_gram`, which
-``centering_solve`` makes) it forms the ``m x m`` product once for dense
-``A`` with ``m <= n`` and applies that instead.
 
-Products on float64 CSR storage call scipy's compiled kernels directly,
-skipping the per-call dispatch of ``A @ v``: ``csr_matvec``, and for
-``A^T v`` ``csc_matvec`` on the same arrays, the CSC arrays of ``A^T``.
-Scipy's own products run these kernels, so the bits are the same, and each
-is one template for both index types, so int32 storage keeps the bits of
-int64 storage as well.  An :class:`HOperator` on such storage binds its
-kernels and their arguments once, when it is built, so each application of
-``H`` is two kernel calls in Gram mode, one in symmetric mode, and no
-Python frame more (3.2 to 3.7 us instead of 4.7 to 5.2 us on
-``clement:301`` and ``convdiff:12``), with the same bits; the kernels add
-into a caller's zeroed buffer, so a solve's products can go straight into
-one block.  Other sparse formats and CSR storage of another dtype go
-through scipy's own ``@``, and dense matrices through numpy's ``matmul``, a
-BLAS ``gemv``, which writes into a caller's buffer as well.
-The exception is a symmetric dense ``H`` of ``SYMMETRIC_MIN_ROWS`` rows or
-more: a formed Gram matrix, or in symmetric mode an ``A`` equal to ``A^T``
-to the bit.  :func:`matvec` applies it with BLAS ``dsymv``, which reads one
-triangle, so each such bandwidth-bound product reads half the bytes.
+:func:`matvec` and :func:`matvec_transpose` return ``A v`` and ``A^T v`` as
+new vectors: numpy's ``matmul`` (a BLAS ``gemv``) on dense storage, scipy's
+``@`` on other storage but float64 CSR and CSC, whose products skip that
+dispatch and call scipy's compiled kernels ``csr_matvec`` and
+``csc_matvec`` on ``A``'s own arrays (the arrays of ``A^T`` in the other
+format).  :func:`_kernels` alone maps storage to them.  Scipy's own
+products run these kernels, one template for both index types, so the bits
+are those of ``A @ v`` for int32 and int64 storage alike.
+
+``H`` is either the matrix itself, for symmetric positive semidefinite
+input, or the Gram operator ``A A^T``, applied as ``A (A^T r)`` or, once
+:meth:`HOperator.form_gram` formed it for dense ``A`` with ``m <= n``, as
+the ``m x m`` product.  :class:`HOperator` binds its products once, and is
+the one writer into a caller's buffer and the one user of BLAS ``dsymv``,
+which reads one triangle of a symmetric dense ``H``, half the bytes.
 
 This is the one module of the package that reaches ``scipy.sparse``, and it
 imports it on first use (:func:`scipy_sparse`): that import is about half
 of ``import trisolve``'s start-up, which a caller with dense input never
 needs.  No sparse object can exist before ``scipy.sparse`` is loaded, so
 :func:`issparse` answers ``False`` without importing it.  ``dsymv`` comes
-from ``scipy.linalg.blas``, imported likewise on the first product that
+from ``scipy.linalg.blas``, imported likewise on the first ``H`` that
 uses it (:func:`blas_dsymv`), so dense work below the floor loads no scipy.
 
 Sparse kernels accumulate left-to-right within each row and are
@@ -66,22 +58,22 @@ import numpy as np
 H_MODE_SYMMETRIC = "a"   # H = A, caller guarantees A symmetric (PSD for theory)
 H_MODE_GRAM = "aat"      # H = A A^T
 
-# Dense symmetric products of at least this many rows read one triangle
-# (:func:`matvec` with ``symmetric=True``).  A product below it costs at most
-# about 55 us, which would not pay back the one-time import of scipy.linalg:
+# Dense symmetric ``H`` of at least this many rows reads one triangle
+# (:meth:`HOperator.form_gram`).  A product below it costs at most about
+# 55 us, which would not pay back the one-time import of scipy.linalg:
 # about 125 ms after scipy.sparse, 260 ms cold, and 8 MB.
 SYMMETRIC_MIN_ROWS = 512
 
 
 @functools.cache
 def scipy_sparse() -> tuple:
-    """``(scipy.sparse, (csr_array, csr_matrix), csr_matvec, csc_matvec)``,
-    imported on the first call.  A plain tuple, because every sparse product
-    unpacks it.  The kernels behind ``csr @ v`` and ``csc @ v``, from a
-    private scipy module: calling them directly saves about 4 us of dispatch
-    per product, most of the cost of a product on small systems;
-    tests/test_linalg.py pins their bits to ``a @ v`` and ``v @ a``.  A scipy
-    without that module gets :func:`_scipy_matvec` in their place."""
+    """``(scipy.sparse, kernels)``, imported on the first call.  ``kernels``
+    maps each CSR and CSC class to the pair of kernels behind ``a @ v`` and
+    ``v @ a``, from a private scipy module: calling them directly saves
+    about 4 us of dispatch per product, most of the cost of a product on
+    small systems; tests/test_linalg.py pins their bits to ``a @ v`` and
+    ``v @ a``.  A scipy without that module gets :func:`_scipy_matvec` in
+    their place.  Read through :func:`_kernels`."""
     import scipy.sparse as sparse
 
     try:
@@ -89,13 +81,26 @@ def scipy_sparse() -> tuple:
     except ImportError:
         csr_matvec, csc_matvec = (functools.partial(_scipy_matvec, kind)
                                   for kind in (sparse.csr_array, sparse.csc_array))
-    return (sparse, (sparse.csr_array, sparse.csr_matrix), csr_matvec, csc_matvec)
+    # the CSR arrays of A are the CSC arrays of A^T, and the other way round
+    by_row, by_column = (csr_matvec, csc_matvec), (csc_matvec, csr_matvec)
+    return sparse, {sparse.csr_array: by_row, sparse.csr_matrix: by_row,
+                    sparse.csc_array: by_column, sparse.csc_matrix: by_column}
 
 
 def _scipy_matvec(kind, m: int, n: int, indptr, indices, data, v, out) -> None:
     """``out[:] = A @ v`` by scipy's own product, ``A`` the ``m x n`` matrix
     ``kind((data, indices, indptr))``: a private kernel's call shape."""
     out[:] = kind((data, indices, indptr), shape=(m, n)) @ v
+
+
+def _kernels(a):
+    """Scipy's kernel pair ``(A v, A^T v)`` for float64 CSR or CSC storage
+    ``a`` (not an ndarray), else ``None``.  Each kernel is called as
+    ``kernel(rows, cols, a.indptr, a.indices, a.data, v, out)`` with the
+    shape of its own product, and adds into ``out``.  A lookup of
+    ``type(a)``, a fraction of the cost of ``issparse``."""
+    kernels = scipy_sparse()[1].get(type(a))
+    return kernels if kernels is not None and a.dtype == np.float64 else None
 
 
 @functools.cache
@@ -138,79 +143,52 @@ def shape_of(a) -> tuple[int, int]:
     return int(m), int(n)
 
 
-def _product(a, v: np.ndarray, m: int, n: int, out=None) -> np.ndarray:
-    """``a @ v`` as a vector of length ``m``, for an ``m x n`` matrix ``a``
-    and a float64 vector ``v`` of length ``n``, in ``out`` when given (see
-    :func:`matvec`).  Dense storage is numpy's ``matmul`` into ``out``;
-    float64 CSR storage goes straight to the kernel, with the output buffer
-    that ``a @ v`` would allocate.  Other storage keeps its own ``@``, whose
-    result for one row of n-d COO storage is a numpy scalar, hence the
-    reshape, and is copied into ``out``."""
+def _vector(name: str, v, length: int) -> np.ndarray:
+    """``v`` as the float64 vector of ``length`` entries that the product
+    ``name``, :func:`matvec` or :func:`matvec_transpose`, takes; raises
+    ``ValueError`` naming the product for any other shape."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        side = "rows" if name == "matvec_transpose" else "columns"
+        raise ValueError(f"{name}: vector has length {v.shape}, matrix has {length} {side}")
+    return v
+
+
+def matvec(a, v: np.ndarray) -> np.ndarray:
+    """``A @ v`` as a new vector, for a stored matrix, with a deterministic
+    summation order for fixed storage: numpy's ``matmul`` on dense storage,
+    the kernel of :func:`_kernels` on float64 CSR or CSC storage, scipy's
+    ``@`` on anything else (whose result for one row of n-d COO storage is
+    a numpy scalar, hence the reshape)."""
+    m, n = a.shape
+    v = _vector("matvec", v, n)
     if type(a) is np.ndarray:
-        return np.matmul(a, v, out=out)
-    _, csr_types, csr_matvec, _ = scipy_sparse()
-    if isinstance(a, csr_types) and a.dtype == np.float64:
-        if out is None:
-            out = np.zeros(m)
-        csr_matvec(m, n, a.indptr, a.indices, a.data, v, out)
-        return out
-    product = np.asarray(a @ v).reshape(m)
-    if out is None:
-        return product
-    out[:] = product
+        return np.matmul(a, v)
+    kernels = _kernels(a)
+    if kernels is None:
+        return np.asarray(a @ v).reshape(m)
+    out = np.zeros(m)
+    kernels[0](m, n, a.indptr, a.indices, a.data, v, out)
     return out
 
 
-def matvec(a, v: np.ndarray, *, symmetric: bool = False, out=None) -> np.ndarray:
-    """``A @ v`` for a stored matrix, with a deterministic summation order
-    for fixed storage.  ``symmetric`` asserts that ``a`` is exactly
-    symmetric: a float64 square ndarray of at least ``SYMMETRIC_MIN_ROWS``
-    rows then goes to BLAS ``dsymv``, which reads one triangle, half the
-    bytes of ``a @ v``, and rounds differently.  Anything else keeps
-    ``a @ v`` and its bits.
-
-    ``out``, a zero-filled contiguous float64 vector of ``A``'s row count,
-    takes the product and is returned: dense and float64 CSR products write
-    into it in place, other sparse storage is copied in.  A wrong-length
-    ``v`` raises ``ValueError`` before ``out`` is touched."""
-    v = np.asarray(v, dtype=np.float64)
+def matvec_transpose(a, v: np.ndarray) -> np.ndarray:
+    """``A.T @ v`` as a new vector, read from ``a``'s own storage: BLAS
+    ``a.T @ v`` on dense storage, the other kernel of :func:`_kernels` on
+    ``a``'s arrays for float64 CSR or CSC storage, scipy's ``@`` on the
+    view ``a.T`` for anything else.  For CSR or CSC ``a`` each entry of the
+    result adds the terms ``A_ji v_j`` in ascending ``j``, duplicates in
+    storage order: the bits of ``v @ a``."""
     m, n = a.shape
-    if v.shape != (n,):
-        raise ValueError(f"matvec: vector has length {v.shape}, matrix has {n} columns")
-    if (symmetric and m == n and m >= SYMMETRIC_MIN_ROWS and type(a) is np.ndarray
-            and a.dtype == np.float64):
-        # the Fortran-ordered one of a and a.T, equal by symmetry: scipy
-        # copies a C-ordered argument, about 7x the product at 1000 rows;
-        # y is the zero vector dsymv would otherwise allocate
-        if out is None:
-            out = np.zeros(m)
-        return blas_dsymv()(1.0, a.T if a.flags.c_contiguous else a, v, y=out,
-                            overwrite_y=True, lower=1)
-    return _product(a, v, m, n, out)
-
-
-def matvec_transpose(a, v: np.ndarray, out=None) -> np.ndarray:
-    """``A.T @ v`` for a stored matrix, read from ``a``'s own storage: a
-    float64 CSR ``a`` goes to ``csc_matvec`` on its arrays, anything else to
-    the product :func:`_product` makes on the view ``a.T``.  A CSC ``a`` has
-    a CSR view, which goes to ``csr_matvec``; other sparse views run
-    scipy's ``@``, and dense ``a`` BLAS ``a.T @ v``.  For CSR or CSC ``a``
-    each entry of the result adds the terms ``A_ji v_j`` in ascending ``j``,
-    duplicates in storage order: the bits of ``v @ a``.  ``out`` is that of
-    :func:`matvec`, of ``A``'s column count.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    m, n = a.shape
-    if v.shape != (m,):
-        raise ValueError(f"matvec_transpose: vector has length {v.shape}, matrix has {m} rows")
-    if type(a) is not np.ndarray:
-        _, csr_types, _, csc_matvec = scipy_sparse()
-        if isinstance(a, csr_types) and a.dtype == np.float64:
-            if out is None:
-                out = np.zeros(n)
-            csc_matvec(n, m, a.indptr, a.indices, a.data, v, out)
-            return out
-    return _product(a.T, v, n, m, out)
+    v = _vector("matvec_transpose", v, m)
+    if type(a) is np.ndarray:
+        return np.matmul(a.T, v)
+    kernels = _kernels(a)
+    if kernels is None:
+        return np.asarray(a.T @ v).reshape(n)
+    out = np.zeros(n)
+    kernels[1](n, m, a.indptr, a.indices, a.data, v, out)
+    return out
 
 
 def norm2(v: np.ndarray) -> float:
@@ -277,11 +255,11 @@ class Operator:
         self.matrix = matrix
         self.shape = shape_of(matrix)
 
-    def matvec(self, v: np.ndarray, out=None) -> np.ndarray:
-        return matvec(self.matrix, v, out=out)
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return matvec(self.matrix, v)
 
-    def rmatvec(self, v: np.ndarray, out=None) -> np.ndarray:
-        return matvec_transpose(self.matrix, v, out)
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        return matvec_transpose(self.matrix, v)
 
     def entries(self) -> np.ndarray:
         """Values whose Euclidean norm is ``||A||_F``: the dense matrix, the
@@ -379,20 +357,21 @@ class GramProduct:
 class HOperator:
     """The solver-side operator ``H``: mode ``"a"`` applies the matrix itself
     (caller asserts symmetry); mode ``"aat"`` applies ``A A^T`` as
-    ``A (A^T r)``, or as ``matvec(gram, r)`` once :meth:`form_gram` formed
-    ``gram``.  The constructor never forms it: ``gram`` starts as ``None``,
-    and ``exactly_symmetric`` as ``False``.
+    ``A (A^T r)``, or as ``gram r`` once :meth:`form_gram` formed ``gram``.
+    The constructor never forms it: ``gram`` starts as ``None``, and
+    ``exactly_symmetric`` as ``False``.
 
-    On float64 CSR storage of an :class:`Operator` the constructor reads
-    ``m, n``, ``A``'s three arrays and the kernels ``csc_matvec`` and
-    ``csr_matvec`` once; :meth:`apply_with_transpose` then calls those
-    kernels (both in Gram mode, ``csr_matvec`` alone in symmetric mode) with
-    the arguments :func:`matvec_transpose` and :func:`matvec` would pass, so
-    the bits are the same and the four Python frames between them go (3.2
-    to 3.7 us instead of 4.7 to 5.2 us per Gram-mode application on
-    centering's small gallery systems).  Other storage and caller-supplied
-    operators keep the operator's own products; dense ones write into the
-    buffer, the others are copied into it.
+    ``H`` is the one writer into a caller's buffer.  The constructor picks
+    its writers ``f(v, out)`` of ``A v`` and ``A^T v`` once: numpy's
+    ``matmul`` on dense :class:`Operator` storage, the kernels of
+    :func:`_kernels` bound to ``A``'s shape and arrays on float64 CSR or CSC
+    storage, both in place and with the bits of :func:`matvec` and
+    :func:`matvec_transpose` (3.2 to 3.7 us instead of 4.7 to 5.2 us per
+    Gram-mode application on centering's small gallery systems), else a
+    copy of the operator's own product.  Symmetric mode has no ``A^T``
+    writer.  :meth:`form_gram` rebinds the ``A v`` writer to ``gram`` or to
+    an exactly symmetric ``A``, by BLAS ``dsymv`` from ``SYMMETRIC_MIN_ROWS``
+    rows on.
 
     ``out_length`` is the length of the one buffer
     :meth:`apply_with_transpose` fills, the caller's or its own: ``n + m``
@@ -402,8 +381,8 @@ class HOperator:
     def __init__(self, a, mode: str = H_MODE_GRAM):
         if mode not in (H_MODE_SYMMETRIC, H_MODE_GRAM):
             raise ValueError(f"unknown h_mode {mode!r}")
-        self.operator = prepare(a)
-        m, n = self.operator.shape
+        op = self.operator = prepare(a)
+        m, n = op.shape
         if mode == H_MODE_SYMMETRIC and m != n:
             raise ValueError(f"h_mode {mode!r} needs a square matrix, got {m} x {n}")
         self.mode = mode
@@ -411,15 +390,18 @@ class HOperator:
         self.gram = None
         self.exactly_symmetric = False
         self.out_length = n + m if mode == H_MODE_GRAM else m
-        # float64 CSR storage, the test _product makes on every call: the
-        # kernels and their arguments, read once
-        self._kernels = None
-        op = self.operator
-        if isinstance(op, Operator) and issparse(op.matrix):
-            a = op.matrix
-            _, csr_types, csr_matvec, csc_matvec = scipy_sparse()
-            if isinstance(a, csr_types) and a.dtype == np.float64:
-                self._kernels = (m, n, a.indptr, a.indices, a.data, csr_matvec, csc_matvec)
+        matrix = op.matrix if isinstance(op, Operator) else None
+        if type(matrix) is np.ndarray:
+            self._a = functools.partial(np.matmul, matrix)
+            self._at = functools.partial(np.matmul, matrix.T)
+        elif matrix is not None and (kernels := _kernels(matrix)) is not None:
+            arrays = (matrix.indptr, matrix.indices, matrix.data)
+            self._a = functools.partial(kernels[0], m, n, *arrays)
+            self._at = functools.partial(kernels[1], n, m, *arrays)
+        else:
+            self._a, self._at = _copied(op.matvec), _copied(op.rmatvec)
+        if mode == H_MODE_SYMMETRIC:
+            self._at = None
 
     def form_gram(self) -> bool:
         """Set up the dense products of ``H`` once, before the first; return
@@ -441,11 +423,20 @@ class HOperator:
         op = self.operator
         m, n = op.shape
         dense = isinstance(op, Operator) and type(op.matrix) is np.ndarray
+        symmetric = None  # a dense H equal to its transpose to the bit
         if self.mode == H_MODE_GRAM and dense and m <= n:
-            self.gram = op.matrix @ op.matrix.T
-            self.out_length = m
+            symmetric = self.gram = op.matrix @ op.matrix.T
+            self._a, self._at, self.out_length = functools.partial(np.matmul, symmetric), None, m
         elif self.mode == H_MODE_SYMMETRIC and dense and m >= SYMMETRIC_MIN_ROWS:
             self.exactly_symmetric = np.array_equal(op.matrix, op.matrix.T)
+            symmetric = op.matrix if self.exactly_symmetric else None
+        if symmetric is not None and m >= SYMMETRIC_MIN_ROWS:
+            # the Fortran-ordered one of H and H^T, equal by symmetry: scipy
+            # copies a C-ordered argument, about 7x the product at 1000 rows;
+            # out is the zero vector dsymv would otherwise allocate
+            dsymv = blas_dsymv()
+            g = symmetric.T if symmetric.flags.c_contiguous else symmetric
+            self._a = lambda v, out: dsymv(1.0, g, v, y=out, overwrite_y=True, lower=1)
         return self.gram is not None
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -457,40 +448,33 @@ class HOperator:
         intermediate comes for free; ``(H r, None)`` when no ``A^T`` product
         was computed: in symmetric mode, and with ``gram`` formed.
 
-        ``out``, a zero-filled float64 vector of :attr:`out_length` that is
-        allocated here when not given, takes the products: ``[A^T r; H r]``,
-        or ``H r`` alone, and the results are views of it.  The kernels bound
-        on CSR storage add into it in place, and dense products (``gemv``,
-        ``dsymv``, a formed ``gram``) write into it (see :func:`matvec`);
-        other sparse storage and caller operators are copied into it."""
+        ``out``, a zero-filled C-contiguous float64 vector of
+        :attr:`out_length` entries that is allocated here when not given,
+        takes the products: ``[A^T r; H r]``, or ``H r`` alone, and the
+        results are views of it.  Any other ``out``, and an ``r`` of another
+        length than ``A``'s rows, raise ``ValueError`` before anything is
+        written."""
+        m = self.dim
+        r = _vector("matvec" if self._at is None else "matvec_transpose", r, m)
         if out is None:
             out = np.zeros(self.out_length)
-        if self._kernels is not None:
-            m, n, indptr, indices, data, csr_matvec, csc_matvec = self._kernels
-            r = np.asarray(r, dtype=np.float64)
-            if r.shape == (m,):  # else the operator's own product names the length
-                if self.mode == H_MODE_SYMMETRIC:
-                    csr_matvec(m, n, indptr, indices, data, r, out)
-                    return out, None
-                at_r, hr = out[:n], out[n:]
-                csc_matvec(n, m, indptr, indices, data, r, at_r)
-                csr_matvec(m, n, indptr, indices, data, at_r, hr)
-                return hr, at_r
-        op = self.operator
-        if self.gram is not None:
-            return matvec(self.gram, r, symmetric=True, out=out), None
-        if self.exactly_symmetric:
-            return matvec(op.matrix, r, symmetric=True, out=out), None
-        if self.mode == H_MODE_SYMMETRIC:
-            return self._product(op.matvec, r, out), None
-        n = op.shape[1]
-        at_r = self._product(op.rmatvec, r, out[:n])
-        return self._product(op.matvec, at_r, out[n:]), at_r
+        elif not (type(out) is np.ndarray and out.dtype == np.float64
+                  and out.shape == (self.out_length,) and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 vector of "
+                             f"{self.out_length} entries")
+        if self._at is None:
+            self._a(r, out)
+            return out, None
+        n = self.out_length - m
+        at_r, hr = out[:n], out[n:]
+        self._at(r, at_r)
+        self._a(at_r, hr)
+        return hr, at_r
 
-    def _product(self, product, v, out):
-        """``product(v)`` in ``out``: an :class:`Operator`'s products write
-        into it themselves, a caller operator's result is copied in."""
-        if isinstance(self.operator, Operator):
-            return product(v, out)
+
+def _copied(product):
+    """``product(v)`` as a writer ``f(v, out)`` of ``H``: the result is
+    copied into ``out``."""
+    def write(v, out):
         out[:] = product(v)
-        return out
+    return write

@@ -868,9 +868,9 @@ def transposes(monkeypatch):
     calls = []
     rmatvec = Operator.rmatvec
 
-    def counted(self, v, out=None):
+    def counted(self, v):
         calls.append(len(v))
-        return rmatvec(self, v, out)
+        return rmatvec(self, v)
 
     monkeypatch.setattr(Operator, "rmatvec", counted)
     return calls
@@ -907,14 +907,14 @@ class TestExplicitGram:
 
     @pytest.mark.parametrize("spec, eps", [("clement:301", 1e-9), ("convdiff:12", 1e-8)])
     def test_transpose_products_counted(self, spec, eps, transposes):
-        # one per recheck, one for x = A^T y once a clause passes, one at the
-        # exit, and t for the step of order t that then measures ||A^T r||
-        # to certify a normal-equation solution
+        # one per recheck, one for x = A^T y once a clause passes and one at
+        # the exit; the step that then measures ||A^T r|| to certify a
+        # normal-equation solution runs on the gemv writers H bound when
+        # built, not on Operator.rmatvec
         a = _dense_gallery(spec)
         res = centering_solve(a, gallery.row_sum_rhs(a), CenteringOptions(epsilon=eps))
         assert res.iterations >= 500
-        certifying = res.trace.column("t")[-1] if res.status == "normal_eq_solution" else 0
-        assert len(transposes) == res.iterations // 250 + 2 + certifying
+        assert len(transposes) == res.iterations // 250 + 2
 
     @pytest.mark.parametrize("spec, eps", [("clement:301", 1e-9), ("convdiff:12", 1e-8)])
     def test_transpose_products_counted_on_sparse_storage(self, spec, eps, transposes):

@@ -184,10 +184,18 @@ class TestSolve:
         assert data["outcome"] == "min_norm_solution"
 
     @pytest.mark.parametrize("flag, algo, needed", [
-        ("--min-norm", "cta", "hybrid"), ("--known-solvable", "hybrid", "cta")])
+        ("--min-norm", "cta", "hybrid"), ("--known-solvable", "hybrid", "cta"),
+        ("--rho-max 5", "cta", "lpfeas"), ("--rho-max 5", "ta", "lpfeas"),
+        ("--rho-max 5", "hybrid", "lpfeas"), ("--eps-prime 1e-3", "cta", "ta or hybrid"),
+        ("--eps-prime 1e-3", "lpfeas", "ta or hybrid")])
     def test_flags_the_algorithm_would_drop_are_refused(self, flag, algo, needed, capsys):
-        assert run(["solve", "--gen", "diag-pd:30", "--algo", algo, flag]) == 1
-        assert f"error: {flag} needs --algo {needed}, got --algo {algo}" in capsys.readouterr().err
+        assert run(["solve", "--gen", "diag-pd:30", "--algo", algo, *flag.split()]) == 1
+        name = flag.split()[0]
+        assert f"error: {name} needs --algo {needed}, got --algo {algo}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["ta", "hybrid"])
+    def test_eps_prime_is_taken_where_it_is_read(self, algo):
+        assert run(["solve", "--gen", "diag-pd:30", "--algo", algo, "--eps-prime", "1e-3"]) == 0
 
 
 class TestDeterminism:

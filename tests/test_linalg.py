@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import aslinearoperator
 
 import trisolve
@@ -151,32 +152,54 @@ def _exactly_symmetric(m, seed=22):
     return b @ b.T
 
 
+def _one_triangle(g, v):
+    """``g v`` by BLAS ``dsymv`` on the lower triangle of the Fortran-ordered
+    ``g``, allocating its own result."""
+    return dsymv(1.0, np.asfortranarray(g), v, lower=1)
+
+
 class TestSymmetricKernel:
-    """Exactly symmetric dense storage of ``SYMMETRIC_MIN_ROWS`` rows or more
-    is applied by BLAS ``dsymv``, which reads one triangle; everything else
-    keeps the bits of ``a @ v``."""
+    """An exactly symmetric dense ``H`` of ``SYMMETRIC_MIN_ROWS`` rows or
+    more, a formed ``gram`` or in symmetric mode an ``A`` equal to ``A^T``
+    to the bit, is applied by BLAS ``dsymv``, which reads one triangle;
+    everything else keeps the bits of ``a @ v``."""
 
     @pytest.mark.parametrize("m", [SYMMETRIC_MIN_ROWS, 600])
     def test_one_triangle_matches_the_full_product(self, m):
         g = _exactly_symmetric(m)
         v = np.random.default_rng(m).standard_normal(m)
         full = g @ v
-        out = matvec(g, v, symmetric=True)
+        h = HOperator(g, "a")
+        h.form_gram()
+        out = h.apply(v)
+        assert out.tobytes() == _one_triangle(g, v).tobytes()
         assert norm2(out - full) <= 1e-13 * norm2(full)
         # the Fortran-ordered copy reads the same triangle in the same order
-        assert matvec(np.asfortranarray(g), v, symmetric=True).tobytes() == out.tobytes()
+        fortran = HOperator(np.asfortranarray(g), "a")
+        fortran.form_gram()
+        assert fortran.apply(v).tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("m", [5, SYMMETRIC_MIN_ROWS - 1])
     def test_below_the_floor_keeps_the_full_product(self, m):
         g = _exactly_symmetric(m)
         v = np.random.default_rng(m).standard_normal(m)
-        assert matvec(g, v, symmetric=True).tobytes() == (g @ v).tobytes()
+        h = HOperator(g, "a")
+        h.form_gram()
+        assert h.exactly_symmetric is False  # not checked below the floor
+        assert h.apply(v).tobytes() == (g @ v).tobytes()
+        wide = HOperator(np.random.default_rng(m + 1).standard_normal((m, m + 3)), "aat")
+        assert wide.form_gram() is True
+        assert wide.apply(v).tobytes() == (wide.gram @ v).tobytes()
 
     def test_other_storage_keeps_its_product(self):
-        g = _exactly_symmetric(600)
+        # sparse storage and a caller's operator never reach dsymv
+        b = np.random.default_rng(22).standard_normal((600, 300))
+        g = b @ b.T
         v = np.random.default_rng(1).standard_normal(600)
-        for stored in (sparse.csr_array(g), g.astype(np.float32)):
-            assert matvec(stored, v, symmetric=True).tobytes() == matvec(stored, v).tobytes()
+        for stored in (sparse.csr_array(g), GramProduct(b.T)):
+            h = HOperator(stored, "a")
+            assert h.form_gram() is False and h.exactly_symmetric is False
+            assert h.apply(v).tobytes() == prepare(stored).matvec(v).tobytes()
 
     @pytest.mark.parametrize("m, exact", [(600, True), (SYMMETRIC_MIN_ROWS - 1, False)])
     def test_symmetric_mode_checks_the_matrix(self, m, exact):
@@ -186,7 +209,7 @@ class TestSymmetricKernel:
         assert h.exactly_symmetric is False  # the constructor never checks
         assert h.form_gram() is False
         assert h.exactly_symmetric is exact
-        expected = matvec(a, r, symmetric=True) if exact else a @ r
+        expected = _one_triangle(a, r) if exact else a @ r
         assert h.apply(r).tobytes() == expected.tobytes()
 
     def test_one_ulp_off_symmetric_keeps_the_full_product(self):
@@ -205,14 +228,15 @@ class TestSymmetricKernel:
         assert h.form_gram() is True
         hr, direction = h.apply_with_transpose(r)
         assert direction is None
-        assert hr.tobytes() == matvec(h.gram, r, symmetric=True).tobytes()
+        assert hr.tobytes() == _one_triangle(h.gram, r).tobytes()
 
 
 class TestProductsIntoOut:
     """``HOperator.apply_with_transpose(r, out)`` writes ``[A^T r; H r]``,
     or ``H r`` alone, into a zeroed ``out`` of ``out_length`` entries and
     returns views of it, with the bytes of ``out=None``, on every storage and
-    mode; with ``out=None`` it fills one buffer of its own the same way."""
+    mode; with ``out=None`` it fills one buffer of its own the same way.  It
+    is the one product that takes a buffer."""
 
     @staticmethod
     def _operator(case):
@@ -264,33 +288,68 @@ class TestProductsIntoOut:
             assert str(into.value) == str(plain.value)
             assert not out.any()  # nothing was written
 
-
     def test_dense_products_write_into_out_with_the_bits_of_matmul(self):
         # gemv into a slice of a larger zeroed block, on C- and F-ordered and
         # strided storage, with contiguous and strided vectors: the bytes of
-        # a @ v and a.T @ v; dsymv into it has the bytes of its own result
+        # a.T @ r and a @ (a.T @ r) in Gram mode, and of a @ r in symmetric
+        # mode; dsymv into it has the bytes of its own result
         rng = np.random.default_rng(33)
         base = rng.standard_normal((70, 90))
-        for a in (base, np.asfortranarray(base), base[::2, 1::3], base.T):
-            m, n = a.shape
-            for v, w in ((rng.standard_normal(n), rng.standard_normal(m)),
-                         (rng.standard_normal(2 * n)[::2], rng.standard_normal(2 * m)[::2])):
-                for product, vector, length, expected in (
-                        (lambda v, out: matvec(a, v, out=out), v, m, a @ v),
-                        (lambda v, out: matvec_transpose(a, v, out), w, n, a.T @ w),
-                        (lambda v, out: Operator(a).matvec(v, out), v, m, a @ v),
-                        (lambda v, out: Operator(a).rmatvec(v, out), w, n, a.T @ w)):
-                    block = np.zeros(length + 5)
-                    got = product(vector, block[3:3 + length])
-                    assert np.shares_memory(got, block) and got.tobytes() == expected.tobytes()
-                    assert not block[:3].any() and not block[3 + length:].any()
+        square = rng.standard_normal((60, 60))
+        for a, mode in ((base, "aat"), (np.asfortranarray(base), "aat"), (base[::2, 1::3], "aat"),
+                        (base.T, "aat"), (square, "a"), (np.asfortranarray(square), "a")):
+            h = HOperator(a, mode)
+            m, length = a.shape[0], h.out_length
+            for r in (rng.standard_normal(m), rng.standard_normal(2 * m)[::2]):
+                block = np.zeros(length + 5)
+                hr, at_r = h.apply_with_transpose(r, block[3:3 + length])
+                assert np.shares_memory(hr, block)
+                if mode == "a":
+                    assert at_r is None and hr.tobytes() == (a @ r).tobytes()
+                else:
+                    assert at_r.tobytes() == (a.T @ r).tobytes()
+                    assert hr.tobytes() == (a @ (a.T @ r)).tobytes()
+                assert not block[:3].any() and not block[3 + length:].any()
         g = _exactly_symmetric(SYMMETRIC_MIN_ROWS + 3)
         m = g.shape[0]
+        h = HOperator(g, "a")
+        h.form_gram()
         v = rng.standard_normal(m)
         block = np.zeros(m + 4)
-        got = matvec(g, v, symmetric=True, out=block[2:2 + m])
+        got = h.apply_with_transpose(v, block[2:2 + m])[0]
         assert np.shares_memory(got, block)
-        assert got.tobytes() == matvec(g, v, symmetric=True).tobytes()
+        assert got.tobytes() == _one_triangle(g, v).tobytes()
+        assert not block[:2].any() and not block[2 + m:].any()
+
+    def test_a_bad_out_is_refused_before_any_product(self):
+        # the one public buffer: a view shorter than out_length, another
+        # dtype or layout, is refused whole, and the buffer is untouched
+        a = sparse.random_array((6, 6), density=0.5, random_state=1, format="csr")
+        v = np.ones(6)
+        for mode in ("aat", "a"):
+            h = HOperator(a, mode)
+            length = h.out_length
+            buf = np.full(2 * length + 2, 7.0)
+            for out in (buf[:5], buf[:length - 1], buf[:length + 1], buf[:2 * length:2],
+                        buf[:length].astype(np.float32), buf[:length].reshape(1, -1),
+                        list(buf[:length])):
+                with pytest.raises(ValueError, match="^out must be a C-contiguous float64 "
+                                                     f"vector of {length} entries$"):
+                    h.apply_with_transpose(v, out)
+                assert (buf == 7.0).all()
+
+    def test_module_products_take_no_buffer(self):
+        # matvec and matvec_transpose return new vectors on every storage:
+        # an out= argument is a TypeError, and the buffer is untouched
+        a = sparse.random_array((6, 6), density=0.5, random_state=1, format="csr")
+        v, buf = np.ones(6), np.ones(6)
+        for stored in (a, a.toarray()):
+            for product in (matvec, matvec_transpose):
+                with pytest.raises(TypeError, match="out"):
+                    product(stored, v, out=buf[:3])
+                assert (buf == 1.0).all()
+                got = product(stored, v)
+                assert got.flags.owndata and not np.shares_memory(got, buf)
 
 
 class TestNorm2:
@@ -360,7 +419,8 @@ sys.modules["scipy.sparse._sparsetools"] = None
 del scipy.sparse._sparsetools
 
 from trisolve import linalg
-assert isinstance(linalg.scipy_sparse()[2], functools.partial)
+assert all(isinstance(kernel, functools.partial)
+           for pair in linalg.scipy_sparse()[1].values() for kernel in pair)
 """
 
 _SPARSE_SOLVES = """
@@ -435,9 +495,9 @@ def module_products(monkeypatch):
 
 
 class TestStoredTranspose:
-    """Products on CSR storage go straight to scipy's kernels, ``A^T v``
-    through the CSC kernel on ``A``'s own arrays, and have the bits of
-    scipy's own ``A @ v`` and ``v @ A``."""
+    """Products on CSR and CSC storage go straight to scipy's kernels,
+    ``A^T v`` through the other format's kernel on ``A``'s own arrays, and
+    have the bits of scipy's own ``A @ v`` and ``v @ A``."""
 
     def _cases(self, classes=(sparse.csr_array, sparse.csr_matrix)):
         rng = np.random.default_rng(17)
@@ -523,8 +583,11 @@ class TestStoredTranspose:
 
     def test_fallback_kernels_have_the_private_kernels_bits(self):
         rng = np.random.default_rng(23)
-        _, _, csr_kernel, csc_kernel = scipy_sparse()
+        _, kernels = scipy_sparse()
+        csr_kernel, csc_kernel = kernels[sparse.csr_array]
         assert not isinstance(csr_kernel, functools.partial)
+        # CSC storage applies the same two kernels the other way round
+        assert kernels[sparse.csc_matrix] == (csc_kernel, csr_kernel)
         for a in self._cases():
             m, n = a.shape
             for kind, kernel, rows, cols in ((sparse.csr_array, csr_kernel, m, n),
@@ -577,12 +640,34 @@ class TestStoredTranspose:
             with pytest.raises(ValueError, match="^matvec: vector has length"):
                 h.apply(np.ones(a.shape[0] + 1))
 
+    def test_csc_storage_binds_its_kernels(self, module_products):
+        # CSC storage, int32 and narrowed int64 indices, unsorted and
+        # duplicate entries and empty shapes, in both modes: H applies the
+        # csc_matvec and csr_matvec kernels it bound when built, with the
+        # bits of the module products and no call of them
+        calls = module_products
+        rng = np.random.default_rng(28)
+        for a in self._cases(_CSC):
+            for mode in ("aat", "a") if a.shape[0] == a.shape[1] else ("aat",):
+                h = HOperator(a, mode)
+                op = h.operator
+                for r in self._vectors(rng, a.shape[0]):
+                    at_r = op.rmatvec(r) if mode == "aat" else None
+                    hr = op.matvec(r if at_r is None else at_r)
+                    calls.clear()
+                    got, direction = h.apply_with_transpose(r)
+                    assert calls == []
+                    assert got.tobytes() == hr.tobytes()
+                    assert direction is None if at_r is None else (
+                        direction.tobytes() == at_r.tobytes())
+
     @pytest.mark.parametrize("case, products", [
-        # symmetric mode on CSR storage: the kernel H bound when it was built
+        # symmetric mode on CSR storage, CSC and dense storage: the writers
+        # H bound when it was built
         ("symmetric-csr", []),
-        ("csc", ["matvec_transpose", "matvec"]),
+        ("csc", []),
         ("coo", ["matvec_transpose", "matvec"]),
-        ("dense", ["matvec_transpose", "matvec"]),
+        ("dense", []),
         # GramProduct.rmatvec is its matvec, A^T (A v), applied twice
         ("gram-product", ["matvec", "matvec_transpose"] * 2),
     ])

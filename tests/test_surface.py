@@ -71,6 +71,13 @@ def test_driver_parameters():
     }
 
 
+def test_module_products_take_no_buffer():
+    # HOperator.apply_with_transpose is the one product that writes into a
+    # caller's buffer
+    for name in ("matvec", "matvec_transpose"):
+        assert list(inspect.signature(getattr(trisolve, name)).parameters) == ["a", "v"]
+
+
 def test_centering_step_holders():
     # a step's vectors live in Moments.block alone, and the step on separate
     # x and r measures ||r|| itself
